@@ -60,9 +60,6 @@ class VehicleSpec:
     result_bits: np.ndarray                    # per-RSU result size, bits
     trajectory: Trajectory
 
-    def task_bits_at(self, t: int) -> float:
-        return float(self.task_bits[t % len(self.task_bits)])
-
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -88,6 +85,8 @@ class EnvConfig:
             raise ValueError("QoE weights must be nonnegative")
         if self.reward_mode not in ("latency", "qoe"):
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 # Observation layout per vehicle: [prev action, E RSU loads, error rate,
@@ -125,7 +124,19 @@ class StepResult:
 
 
 class PremigrationEnv:
-    """Single-writer environment; create one instance per concurrent rollout."""
+    """Single-writer environment; create one instance per concurrent rollout.
+
+    Trajectories are fixed for the life of an env, so everything that depends
+    only on (slot, vehicle) is tabulated at construction for slots
+    0..horizon-1, each table of shape (horizon, V): `xy` (positions, with a
+    trailing x/y axis), `serving` (nearest RSU), `task_bits`, `t_up` (uplink
+    request latency) and `t_down_serving` (downlink result latency from the
+    serving RSU). `step` reads them and evaluates only what depends on the
+    actions. Channel values and error rates go through Python's scalar
+    `math` kernels, because numpy's vectorized hypot, square, log2 and exp
+    round differently on some inputs, and the outputs are kept identical to
+    the bit to the scalar model in tests/scalar_env.py.
+    """
 
     def __init__(
         self,
@@ -153,131 +164,152 @@ class PremigrationEnv:
         self._rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
         self._max_load = np.array([r.max_load for r in self.rsus])
         self._compute = np.array([r.compute for r in self.rsus])
-        # Per-vehicle trajectory arrays for position lookup.
-        self._traj_t = [np.array([p.t for p in v.trajectory.points]) for v in self.vehicles]
-        self._traj_xy = [
-            np.array([[p.pos.x, p.pos.y] for p in v.trajectory.points])
-            for v in self.vehicles
-        ]
+        self._cycles_per_bit = np.array([v.cycles_per_bit for v in self.vehicles])
+        # Backhaul bits/s by (from, to); 0 where no link is configured.
+        self._backhaul = np.array(
+            [[r.backhaul.get(j, 0.0) for j in range(self.E)] for r in self.rsus], dtype=float
+        )
         self._action_scale = float(max(self.E - 1, 1))
         self._latency_scale = 1.0
         self._rng: Optional[np.random.Generator] = None
 
-    # --- position / channel helpers ---
+        slots = np.arange(cfg.horizon)
+        self.xy = self.position(slots)
+        self.serving = np.array([self.nearest_rsu(xy) for xy in self.xy])
+        self.task_bits = np.stack(
+            [np.asarray(v.task_bits, dtype=float)[slots % len(v.task_bits)] for v in self.vehicles],
+            axis=1,
+        )
+        self.t_up = np.zeros((cfg.horizon, self.V))
+        self.t_down_serving = np.zeros((cfg.horizon, self.V))
+        every = np.arange(self.V)
+        for t in slots:
+            self.t_up[t], self.t_down_serving[t] = self.transmission_latencies(
+                t, every, self.serving[t]
+            )
 
-    def position(self, v: int, slot: int) -> GeoPoint:
-        """Vehicle position at the start of a slot, held constant off the ends."""
-        ts = self._traj_t[v]
-        xy = self._traj_xy[v]
-        t = ts[0] + slot * self.cfg.slot_seconds
-        if t <= ts[0]:
-            return GeoPoint(float(xy[0, 0]), float(xy[0, 1]))
-        if t >= ts[-1]:
-            return GeoPoint(float(xy[-1, 0]), float(xy[-1, 1]))
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        u = (t - ts[i]) / (ts[i + 1] - ts[i])
-        p = xy[i] + u * (xy[i + 1] - xy[i])
-        return GeoPoint(float(p[0]), float(p[1]))
+    # --- position / channel ---
 
-    def distance(self, v: int, e: int, slot: int) -> float:
-        """Vehicle-RSU distance, clamped to 1 m for co-located pairs."""
-        p = self.position(v, slot)
+    def position(self, slots: np.ndarray) -> np.ndarray:
+        """(len(slots), V, 2) vehicle positions at the start of each slot.
+
+        Linear interpolation along each trajectory, held constant off its ends.
+        """
+        out = np.empty((len(slots), self.V, 2))
+        for v, spec in enumerate(self.vehicles):
+            ts = np.array([p.t for p in spec.trajectory.points])
+            xy = np.array([[p.pos.x, p.pos.y] for p in spec.trajectory.points])
+            t = ts[0] + slots * self.cfg.slot_seconds
+            out[:, v] = np.where(t[:, None] <= ts[0], xy[0], xy[-1])
+            inside = (t > ts[0]) & (t < ts[-1])
+            i = np.searchsorted(ts, t[inside], side="right") - 1
+            u = (t[inside] - ts[i]) / (ts[i + 1] - ts[i])
+            out[inside, v] = xy[i] + u[:, None] * (xy[i + 1] - xy[i])
+        return out
+
+    def nearest_rsu(self, xy: np.ndarray) -> np.ndarray:
+        """Nearest RSU to each (x, y) row of `xy`; ties resolve to the lowest id."""
+        d = np.hypot(self._rsu_xy[:, 0] - xy[:, :1], self._rsu_xy[:, 1] - xy[:, 1:])
+        return np.argmin(d, axis=1)
+
+    def distance(self, e: int, x: float, y: float) -> float:
+        """Distance from (x, y) to RSU e, clamped to 1 m for co-located pairs."""
         r = self.rsus[e].pos
-        return max(1.0, math.hypot(p.x - r.x, p.y - r.y))
+        return max(1.0, math.hypot(x - r.x, y - r.y))
 
-    def channel_gain(self, v: int, e: int, slot: int) -> float:
-        d = self.distance(v, e, slot)
+    def channel_gain(self, e: int, x: float, y: float) -> float:
+        """Distance-law gain h = A * (c / (4 pi f d))^2."""
+        d = self.distance(e, x, y)
         c = self.channel
         return c.gain_coeff * (c.light_speed / (4.0 * math.pi * c.carrier * d)) ** 2
 
-    def uplink_rate(self, v: int, e: int, slot: int) -> float:
-        """Shannon-form rate on the RSU's uplink bandwidth, bits/s."""
-        snr = self.vehicles[v].tx_power * self.channel_gain(v, e, slot) / self.rsus[e].noise_power
-        return self.rsus[e].bw_up * math.log2(1.0 + snr)
+    def spectral_efficiency(self, v: int, e: int, x: float, y: float) -> float:
+        """log2(1 + SNR) of vehicle v at (x, y) on a link with RSU e, bits/s/Hz.
 
-    def downlink_rate(self, v: int, e: int, slot: int) -> float:
-        snr = self.vehicles[v].tx_power * self.channel_gain(v, e, slot) / self.rsus[e].noise_power
-        return self.rsus[e].bw_down * math.log2(1.0 + snr)
-
-    def nearest_rsu(self, v: int, slot: int) -> int:
-        p = self.position(v, slot)
-        d = np.hypot(self._rsu_xy[:, 0] - p.x, self._rsu_xy[:, 1] - p.y)
-        return int(np.argmin(d))  # ties resolve to the lowest id
+        A link's Shannon-form rate is its bandwidth times this.
+        """
+        snr = self.vehicles[v].tx_power * self.channel_gain(e, x, y) / self.rsus[e].noise_power
+        return math.log2(1.0 + snr)
 
     # --- latency model pieces (exposed for direct testing) ---
 
-    def transmission_latencies(self, v: int, serving: int, target: int, slot: int) -> tuple[float, float]:
-        """(uplink request latency, downlink result latency).
+    def transmission_latencies(
+        self, slot: int, vs: np.ndarray, es: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(uplink request latency, downlink result latency) of each link vs[i]-es[i].
 
-        The request goes to the serving RSU; results come back from the RSUs
-        that processed a share (serving and target, once each when equal).
+        The request goes to the serving RSU; results come back from each RSU
+        that processed a share, so a vehicle's downlink latency is the sum
+        over its distinct serving and target RSUs. Zero-size transfers take
+        no time.
         """
-        spec = self.vehicles[v]
-        t_up = spec.request_bits / self.uplink_rate(v, serving, slot) if spec.request_bits else 0.0
-        participants = {serving, target}
-        t_down = 0.0
-        for e in participants:
+        t_up = np.zeros(len(vs))
+        t_down = np.zeros(len(vs))
+        links = zip(vs.tolist(), es.tolist(), self.xy[slot, vs].tolist())
+        for i, (v, e, (x, y)) in enumerate(links):
+            spec = self.vehicles[v]
             bits = float(spec.result_bits[e])
+            if not (spec.request_bits or bits):
+                continue
+            se = self.spectral_efficiency(v, e, x, y)
+            if spec.request_bits:
+                t_up[i] = spec.request_bits / (self.rsus[e].bw_up * se)
             if bits:
-                t_down += bits / self.downlink_rate(v, e, slot)
+                t_down[i] = bits / (self.rsus[e].bw_down * se)
         return t_up, t_down
 
-    def migration_latency(self, v: int, slot: int, from_e: int, to_e: int) -> float:
-        """Backhaul transfer time of the pre-migrated share; zero on self."""
-        if from_e == to_e:
-            return 0.0
-        d_mig = self.cfg.alpha * self.vehicles[v].task_bits_at(slot)
-        if d_mig == 0.0:
-            return 0.0
-        bw = self.rsus[from_e].backhaul.get(to_e)
-        if bw is None or bw <= 0:
-            raise ValueError(f"no backhaul bandwidth configured for pair ({from_e},{to_e})")
-        return d_mig / bw
+    def migration_latency(self, v, slot: int, from_e, to_e) -> np.ndarray:
+        """Backhaul transfer time of each pre-migrated share; zero on self or zero size.
+
+        Raises ValueError naming the first (from, to) pair in use that has no
+        positive backhaul bandwidth.
+        """
+        d_mig = self.cfg.alpha * self.task_bits[slot, v]
+        d_mig, from_e, to_e = np.broadcast_arrays(d_mig, from_e, to_e)
+        used = (from_e != to_e) & (d_mig != 0.0)
+        bw = self._backhaul[from_e, to_e]
+        missing = used & (bw <= 0)
+        if missing.any():
+            pair = f"({from_e[missing][0]},{to_e[missing][0]})"
+            raise ValueError(f"no backhaul bandwidth configured for pair {pair}")
+        return np.divide(d_mig, bw, out=np.zeros(d_mig.shape), where=used)
 
     @staticmethod
     def rendering_sizes(
-        d_task: float,
+        d_task,
         alpha: float,
         mu: float,
-        same_serving: bool,
-        same_target: bool,
-        prev_local_bits: float,
-        prev_mig_bits: float,
-    ) -> tuple[float, float, float]:
+        same_serving,
+        same_target,
+        prev_local_bits,
+        prev_mig_bits,
+    ):
         """Rendering bit volumes (local share, migrated share, remaining D_L).
 
         A stable serving RSU reuses mu of last slot's local share; a stable
         pre-migration target reuses mu of last slot's migrated share. Sizes
-        clamp at zero.
+        clamp at zero. Scalars or per-vehicle arrays.
         """
         d_mig = alpha * d_task
         d_local = d_task - d_mig
-        xi_local = d_local - (mu * prev_local_bits if same_serving else 0.0)
-        xi_mig = d_mig - (mu * prev_mig_bits if same_target else 0.0)
-        return max(0.0, xi_local), max(0.0, xi_mig), d_local
+        xi_local = d_local - np.where(same_serving, mu * prev_local_bits, 0.0)
+        xi_mig = d_mig - np.where(same_target, mu * prev_mig_bits, 0.0)
+        return np.maximum(0.0, xi_local), np.maximum(0.0, xi_mig), d_local
 
-    def processing_latencies(
-        self,
-        v: int,
-        serving: int,
-        target: int,
-        xi_local: float,
-        xi_mig: float,
-        t_mig: float,
-        loads: np.ndarray,
-    ) -> tuple[float, float, float]:
+    def processing_latencies(self, v, serving, target, xi_local, xi_mig, t_mig, loads):
         """(serving-side, target-side, combined parallel) processing latency."""
-        f_v = self.vehicles[v].cycles_per_bit
-        t_serv = (loads[serving] + xi_local * f_v) / self.rsus[serving].compute
-        t_targ = (loads[target] + xi_mig * f_v) / self.rsus[target].compute
-        return t_serv, t_targ, max(t_serv, t_targ + t_mig)
+        f_v = self._cycles_per_bit[v]
+        t_serv = (loads[serving] + xi_local * f_v) / self._compute[serving]
+        t_targ = (loads[target] + xi_mig * f_v) / self._compute[target]
+        return t_serv, t_targ, np.maximum(t_serv, t_targ + t_mig)
 
     @staticmethod
-    def error_rate(contending_mig_bits: Sequence[float], tau: float) -> float:
-        """1 - exp(-sum of tau * migrated bits over co-targeting vehicles)."""
-        return 1.0 - math.exp(-tau * float(sum(contending_mig_bits)))
+    def error_rate(contending_mig_bits, tau: float):
+        """1 - exp(-tau * D), D the migrated bits summed over axis 0 (co-targeting vehicles)."""
+        exp = np.vectorize(math.exp, otypes=[float])
+        return 1.0 - exp(-tau * np.sum(contending_mig_bits, axis=0))
 
-    def qoe(self, err: float, t_total: float) -> float:
+    def qoe(self, err, t_total):
         return -self.cfg.lambda1 * err - self.cfg.lambda2 * t_total
 
     # --- episode control ---
@@ -285,86 +317,52 @@ class PremigrationEnv:
     def reset(self, seed: int) -> list[np.ndarray]:
         self._rng = np.random.default_rng(seed)
         self.t = 0
-        self.loads = np.full(self.E, min(self.cfg.init_load, float(self._max_load.min())))
-        self.loads = np.minimum(self.loads, self._max_load).astype(float)
+        self.loads = np.full(self.E, min(self.cfg.init_load, float(self._max_load.min())), dtype=float)
         self.prev_action = np.full(self.V, -1, dtype=int)
         self.prev_serving = np.full(self.V, -1, dtype=int)
         self.prev_local_bits = np.zeros(self.V)
         self.prev_mig_bits = np.zeros(self.V)
-        self.last_metrics: list[Optional[SlotMetrics]] = [None] * self.V
         self._latency_scale = 1.0
         if self.cfg.warmup_slots > 0:
             self._latency_scale = self._calibrate_latency_scale(seed)
-        return [self._observation(v) for v in range(self.V)]
+        return self._observations(None)
 
     def _calibrate_latency_scale(self, seed: int) -> float:
-        """99th-percentile total latency under random actions, from a state copy."""
-        snapshot = self._snapshot()
+        """99th-percentile total latency under random actions, on a copy of the env.
+
+        `step` rebinds the episode state rather than writing into it, so a
+        shallow copy with its own generator leaves this env as it was.
+        """
+        warm = copy.copy(self)
+        warm._rng = copy.deepcopy(self._rng)
         warm_rng = np.random.default_rng([seed, 0xCA11])
         samples: list[float] = []
         for _ in range(self.cfg.warmup_slots):
             actions = warm_rng.integers(0, self.E, size=self.V)
-            result = self.step(list(actions))
+            result = warm.step(list(actions))
             samples.extend(m.t_total for m in result.metrics)
             if result.done:
                 break
-        self._restore(snapshot)
         scale = float(np.percentile(samples, 99.0)) if samples else 1.0
         return scale if scale > 0 else 1.0
-
-    def _snapshot(self):
-        return (
-            self.t,
-            self.loads.copy(),
-            self.prev_action.copy(),
-            self.prev_serving.copy(),
-            self.prev_local_bits.copy(),
-            self.prev_mig_bits.copy(),
-            list(self.last_metrics),
-            copy.deepcopy(self._rng.bit_generator.state),
-            self._latency_scale,
-        )
-
-    def _restore(self, snap) -> None:
-        (
-            self.t,
-            self.loads,
-            self.prev_action,
-            self.prev_serving,
-            self.prev_local_bits,
-            self.prev_mig_bits,
-            self.last_metrics,
-            rng_state,
-            self._latency_scale,
-        ) = snap
-        self._rng.bit_generator.state = rng_state
 
     @property
     def latency_scale(self) -> float:
         return self._latency_scale
 
-    def observation_scales(self) -> dict[str, float]:
-        """Documented normalization scales; raw values are obs * scale."""
-        return {
-            "action": self._action_scale,
-            "load": 0.0,  # per-RSU: max_load[e]
-            "err_rate": 1.0,
-            "stability": 1.0,
-            "contention": 1.0,
-            "t_total": self._latency_scale,
-        }
-
-    def _observation(self, v: int) -> np.ndarray:
-        m = self.last_metrics[v]
-        obs = np.zeros(self.obs_dim)
-        obs[1 : 1 + self.E] = self.loads / self._max_load
-        if m is not None:
-            obs[0] = m.action / self._action_scale
-            obs[1 + self.E] = m.err_rate
-            obs[2 + self.E] = m.stability
-            obs[3 + self.E] = m.contention
-            obs[4 + self.E] = m.t_total / self._latency_scale
-        return obs
+    def _observations(self, last: Optional[tuple]) -> list[np.ndarray]:
+        """Per-vehicle observations; `last` is the previous slot's (action,
+        err_rate, stability, contention, t_total) arrays, None after reset."""
+        obs = np.zeros((self.V, self.obs_dim))
+        obs[:, 1 : 1 + self.E] = self.loads / self._max_load
+        if last is not None:
+            action, err, stability, contention, t_total = last
+            obs[:, 0] = action / self._action_scale
+            obs[:, 1 + self.E] = err
+            obs[:, 2 + self.E] = stability
+            obs[:, 3 + self.E] = contention
+            obs[:, 4 + self.E] = t_total / self._latency_scale
+        return list(obs)
 
     def denormalize_observation(self, obs: np.ndarray) -> dict[str, np.ndarray]:
         """Invert observation scaling back to raw metric values."""
@@ -381,6 +379,8 @@ class PremigrationEnv:
         """Advance one slot under the given per-vehicle RSU choices."""
         if self._rng is None:
             raise RuntimeError("call reset() before step()")
+        if self.t >= self.cfg.horizon:
+            raise RuntimeError("episode finished; call reset()")
         if len(joint_actions) != self.V:
             raise ActionError(f"expected {self.V} actions, got {len(joint_actions)}")
         for a in joint_actions:
@@ -388,102 +388,82 @@ class PremigrationEnv:
                 raise ActionError(f"action {a} outside 0..{self.E - 1}")
 
         t = self.t
-        first_slot = t == 0
-        serving = np.array([self.nearest_rsu(v, t) for v in range(self.V)])
-        d_task = np.array([self.vehicles[v].task_bits_at(t) for v in range(self.V)])
+        cfg = self.cfg
+        serving = self.serving[t]
+        d_task = self.task_bits[t]
+        requested = np.array([int(a) for a in joint_actions])
+        # Rendering sizes for the requested target and for a remap to the
+        # serving RSU; the local share does not depend on the target. At
+        # slot 0 the previous choices are -1, so nothing is reused.
+        same_serving = serving == self.prev_serving
+        xi_local, xi_mig_req, d_local = self.rendering_sizes(
+            d_task, cfg.alpha, cfg.mu, same_serving, requested == self.prev_action,
+            self.prev_local_bits, self.prev_mig_bits,
+        )
+        _, xi_mig_serv, _ = self.rendering_sizes(
+            d_task, cfg.alpha, cfg.mu, same_serving, serving == self.prev_action,
+            self.prev_local_bits, self.prev_mig_bits,
+        )
 
-        final_action = np.zeros(self.V, dtype=int)
-        remapped = np.zeros(self.V, dtype=bool)
-        xi_local = np.zeros(self.V)
-        xi_mig = np.zeros(self.V)
-        d_local = np.zeros(self.V)
-        stability = np.zeros(self.V)
         # Vehicles commit work in id order; feasibility is checked against the
-        # load already pending on the target this slot.
-        pending = self.loads.copy()
-        for v in range(self.V):
-            a = int(joint_actions[v])
-            same_serving = (not first_slot) and serving[v] == self.prev_serving[v]
-
-            def sizes(target: int) -> tuple[float, float, float, bool]:
-                same_target = (not first_slot) and target == self.prev_action[v]
-                xl, xm, dl = self.rendering_sizes(
-                    d_task[v],
-                    self.cfg.alpha,
-                    self.cfg.mu,
-                    same_serving,
-                    same_target,
-                    self.prev_local_bits[v],
-                    self.prev_mig_bits[v],
-                )
-                return xl, xm, dl, same_target
-
-            xl, xm, dl, same_target = sizes(a)
-            incoming = xm * self.vehicles[v].cycles_per_bit
-            if a != serving[v] and pending[a] + incoming > self._max_load[a]:
-                a = int(serving[v])
+        # load already pending on the target this slot. Plain floats: the loop
+        # is sequential by definition.
+        f_v = self._cycles_per_bit
+        local_cycles = (xi_local * f_v).tolist()
+        req_cycles = (xi_mig_req * f_v).tolist()
+        serv_cycles = (xi_mig_serv * f_v).tolist()
+        max_load = self._max_load.tolist()
+        pending = self.loads.tolist()
+        final = requested.tolist()
+        remapped = [False] * self.V
+        for v, s in enumerate(serving.tolist()):
+            a = final[v]
+            incoming = req_cycles[v]
+            if a != s and pending[a] + incoming > max_load[a]:
+                a = final[v] = s
                 remapped[v] = True
-                xl, xm, dl, same_target = sizes(a)
-                incoming = xm * self.vehicles[v].cycles_per_bit
-            final_action[v] = a
-            xi_local[v], xi_mig[v], d_local[v] = xl, xm, dl
-            stability[v] = 1.0 if same_target else 0.0
-            pending[serving[v]] += xi_local[v] * self.vehicles[v].cycles_per_bit
+                incoming = serv_cycles[v]
+            pending[s] += local_cycles[v]
             pending[a] += incoming
+        final_action = np.array(final)
+        remapped = np.array(remapped)
+        xi_mig = np.where(remapped, xi_mig_serv, xi_mig_req)
+        stability = (final_action == self.prev_action).astype(float)
 
         # Contention: vehicles sharing a pre-migration target this slot.
-        mig_bits = self.cfg.alpha * d_task
-        err = np.zeros(self.V)
-        contention = np.zeros(self.V)
-        for v in range(self.V):
-            others = [
-                mig_bits[w]
-                for w in range(self.V)
-                if w != v and final_action[w] == final_action[v]
-            ]
-            contention[v] = 1.0 if others else 0.0
-            err[v] = self.error_rate(others, self.cfg.tau)
+        # shared[w, v] marks w as a co-targeter of v; the column sums run in
+        # vehicle order.
+        mig_bits = cfg.alpha * d_task
+        shared = final_action[:, None] == final_action
+        np.fill_diagonal(shared, False)
+        contention = shared.any(axis=0).astype(float)
+        err = self.error_rate(np.where(shared, mig_bits[:, None], 0.0), cfg.tau)
 
-        metrics: list[SlotMetrics] = []
-        rewards = np.zeros(self.V)
-        for v in range(self.V):
-            e_s, e_t = int(serving[v]), int(final_action[v])
-            t_up, t_down = self.transmission_latencies(v, e_s, e_t, t)
-            t_mig = self.migration_latency(v, t, e_s, e_t)
-            t_proc_s, t_proc_t, t_proc = self.processing_latencies(
-                v, e_s, e_t, xi_local[v], xi_mig[v], t_mig, self.loads
-            )
-            t_total = t_up + t_proc + t_down
-            q = self.qoe(err[v], t_total)
-            reward = q if self.cfg.reward_mode == "qoe" else -t_total
-            rewards[v] = reward
-            metrics.append(
-                SlotMetrics(
-                    action=e_t,
-                    serving=e_s,
-                    t_up=t_up,
-                    t_mig=t_mig,
-                    t_proc=t_proc,
-                    t_down=t_down,
-                    t_total=t_total,
-                    err_rate=err[v],
-                    qoe=q,
-                    reward=reward,
-                    remapped=bool(remapped[v]),
-                    stability=stability[v],
-                    contention=contention[v],
-                    t_proc_serving=t_proc_s,
-                    t_proc_target=t_proc_t,
-                )
-            )
+        every = np.arange(self.V)
+        moved = np.flatnonzero(final_action != serving)
+        t_down = self.t_down_serving[t].copy()
+        t_down[moved] += self.transmission_latencies(t, moved, final_action[moved])[1]
+        t_mig = self.migration_latency(every, t, serving, final_action)
+        t_proc_s, t_proc_t, t_proc = self.processing_latencies(
+            every, serving, final_action, xi_local, xi_mig, t_mig, self.loads
+        )
+        t_up = self.t_up[t]
+        t_total = t_up + t_proc + t_down
+        q = self.qoe(err, t_total)
+        rewards = q if cfg.reward_mode == "qoe" else -t_total
+        columns = (
+            final_action, serving, t_up, t_mig, t_proc, t_down, t_total, err, q, rewards,
+            remapped, stability, contention, t_proc_s, t_proc_t,
+        )  # SlotMetrics field order
+        metrics = list(map(SlotMetrics, *(c.tolist() for c in columns)))
 
         # Queue dynamics: drain at capacity, add this slot's work and random
         # background arrivals, clamp into [0, max_load].
-        assigned = pending - self.loads
-        drained = np.maximum(0.0, self.loads + assigned - self._compute * self.cfg.slot_seconds)
-        if self.cfg.background_mean > 0:
-            lam = self.cfg.background_mean / self.cfg.background_unit
-            arrivals = self._rng.poisson(lam, size=self.E) * self.cfg.background_unit
+        assigned = np.array(pending) - self.loads
+        drained = np.maximum(0.0, self.loads + assigned - self._compute * cfg.slot_seconds)
+        if cfg.background_mean > 0:
+            lam = cfg.background_mean / cfg.background_unit
+            arrivals = self._rng.poisson(lam, size=self.E) * cfg.background_unit
             drained = drained + arrivals
         self.loads = np.minimum(drained, self._max_load)
 
@@ -491,10 +471,9 @@ class PremigrationEnv:
         self.prev_serving = serving
         self.prev_local_bits = d_local
         self.prev_mig_bits = mig_bits
-        self.last_metrics = metrics
         self.t = t + 1
-        done = self.t >= self.cfg.horizon
-        observations = [self._observation(v) for v in range(self.V)]
+        done = self.t >= cfg.horizon
+        observations = self._observations((final_action, err, stability, contention, t_total))
         return StepResult(observations, rewards, metrics, done)
 
 

@@ -65,7 +65,7 @@ def make_act_fn(
     if kind == FULL_MIGRATION:
 
         def act_full(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-            return env.nearest_rsu(v, slot), 0.0
+            return int(env.serving[slot, v]), 0.0
 
         return act_full
 
@@ -74,11 +74,14 @@ def make_act_fn(
             raise ValueError("random migration needs an RNG")
         radius = nearby_radius(env)
         rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
+        # (horizon, V, E): the RSUs within the radius of each vehicle per slot.
+        nearby = np.array([
+            np.hypot(rsu_xy[:, 0] - xy[:, :1], rsu_xy[:, 1] - xy[:, 1:]) <= radius
+            for xy in env.xy
+        ])
 
         def act_random(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-            p = env.position(v, slot)
-            d = np.hypot(rsu_xy[:, 0] - p.x, rsu_xy[:, 1] - p.y)
-            candidates = np.flatnonzero(d <= radius)
+            candidates = np.flatnonzero(nearby[slot, v])
             if candidates.size == 0:
                 candidates = np.arange(env.E)
             return int(candidates[rng.integers(0, candidates.size)]), 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,25 +6,26 @@ import pytest
 
 from helpers import line_trajectory, make_env
 
-from vtmigsim.envsim import ActionError, ChannelParams, PremigrationEnv
+from vtmigsim.envsim import ActionError, ChannelParams, EnvConfig, PremigrationEnv
 
 
 # --- channel and rates ---
 
 def test_rate_equals_bandwidth_at_unit_snr():
     env = make_env(bw=2e6)
-    h = env.channel_gain(0, 0, 0)
+    h = env.channel_gain(0, *env.xy[0, 0])
     # retune noise so p*h/sigma^2 == 1 exactly
     env = make_env(bw=2e6, noise=0.1 * h)
-    assert env.uplink_rate(0, 0, 0) == pytest.approx(2e6, rel=1e-12)
+    uplink_rate = env.rsus[0].bw_up * env.spectral_efficiency(0, 0, *env.xy[0, 0])
+    assert uplink_rate == pytest.approx(2e6, rel=1e-12)
 
 
 def test_gain_quarter_on_distance_doubling():
     # h = A*(c/(4 pi f d))^2 is an inverse-square law in d
     env = make_env(trajectories=[line_trajectory(0, 100.0, 0.0, 0.0, 0.0)])
-    h1 = env.channel_gain(0, 0, 0)
+    h1 = env.channel_gain(0, *env.xy[0, 0])
     env2 = make_env(trajectories=[line_trajectory(0, 200.0, 0.0, 0.0, 0.0)])
-    h2 = env2.channel_gain(0, 0, 0)
+    h2 = env2.channel_gain(0, *env2.xy[0, 0])
     assert h1 / h2 == pytest.approx(4.0, rel=1e-12)
 
 
@@ -38,34 +40,38 @@ def test_rate_matches_independent_evaluation():
     )
     expected = 1e6 * math.log2(1.0 + 0.1 * (3e8 / (4 * math.pi * 2.4e9 * 100.0)) ** 2 / 1e-9)
     assert expected == pytest.approx(992380.2892503546, rel=1e-12)
-    assert env.uplink_rate(0, 0, 0) == pytest.approx(expected, rel=1e-9)
+    uplink_rate = env.rsus[0].bw_up * env.spectral_efficiency(0, 0, *env.xy[0, 0])
+    assert uplink_rate == pytest.approx(expected, rel=1e-9)
 
 
 def test_colocated_distance_clamped():
     env = make_env(trajectories=[line_trajectory(0, 0.0, 0.0, 0.0, 0.0)])
-    assert env.distance(0, 0, 0) == 1.0
+    assert env.distance(0, *env.xy[0, 0]) == 1.0
 
 
 # --- transmission latencies ---
 
 def test_uplink_zero_request():
     env = make_env(request_bits=0.0)
-    t_up, _ = env.transmission_latencies(0, 0, 0, 0)
+    t_up, _ = env.transmission_latencies(0, np.array([0]), np.array([0]))
     assert t_up == 0.0
 
 
 def test_uplink_latency_arithmetic():
     env = make_env(bw=2e6, request_bits=1e6)
-    h = env.channel_gain(0, 0, 0)
+    h = env.channel_gain(0, *env.xy[0, 0])
     env = make_env(bw=2e6, request_bits=1e6, noise=0.1 * h)  # rate = 2e6 b/s
-    t_up, _ = env.transmission_latencies(0, 0, 0, 0)
+    t_up, _ = env.transmission_latencies(0, np.array([0]), np.array([0]))
     assert t_up == pytest.approx(0.5, rel=1e-12)
 
 
 def test_downlink_single_term_when_target_is_serving():
     env = make_env(result_bits=1e5)
-    _, t_down_same = env.transmission_latencies(0, 0, 0, 0)
-    _, t_down_two = env.transmission_latencies(0, 0, 1, 0)
+    # links of vehicle 0 to RSU 0 (serving) and RSU 1 (target)
+    _, (t_down_same, t_down_target) = env.transmission_latencies(
+        0, np.array([0, 0]), np.array([0, 1])
+    )
+    t_down_two = t_down_same + t_down_target
     assert t_down_same > 0
     assert t_down_two > t_down_same  # second RSU adds a term
 
@@ -206,6 +212,60 @@ def test_step_action_out_of_range():
         env.step([2])
 
 
+def test_step_past_horizon_raises():
+    env = make_env(n_rsu=2, horizon=3, warmup_slots=5)
+    for _ in range(2):
+        env.reset(0)
+        results = [env.step([1]) for _ in range(3)]
+        assert [r.done for r in results] == [False, False, True]
+        with pytest.raises(RuntimeError, match=r"episode finished; call reset\(\)"):
+            env.step([1])
+
+
+def test_horizon_must_be_positive():
+    with pytest.raises(ValueError, match="horizon"):
+        EnvConfig(horizon=0)
+
+
+def one_way_backhaul_env(**kwargs):
+    """RSU 0 reaches RSU 1 over the backhaul; RSU 1 has no link back.
+
+    Vehicle 0 is served by RSU 0 and vehicle 1 by RSU 1 throughout.
+    """
+    trajectories = [
+        line_trajectory(0, 50.0, 10.0, 1.0, 0.0),
+        line_trajectory(1, 950.0, 10.0, -1.0, 0.0),
+    ]
+    base = make_env(n_rsu=2, n_veh=2, trajectories=trajectories, **kwargs)
+    rsus = [
+        dataclasses.replace(base.rsus[0], backhaul={1: 1e8}),
+        dataclasses.replace(base.rsus[1], backhaul={}),
+    ]
+    env = PremigrationEnv(rsus, base.vehicles, base.channel, base.cfg)
+    env.reset(0)
+    return env
+
+
+def test_missing_backhaul_raises_naming_pair():
+    env = one_way_backhaul_env(alpha=0.5, task_bits=1e6)
+    with pytest.raises(ValueError, match=r"pair \(1,0\)"):
+        env.step([1, 0])
+    assert env.t == 0  # the failed slot left the state as it was
+
+
+@pytest.mark.parametrize("alpha,task_bits,actions", [
+    (0.5, 1e6, [1, 1]),   # the unlinked pair (1, 0) is not used
+    (0.5, 1e6, [0, 1]),
+    (0.0, 1e6, [1, 0]),   # nothing is migrated over (1, 0)
+    (0.5, 0.0, [1, 0]),
+])
+def test_unused_missing_backhaul_does_not_raise(alpha, task_bits, actions):
+    env = one_way_backhaul_env(alpha=alpha, task_bits=task_bits)
+    result = env.step(actions)
+    assert [m.serving for m in result.metrics] == [0, 1]
+    assert [m.action for m in result.metrics] == actions
+
+
 def test_single_vehicle_no_error():
     env = make_env(n_rsu=2, tau=1.0)
     env.reset(0)
@@ -264,7 +324,7 @@ def test_total_latency_matches_independent_recomputation():
     # independent arithmetic from raw specs
     spec = env.vehicles[v]
     c = env.channel
-    pos = env._traj_xy[v][0]
+    pos = env.xy[0, v]
     serving, target = m.serving, m.action
 
     def rate(e, bw):
