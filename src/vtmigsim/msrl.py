@@ -166,9 +166,6 @@ class PolicyBundle:
     n_agents: int
     shared_critic: bool
 
-    def critic_for(self, v: int) -> Critic:
-        return self.critics[0] if self.shared_critic else self.critics[v]
-
     def critic_old_for(self, v: int) -> Critic:
         return self.critics_old[0] if self.shared_critic else self.critics_old[v]
 
@@ -349,12 +346,6 @@ def surrogate_losses(
     from .neuralcore import entropy_of
 
     return loss, float(entropy_of(probs).mean()), grads
-
-
-def critic_loss(targets: np.ndarray, values: np.ndarray) -> float:
-    """Mean squared error between lambda-return targets and critic outputs."""
-    diff = np.asarray(targets, dtype=float) - np.asarray(values, dtype=float)
-    return float((diff**2).mean())
 
 
 # --- rollout collection ---

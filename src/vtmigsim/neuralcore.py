@@ -57,10 +57,6 @@ class Distribution:
         return int(np.argmax(self.probs))
 
 
-def sample(dist: Distribution, rng: np.random.Generator) -> tuple[int, float]:
-    return dist.sample(rng)
-
-
 class DenseNet:
     """Fully connected stack: tanh on every layer except an identity output.
 
@@ -152,7 +148,6 @@ class SplitActor:
         self.client_head = DenseNet([client_dims[-1], n_actions], rng)
         self.server_trunk = DenseNet(server_dims, rng, out_tanh=True)
         self.server_head = DenseNet([server_dims[-1], n_actions], rng)
-        self.server_forward_calls = 0
 
     # --- single-observation inference ---
 
@@ -170,7 +165,6 @@ class SplitActor:
             raise ValueError(
                 f"expected features of width {self.server_trunk.dims[0]}, got {features.shape}"
             )
-        self.server_forward_calls += 1
         hidden, _ = self.server_trunk.forward(features)
         logits, _ = self.server_head.forward(hidden)
         return Distribution(softmax(logits)[0])

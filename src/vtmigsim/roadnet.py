@@ -2,7 +2,13 @@
 
 Coordinates are planar meters (x east, y north). Undirected road segments are
 stored as two directed arcs so adjacency stays a plain outgoing-edge list.
-The network is immutable after construction and safe to share across workers.
+The network is immutable after construction and safe to share across workers;
+its two query indexes are built eagerly. Dijkstra runs on dense node indices
+in sorted-id order, so heap ties break exactly as on node ids. `map_match`
+reads a uniform grid of arc buckets: it projects onto the arcs of the 3x3 cell
+block around the query and keeps the best one only if it is nearer than one
+cell by a margin that covers rounding, as every other arc is at least one cell
+away. Other queries scan every arc with the same per-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -90,18 +97,27 @@ class RoadNetwork:
             self.nodes[node.id] = node
         self.edges: list[RoadEdge] = list(arcs)
         self.adjacency: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+        self._ids = sorted(self.nodes)
+        self._index = index = {nid: i for i, nid in enumerate(self._ids)}
+        self._out = out = [[] for _ in self._ids]  # (to index, length) per node
+        ends = []
         for eid, edge in enumerate(self.edges):
-            for endpoint in (edge.from_node, edge.to_node):
-                if endpoint not in self.nodes:
-                    raise ValidationError(
-                        f"edge {eid} references unknown node {endpoint}"
-                    )
+            u, v = index.get(edge.from_node), index.get(edge.to_node)
+            if u is None or v is None:
+                missing = edge.from_node if u is None else edge.to_node
+                raise ValidationError(f"edge {eid} references unknown node {missing}")
             if not edge.length > 0:
                 raise ValidationError(f"edge {eid} has non-positive length")
             if not edge.speed_limit > 0:
                 raise ValidationError(f"edge {eid} has non-positive speed limit")
             self.adjacency[edge.from_node].append(eid)
-        self._build_segment_arrays()
+            out[u].append((v, edge.length))
+            ends += (u, v)
+        xy = np.array([(self.nodes[nid].pos.x, self.nodes[nid].pos.y) for nid in self._ids])
+        a, b = xy.reshape(-1, 2)[np.array(ends, dtype=np.intp).reshape(-1, 2).T]
+        d = b - a  # rows of _seg: ax, ay, dx, dy, len2 of each arc
+        self._seg = np.vstack([a.T, d.T, np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)])
+        self._build_bucket_index(a, b)
 
     @classmethod
     def from_undirected(
@@ -127,30 +143,70 @@ class RoadNetwork:
             arcs.append(RoadEdge(v, u, float(length), float(speed)))
         return cls(node_objs, arcs)
 
-    def _build_segment_arrays(self) -> None:
-        # Cached per-arc geometry for vectorized projection queries.
-        n = len(self.edges)
-        ax = np.empty(n)
-        ay = np.empty(n)
-        bx = np.empty(n)
-        by = np.empty(n)
-        for i, e in enumerate(self.edges):
-            a = self.nodes[e.from_node].pos
-            b = self.nodes[e.to_node].pos
-            ax[i], ay[i], bx[i], by[i] = a.x, a.y, b.x, b.y
-        self._ax, self._ay = ax, ay
-        self._dx, self._dy = bx - ax, by - ay
-        self._len2 = np.maximum(self._dx**2 + self._dy**2, 1e-300)
+    def _build_bucket_index(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Row-major CSR of the arcs whose bbox meets each cell, ids ascending.
+
+        ``_grid = None`` disables the index: no arcs, a degenerate extent, or
+        coordinates so large that projections could overflow.
+        """
+        self._grid, n = None, len(a)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if n == 0:
+            return
+        (x0, y0), (x1, y1) = lo.min(axis=0).tolist(), hi.max(axis=0).tolist()
+        w, h = x1 - x0, y1 - y0
+        # About four cells per arc, and at most 2n + 1 cells along a side.
+        cell = 0.5 * max(math.sqrt(w * h / n), max(w, h) / n)
+        scale = max(abs(x0), abs(y0), abs(x1), abs(y1))
+        if not (cell > 0.0 and scale <= 1e150):
+            return
+        while True:  # long diagonal arcs meet many cells: coarsen until lists stay small
+            nx, ny = int(w / cell) + 1, int(h / cell) + 1
+            first, last = (
+                np.clip(np.floor((c - (x0, y0)) / cell), 0, (nx - 1, ny - 1)).astype(np.int32)
+                for c in (lo, hi)
+            )
+            span = last - first + 1
+            counts = span[:, 0] * span[:, 1]
+            if counts.sum() <= 16 * n:
+                break
+            cell *= 2.0
+        arc = np.repeat(np.arange(n, dtype=np.int32), counts)
+        # Entry k of an arc is cell (k % width, k // width) of its bbox.
+        k = np.arange(len(arc), dtype=np.int32)
+        k -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        row, col = np.divmod(k, span[arc, 0])
+        cid = (first[arc, 1] + row) * nx + first[arc, 0] + col
+        start = np.concatenate(([0], np.cumsum(np.bincount(cid, minlength=nx * ny))))
+        self._cell_start = array("q", start.tobytes())  # fast scalar reads
+        del k, row, col, start  # lower the peak memory of the sort below
+        self._cell_arcs = arc[np.argsort(cid, kind="stable")]
+        self._grid = (x0, y0, cell, nx, ny)
+        self._slack = 1e-9 * (scale + cell)  # covers rounding in cell indices and projections
 
 
-def _parse_float(field: str, what: str, line_no: int) -> float:
+def _num(field: str, kind: type, what: str, line_no: int):
     try:
-        value = float(field)
+        value = kind(field)
     except ValueError:
         raise ParseError(f"line {line_no}: cannot parse {what} from {field!r}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ParseError(f"line {line_no}: non-finite {what}")
     return value
+
+
+def _csv_rows(source: Iterable[str], header: list[str], what: str):
+    """Yield (line number, row) of the data rows after a required header."""
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first is None or [c.strip() for c in first] != header:
+        raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")
+    for n, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"line {n}: expected {len(header)} {what} fields, got {len(row)}")
+        yield n, row
 
 
 def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> RoadNetwork:
@@ -158,69 +214,61 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
 
     Node schema: ``node_id,x,y``. Edge schema: ``from,to,length_m,speed_mps``
     where an empty length field means "use the endpoint Euclidean distance".
+    Both sources must start with their header line.
     """
-    nodes: list[tuple[int, float, float]] = []
-    reader = csv.reader(nodes_source)
-    for line_no, row in enumerate(reader, start=1):
-        if line_no == 1:
-            if [c.strip() for c in row] != ["node_id", "x", "y"]:
-                raise ParseError(f"line 1: expected header node_id,x,y, got {row}")
-            continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"line {line_no}: expected 3 node fields, got {len(row)}")
-        try:
-            nid = int(row[0])
-        except ValueError:
-            raise ParseError(f"line {line_no}: bad node id {row[0]!r}") from None
-        nodes.append((nid, _parse_float(row[1], "x", line_no), _parse_float(row[2], "y", line_no)))
-
-    edges: list[tuple[int, int, Optional[float], float]] = []
-    reader = csv.reader(edges_source)
-    for line_no, row in enumerate(reader, start=1):
-        if line_no == 1:
-            if [c.strip() for c in row] != ["from", "to", "length_m", "speed_mps"]:
-                raise ParseError(
-                    f"line 1: expected header from,to,length_m,speed_mps, got {row}"
-                )
-            continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise ParseError(f"line {line_no}: expected 4 edge fields, got {len(row)}")
-        try:
-            u, v = int(row[0]), int(row[1])
-        except ValueError:
-            raise ParseError(f"line {line_no}: bad edge endpoints {row[:2]}") from None
-        length = None if row[2].strip() == "" else _parse_float(row[2], "length", line_no)
-        speed = _parse_float(row[3], "speed", line_no)
-        edges.append((u, v, length, speed))
-
-    seen: set[int] = set()
-    for nid, _, _ in nodes:
-        if nid in seen:
-            raise ValidationError(f"duplicate node id {nid}")
-        seen.add(nid)
+    nodes = [
+        (_num(row[0], int, "node id", n), _num(row[1], float, "x", n), _num(row[2], float, "y", n))
+        for n, row in _csv_rows(nodes_source, ["node_id", "x", "y"], "node")
+    ]
+    edges = [
+        (_num(row[0], int, "from node", n), _num(row[1], int, "to node", n),
+         _num(row[2], float, "length", n) if row[2].strip() else None,
+         _num(row[3], float, "speed", n))
+        for n, row in _csv_rows(edges_source, ["from", "to", "length_m", "speed_mps"], "edge")
+    ]
     return RoadNetwork.from_undirected(nodes, edges)
+
+
+def _match_in_block(net: RoadNetwork, x: float, y: float) -> Optional[Projection]:
+    """Nearest arc of the 3x3 cell block around (x, y), or None when not certain."""
+    x0, y0, cell, nx, ny = net._grid
+    fx, fy = (x - x0) / cell, (y - y0) / cell
+    if not (0.0 <= fx < nx and 0.0 <= fy < ny):  # also false for NaN
+        return None
+    ix, iy = int(fx), int(fy)
+    c0, c1 = max(ix - 1, 0), min(ix + 2, nx)
+    start, cand = net._cell_start, []
+    for r in range(max(iy - 1, 0), min(iy + 2, ny)):
+        cand += net._cell_arcs[start[r * nx + c0]:start[r * nx + c1]].tolist()
+    best_d2 = math.inf
+    for eid, ax, ay, dx, dy, len2 in zip(cand, *net._seg[:, cand].tolist()):
+        t = ((x - ax) * dx + (y - ay) * dy) / len2
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # as np.clip: keeps -0.0
+        qx, qy = ax + t * dx, ay + t * dy
+        d2 = (x - qx) * (x - qx) + (y - qy) * (y - qy)
+        if d2 < best_d2 or (d2 == best_d2 and eid < best[0]):
+            best_d2, best = d2, (eid, qx, qy, t)
+    # (x, y) is in the centre cell: other arcs (none past the border) are a cell away.
+    distance = math.sqrt(best_d2)
+    if not distance * (1.0 + 1e-9) + net._slack < cell:
+        return None
+    return Projection(best[0], GeoPoint(best[1], best[2]), best[3], distance)
 
 
 def map_match(net: RoadNetwork, p: GeoPoint) -> Projection:
     """Project a point onto the nearest arc segment (ties: lowest arc id)."""
     if not net.edges:
         raise NoEdgesError("cannot map-match on a network with no edges")
-    t = ((p.x - net._ax) * net._dx + (p.y - net._ay) * net._dy) / net._len2
-    t = np.clip(t, 0.0, 1.0)
-    qx = net._ax + t * net._dx
-    qy = net._ay + t * net._dy
+    proj = _match_in_block(net, p.x, p.y) if net._grid else None
+    if proj is not None:
+        return proj
+    ax, ay, dx, dy, len2 = net._seg
+    t = np.clip(((p.x - ax) * dx + (p.y - ay) * dy) / len2, 0.0, 1.0)
+    qx, qy = ax + t * dx, ay + t * dy
     d2 = (p.x - qx) ** 2 + (p.y - qy) ** 2
     best = int(np.argmin(d2))  # argmin keeps the first (lowest-id) minimum
-    return Projection(
-        edge_id=best,
-        point=GeoPoint(float(qx[best]), float(qy[best])),
-        offset=float(t[best]),
-        distance=float(math.sqrt(d2[best])),
-    )
+    point = GeoPoint(float(qx[best]), float(qy[best]))
+    return Projection(best, point, float(t[best]), math.sqrt(d2[best]))
 
 
 def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], float]:
@@ -228,37 +276,35 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
 
     Classic label-setting search with a binary heap and lazy deletion; the
     relaxation step is dist[v] = min(dist[v], dist[u] + w(u, v)). Heap entries
-    are (distance, node id) so equal-distance nodes settle in id order, which
-    makes results deterministic.
+    are (distance, dense index) with indices in node-id order, so results are
+    deterministic. Pushes for a node strictly decrease, so a popped entry above
+    its node's distance is stale.
     """
     for nid in (src, dst):
         if nid not in net.nodes:
             raise ValidationError(f"unknown node {nid}")
     if src == dst:
         return [src], 0.0
-    dist: dict[int, float] = {src: 0.0}
-    parent: dict[int, int] = {}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    s, target, out = net._index[src], net._index[dst], net._out
+    dist, parent = [math.inf] * len(out), [-1] * len(out)
+    dist[s] = 0.0
+    heap = [(0.0, s)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d_u, u = heapq.heappop(heap)
-        if u in done:
+        d_u, u = pop(heap)
+        if d_u > dist[u]:
             continue
-        done.add(u)
-        if u == dst:
+        if u == target:
             break
-        for eid in net.adjacency[u]:
-            edge = net.edges[eid]
-            v = edge.to_node
-            cand = d_u + edge.length
-            if cand < dist.get(v, math.inf):
+        for v, w in out[u]:
+            cand = d_u + w
+            if cand < dist[v]:
                 dist[v] = cand
                 parent[v] = u
-                heapq.heappush(heap, (cand, v))
-    if dst not in done:
+                push(heap, (cand, v))
+    else:
         raise UnreachableError(f"node {dst} is not reachable from {src}")
-    path = [dst]
-    while path[-1] != src:
+    path = [target]
+    while path[-1] != s:
         path.append(parent[path[-1]])
-    path.reverse()
-    return path, dist[dst]
+    return [net._ids[i] for i in reversed(path)], dist[target]

@@ -100,10 +100,6 @@ class KdeModel:
         return self.samples[idx] + noise
 
 
-def fit_kde(points: np.ndarray, bandwidth: float) -> KdeModel:
-    return KdeModel(points, bandwidth)
-
-
 @dataclass
 class GenConfig:
     """Knobs for cleaning and generation."""
@@ -336,11 +332,6 @@ def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
     return Trajectory(traj.vehicle_id, out)
 
 
-def correct(traj: Trajectory, net: RoadNetwork) -> Trajectory:
-    """Snap a densified trajectory back onto the road segments."""
-    return map_to_roads(traj, net)
-
-
 _ROUTE_RETRIES = 20
 
 
@@ -397,7 +388,7 @@ def _generate_one(
             continue
         points = [net.nodes[nid].pos for nid in route]
         timed = assign_times(points, start_t, profile, hour, rng, vehicle_id)
-        return correct(interpolate(timed, cfg.delta_t), net)
+        return map_to_roads(interpolate(timed, cfg.delta_t), net)
     return None
 
 

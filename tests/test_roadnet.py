@@ -75,6 +75,22 @@ def test_load_empty_edge_file():
     assert net.edges == []
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [([], EDGES_CSV), (NODES_CSV, []), ([], [])],
+    ids=["no-nodes", "no-edges", "neither"],
+)
+def test_load_rejects_missing_header(nodes, edges):
+    with pytest.raises(ParseError, match="missing header"):
+        load_network(nodes, edges)
+
+
+def test_load_accepts_ids_beyond_float_range():
+    big = "1" + "0" * 400
+    net = load_network(["node_id,x,y", f"{big},0,0", "2,1,0"], ["from,to,length_m,speed_mps", f"{big},2,,1"])
+    assert shortest_path(net, int(big), 2) == ([int(big), 2], 1.0)
+
+
 def test_load_reports_line_numbers():
     with pytest.raises(ParseError, match="line 3"):
         load_network(["node_id,x,y", "0,0,0", "1,abc,0"], EDGES_CSV)

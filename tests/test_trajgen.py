@@ -13,7 +13,6 @@ from vtmigsim.trajgen import (
     assign_times,
     build_profile,
     clean_and_segment,
-    correct,
     density_grid,
     generate_dataset,
     generate_entry_exit,
@@ -295,7 +294,7 @@ def test_map_to_roads_and_correct():
     matched = map_to_roads(t, net)
     for p in matched.points:
         assert map_match(net, p.pos).distance < 1e-6
-    assert correct(matched, net).points[0].pos == matched.points[0].pos
+    assert map_to_roads(matched, net).points[0].pos == matched.points[0].pos
 
 
 # --- full pipeline ---
