@@ -134,7 +134,21 @@ def _scenario_with_reward_mode(scenario: dict[str, str], train_cfg_kv: dict[str,
     return out
 
 
-_POLICY_TO_MODE = policies.LEARNED_KINDS
+def _checkpoint_bundle(
+    path: str, cfg: msrl.TrainConfig, env: envsim.PremigrationEnv
+) -> tuple[msrl.PolicyBundle, int]:
+    """Load a checkpoint's bundle and episode; its sizes must match the env's."""
+    bundle, episode = msrl.load_bundle(neuralcore.load_checkpoint(path), cfg)
+    for what, saved, want in (
+        ("agents", bundle.n_agents, env.V),
+        ("obs_dim", bundle.obs_dim, env.obs_dim),
+        ("actions", bundle.n_actions, env.E),
+    ):
+        if saved != want:
+            raise ConfigError(
+                f"checkpoint {path} has meta/{what} = {saved}, but the scenario needs {want}"
+            )
+    return bundle, episode
 
 
 def cmd_train(args) -> int:
@@ -142,18 +156,18 @@ def cmd_train(args) -> int:
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
     scenario = _scenario_with_reward_mode(scenario, train_kv)
     kind = args.policy or get_str(train_kv, "train.policy", policies.SPLIT)
-    if kind not in _POLICY_TO_MODE:
+    if kind not in policies.LEARNED_KINDS:
         raise ConfigError(f"cannot train policy kind {kind!r}")
-    cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=_POLICY_TO_MODE[kind])
-    if args.episodes is not None:
-        cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=_POLICY_TO_MODE[kind], episodes=args.episodes)
+    episodes = {} if args.episodes is None else {"episodes": args.episodes}
+    cfg = msrl.train_config_from(
+        train_kv, seed=args.seed, mode=policies.LEARNED_KINDS[kind], **episodes
+    )
     env = _build_env(scenario, kind)
 
     bundle = None
     start_episode = 0
     if args.resume:
-        tensors = neuralcore.load_checkpoint(args.resume)
-        bundle, last_episode = msrl.load_bundle(tensors, cfg)
+        bundle, last_episode = _checkpoint_bundle(args.resume, cfg, env)
         start_episode = last_episode + 1
 
     _ensure_out(args.out)
@@ -173,19 +187,17 @@ def cmd_train(args) -> int:
             writer.writerow(msrl.REPORT_HEADER)
             fh.flush()
 
-            state = {"bundle": bundle, "last": start_episode - 1}
-
             def on_episode(stats: msrl.EpisodeStats) -> None:
                 writer.writerow(msrl.report_row(stats))
                 fh.flush()
-                state["last"] = stats.episode
                 if ckpt_every > 0 and (stats.episode + 1) % ckpt_every == 0:
-                    save_ckpt(f"ckpt_ep{stats.episode}.txt", state["bundle"], stats.episode)
+                    # Known defect: on a fresh run `bundle` stays None until
+                    # msrl.train returns, so this save fails.
+                    save_ckpt(f"ckpt_ep{stats.episode}.txt", bundle, stats.episode)
 
             stats_list, bundle = msrl.train(
                 env, cfg, bundle=bundle, start_episode=start_episode, on_episode=on_episode
             )
-            state["bundle"] = bundle
         os.replace(tmp_path, report_path)
     except msrl.TrainAbort as exc:
         dump_path = os.path.join(args.out, "abort_dump.txt")
@@ -213,15 +225,16 @@ EVAL_HEADER = [
 ]
 
 
-def _load_bundle_for(kind: str, args, train_kv: dict[str, str]) -> Optional[msrl.PolicyBundle]:
-    if kind not in _POLICY_TO_MODE:
+def _load_bundle_for(
+    kind: str, args, train_kv: dict[str, str], env: envsim.PremigrationEnv
+) -> Optional[msrl.PolicyBundle]:
+    """The `--checkpoint` bundle, a fresh one without it, None for heuristics."""
+    if kind not in policies.LEARNED_KINDS:
         return None
-    cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=_POLICY_TO_MODE[kind])
+    cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=policies.LEARNED_KINDS[kind])
     if args.checkpoint:
-        tensors = neuralcore.load_checkpoint(args.checkpoint)
-        bundle, _ = msrl.load_bundle(tensors, cfg)
-        return bundle
-    return None
+        return _checkpoint_bundle(args.checkpoint, cfg, env)[0]
+    return msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
 
 
 def cmd_eval(args) -> int:
@@ -229,10 +242,7 @@ def cmd_eval(args) -> int:
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
     kind = args.policy
     env = _build_env(scenario, kind)
-    bundle = _load_bundle_for(kind, args, train_kv)
-    if kind in _POLICY_TO_MODE and bundle is None:
-        cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=_POLICY_TO_MODE[kind])
-        bundle = msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
+    bundle = _load_bundle_for(kind, args, train_kv, env)
     rng = np.random.default_rng([args.seed, 11])
     act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
 
@@ -309,15 +319,8 @@ def cmd_compare(args) -> int:
     for vi, value in enumerate(values):
         swept = apply_sweep(scenario, args.sweep_param, value)
         for kind in kinds:
-            env = envsim.build_env(
-                {**swept, **policies.env_overrides(kind)}
-            )
-            bundle = _load_bundle_for(kind, args, train_kv)
-            if kind in _POLICY_TO_MODE and bundle is None:
-                cfg = msrl.train_config_from(
-                    train_kv, seed=args.seed, mode=_POLICY_TO_MODE[kind]
-                )
-                bundle = msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
+            env = _build_env(swept, kind)
+            bundle = _load_bundle_for(kind, args, train_kv, env)
             rng = np.random.default_rng([args.seed, 13, vi])
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
             # Episode seeds are paired across policies at each sweep point.

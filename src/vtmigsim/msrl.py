@@ -16,7 +16,7 @@ import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .neuralcore import (
     SERVER,
     Adam,
     Critic,
-    Distribution,
+    DenseNet,
     PROB_FLOOR,
     SplitActor,
     softmax,
@@ -157,17 +157,16 @@ class PolicyBundle:
     """Trained state: per-agent actors, centralized critic(s), controllers."""
 
     actors: list[SplitActor]
-    actors_old: list[SplitActor]
     critics: list[Critic]
-    critics_old: list[Critic]
     controllers: Optional[list[SwitchController]]
     obs_dim: int
     n_actions: int
     n_agents: int
     shared_critic: bool
 
-    def critic_old_for(self, v: int) -> Critic:
-        return self.critics_old[0] if self.shared_critic else self.critics_old[v]
+    def critic_for(self, v: int) -> Critic:
+        """Agent v's critic: the one shared critic, or v's own."""
+        return self.critics[0] if self.shared_critic else self.critics[v]
 
     def client_params(self) -> int:
         return self.actors[0].param_count(CLIENT)
@@ -191,34 +190,15 @@ def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -
             SwitchController(cfg.thr0, cfg.change, cfg.window, cfg.hold, cfg.flutter_limit)
             for _ in range(n_agents)
         ]
-    bundle = PolicyBundle(
+    return PolicyBundle(
         actors=actors,
-        actors_old=[copy.deepcopy(a) for a in actors],
         critics=critics,
-        critics_old=[copy.deepcopy(c) for c in critics],
         controllers=controllers,
         obs_dim=obs_dim,
         n_actions=n_actions,
         n_agents=n_agents,
         shared_critic=cfg.shared_critic,
     )
-    return bundle
-
-
-def _copy_net(dst, src) -> None:
-    for dw, sw in zip(dst.weights, src.weights):
-        dw[...] = sw
-    for db, sb in zip(dst.biases, src.biases):
-        db[...] = sb
-
-
-def sync_old(bundle: PolicyBundle) -> None:
-    """Overwrite the rollout (old) networks with the trained ones."""
-    for old, new in zip(bundle.actors_old, bundle.actors):
-        for name, net in new.components().items():
-            _copy_net(old.components()[name], net)
-    for old, new in zip(bundle.critics_old, bundle.critics):
-        _copy_net(old.net, new.net)
 
 
 @dataclass
@@ -263,7 +243,7 @@ def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam:
 
     delta_t = r_t + gamma * Q(o_{t+1}, a_{t+1}) - Q(o_t, a_t) with a zero
     bootstrap past the final slot; the tail sum runs as a backward recursion.
-    Uses the frozen (old) critic.
+    Runs before the update, so Q is the critic as it stood during collection.
     """
     T, V = buffer.rewards.shape
     X = critic_inputs(buffer, bundle.n_actions)
@@ -271,7 +251,7 @@ def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam:
     q = None
     for v in range(V):
         if q is None or not bundle.shared_critic:
-            q = bundle.critic_old_for(v).value(X)
+            q = bundle.critic_for(v).value(X)
         q_next = np.append(q[1:], 0.0)
         delta = buffer.rewards[:, v] + gamma * q_next - q
         acc = 0.0
@@ -297,7 +277,7 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, agent: int) -
     swapped[:, base : base + A] = 0.0
     rows = np.arange(T * A)
     swapped[rows, base + np.tile(np.arange(A), T)] = 1.0
-    q_swap = bundle.critic_old_for(agent).value(swapped).reshape(T, A)
+    q_swap = bundle.critic_for(agent).value(swapped).reshape(T, A)
     baseline = (buffer.probs_old[:, agent, :] * q_swap).sum(axis=1)
     return buffer.qhat[:, agent] - baseline
 
@@ -333,8 +313,8 @@ def surrogate_losses(
     clip: float,
     path: str,
     denom: Optional[int] = None,
-) -> tuple[float, float, dict[str, list[np.ndarray]]]:
-    """Policy loss, mean entropy, and gradients through one actor path."""
+) -> tuple[float, dict[str, list[np.ndarray]]]:
+    """Policy loss and gradients through one actor path."""
     logits, cache = actor.path_logits(obs, path)
     probs = softmax(logits)
     rows = np.arange(len(actions))
@@ -342,10 +322,7 @@ def surrogate_losses(
     loss, dlogp = clipped_surrogate(new_logp, old_logp, adv, clip, denom)
     dlogits = dlogp[:, None] * (-probs)
     dlogits[rows, actions] += dlogp
-    grads = actor.path_backward(cache, dlogits, path)
-    from .neuralcore import entropy_of
-
-    return loss, float(entropy_of(probs).mean()), grads
+    return loss, actor.path_backward(cache, dlogits, path)
 
 
 # --- rollout collection ---
@@ -384,10 +361,10 @@ def collect_episode(
         model = np.zeros(V, dtype=int)
         dual = np.zeros(V, dtype=bool)
         for v in range(V):
-            features, cdist = bundle.actors_old[v].forward_client(slot_obs[v])
+            features, cdist = bundle.actors[v].forward_client(slot_obs[v])
             entropy[v] = cdist.entropy
             choice, dual_v = _decide(bundle, mode, v, entropy[v])
-            dist = bundle.actors_old[v].forward_server(features) if choice == SERVER else cdist
+            dist = bundle.actors[v].forward_server(features) if choice == SERVER else cdist
             a, lp = dist.sample(action_rng)
             actions[v] = a
             logp[v] = lp
@@ -471,7 +448,7 @@ def _update_policy(
     ):
         if not sel.any():
             continue
-        loss, _, grads = surrogate_losses(
+        loss, grads = surrogate_losses(
             actor, obs[sel], actions[sel], old[sel], adv[sel], cfg.clip, path, denom
         )
         total_loss += loss
@@ -606,7 +583,6 @@ def train_episode(
                         ],
                     },
                 )
-    sync_old(bundle)
     return _episode_stats(episode, buffer, bundle)
 
 
@@ -722,6 +698,25 @@ def greedy_act_fn(
 
 # --- checkpoint persistence ---
 
+def _net_tensors(prefix: str, net: DenseNet) -> list[tuple[str, np.ndarray]]:
+    """Named views of a net's parameters: prefix/W<i> and prefix/b<i> as a row."""
+    tensors = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        tensors += [(f"{prefix}/W{i}", w), (f"{prefix}/b{i}", b.reshape(1, -1))]
+    return tensors
+
+
+def _restore_net(tensors: dict[str, np.ndarray], prefix: str, net: DenseNet) -> None:
+    """Copy checkpoint tensors into a net, refusing any shape but its own."""
+    for name, param in _net_tensors(prefix, net):
+        saved = tensors[name]
+        if saved.shape != param.shape:
+            raise ValueError(
+                f"checkpoint tensor {name} has shape {saved.shape}, expected {param.shape}"
+            )
+        param[...] = saved
+
+
 def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.ndarray]]:
     tensors: list[tuple[str, np.ndarray]] = [
         ("meta/episode", np.array([[float(episode)]])),
@@ -731,9 +726,7 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
     ]
     for v, actor in enumerate(bundle.actors):
         for comp, net in actor.components().items():
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                tensors.append((f"agent{v}/{comp}/W{i}", w))
-                tensors.append((f"agent{v}/{comp}/b{i}", b.reshape(1, -1)))
+            tensors += _net_tensors(f"agent{v}/{comp}", net)
         if bundle.controllers is not None:
             c = bundle.controllers[v]
             tensors.append(
@@ -743,9 +736,7 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
                 )
             )
     for j, critic in enumerate(bundle.critics):
-        for i, (w, b) in enumerate(zip(critic.net.weights, critic.net.biases)):
-            tensors.append((f"critic{j}/W{i}", w))
-            tensors.append((f"critic{j}/b{i}", b.reshape(1, -1)))
+        tensors += _net_tensors(f"critic{j}", critic.net)
     return tensors
 
 
@@ -760,16 +751,7 @@ def load_bundle(
     bundle = make_bundle(obs_dim, n_actions, n_agents, cfg)
     for v, actor in enumerate(bundle.actors):
         for comp, net in actor.components().items():
-            for i in range(len(net.weights)):
-                w = tensors[f"agent{v}/{comp}/W{i}"]
-                b = tensors[f"agent{v}/{comp}/b{i}"]
-                if w.shape != net.weights[i].shape:
-                    raise ValueError(
-                        f"checkpoint tensor agent{v}/{comp}/W{i} has shape {w.shape}, "
-                        f"expected {net.weights[i].shape}"
-                    )
-                net.weights[i][...] = w
-                net.biases[i][...] = b.reshape(-1)
+            _restore_net(tensors, f"agent{v}/{comp}", net)
         key = f"agent{v}/ctrl"
         if bundle.controllers is not None and key in tensors:
             c = bundle.controllers[v]
@@ -778,8 +760,5 @@ def load_bundle(
             c.calls = int(tensors[key][0, 2])
             c.thr = c.thr0 + c.server_calls * c.change
     for j, critic in enumerate(bundle.critics):
-        for i in range(len(critic.net.weights)):
-            critic.net.weights[i][...] = tensors[f"critic{j}/W{i}"]
-            critic.net.biases[i][...] = tensors[f"critic{j}/b{i}"].reshape(-1)
-    sync_old(bundle)
+        _restore_net(tensors, f"critic{j}", critic.net)
     return bundle, episode

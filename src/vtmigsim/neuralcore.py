@@ -230,10 +230,6 @@ class SplitActor:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def param_count(actor: SplitActor, mode: str) -> int:
-    return actor.param_count(mode)
-
-
 class Critic:
     """Centralized action-value network over joint observation + one-hot joint action."""
 

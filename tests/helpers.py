@@ -70,3 +70,63 @@ def make_env(
     defaults.update(cfg_overrides)
     cfg = EnvConfig(**defaults)
     return PremigrationEnv(rsus, vehicles, channel or ChannelParams(), cfg)
+
+
+CLI_RSU_XY = [(0.0, 0.0), (600.0, 0.0), (300.0, 500.0)]
+CLI_TRACKS = [  # (x0, y0, vx, vy) in m and m/s
+    (20.0, 10.0, 12.0, 0.0),
+    (580.0, 40.0, -9.0, 6.0),
+    (300.0, 480.0, 2.0, -11.0),
+]
+
+
+def write_cli_scenario(directory, n_vehicles=len(CLI_TRACKS)):
+    """Scenario config for the CLI: straight tracks, three RSUs, horizon 12."""
+    traj = directory / "vehicles.csv"
+    lines = ["vehicle_id,t,x,y"]
+    for vid, (x0, y0, vx, vy) in enumerate(CLI_TRACKS):
+        for k in range(7):
+            t = 10.0 * k
+            lines.append(f"{vid},{t:.6f},{x0 + vx * t:.6f},{y0 + vy * t:.6f}")
+    traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    items = {
+        "rsu.count": len(CLI_RSU_XY),
+        "veh.count": n_vehicles,
+        "veh.traj_csv": traj,
+        "env.horizon": 12,
+        "env.warmup_slots": 4,
+        "env.background_mean": 0.3,
+        "rsu.compute": "1e10",
+        "rsu.max_load": "5e10",
+        "rsu.bw_up": "2e7",
+        "rsu.bw_down": "2e7",
+        "rsu.noise": "1e-11",
+        "backhaul.default": "1e9",
+        "veh.power": "0.2",
+        "veh.cycles_per_bit": "100",
+        "veh.task_bits": "2e6",
+        "veh.request_bits": "1e5",
+        "veh.result_bits": "2e5",
+    }
+    for k, (x, y) in enumerate(CLI_RSU_XY):
+        items[f"rsu.{k}.x"] = x
+        items[f"rsu.{k}.y"] = y
+    path = directory / f"scenario_v{n_vehicles}.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()), encoding="utf-8")
+    return str(path)
+
+
+def write_train_cfg(directory, shared_critic):
+    """Short training: small minibatches and a controller that switches often."""
+    path = directory / "train.cfg"
+    path.write_text(
+        "train.epochs = 2\n"
+        "train.minibatch = 4\n"
+        "train.window = 4\n"
+        "train.hold = 3\n"
+        "train.flutter_limit = 1\n"
+        "train.thr0 = 0.9\n"
+        f"train.shared_critic = {shared_critic}\n",
+        encoding="utf-8",
+    )
+    return str(path)

@@ -13,7 +13,6 @@ from vtmigsim.neuralcore import (
     entropy_of,
     grad_check,
     load_checkpoint,
-    param_count,
     save_checkpoint,
     softmax,
 )
@@ -222,13 +221,13 @@ def test_client_path_never_touches_server():
 def test_param_count_closed_form():
     actor = make_actor(obs_dim=9, n_actions=4)
     # client: 9*8+8 + 8*16+16 + 16*4+4 = 292
-    assert param_count(actor, "client") == 292
+    assert actor.param_count("client") == 292
     # server side: 16*16+16 + 16*32+32 + 32*16+16 + 16*4+4 = 1412
     server_only = (
         actor.server_trunk.param_count() + actor.server_head.param_count()
     )
     assert server_only == 1412
-    assert param_count(actor, "client+server") == 1704
+    assert actor.param_count("client+server") == 1704
 
 
 def test_param_count_ordering():
