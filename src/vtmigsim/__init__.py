@@ -31,7 +31,7 @@ from .envsim import (
     VehicleSpec,
     build_env,
 )
-from .neuralcore import Adam, Critic, Distribution, DenseNet, SplitActor
+from .neuralcore import Adam, Critic, DenseNet, SplitActor
 from .msrl import PolicyBundle, SwitchController, TrainConfig, train
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "build_profile", "clean_and_segment", "generate_dataset", "interpolate",
     "ChannelParams", "EnvConfig", "PremigrationEnv", "RsuSpec", "StepResult",
     "VehicleSpec", "build_env",
-    "Adam", "Critic", "Distribution", "DenseNet", "SplitActor",
+    "Adam", "Critic", "DenseNet", "SplitActor",
     "PolicyBundle", "SwitchController", "TrainConfig", "train",
 ]
 

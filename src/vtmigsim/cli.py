@@ -135,10 +135,13 @@ def _scenario_with_reward_mode(scenario: dict[str, str], train_cfg_kv: dict[str,
 
 
 def _checkpoint_bundle(
-    path: str, cfg: msrl.TrainConfig, env: envsim.PremigrationEnv
+    path: str, tensors: dict, cfg: msrl.TrainConfig, env: envsim.PremigrationEnv
 ) -> tuple[msrl.PolicyBundle, int]:
-    """Load a checkpoint's bundle and episode; its sizes must match the env's."""
-    bundle, episode = msrl.load_bundle(neuralcore.load_checkpoint(path), cfg)
+    """The bundle and episode of checkpoint `path`, read as `tensors`, sized as the env."""
+    try:
+        bundle, episode = msrl.load_bundle(tensors, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for what, saved, want in (
         ("agents", bundle.n_agents, env.V),
         ("obs_dim", bundle.obs_dim, env.obs_dim),
@@ -167,7 +170,8 @@ def cmd_train(args) -> int:
     bundle = None
     start_episode = 0
     if args.resume:
-        bundle, last_episode = _checkpoint_bundle(args.resume, cfg, env)
+        tensors = neuralcore.load_checkpoint(args.resume)
+        bundle, last_episode = _checkpoint_bundle(args.resume, tensors, cfg, env)
         start_episode = last_episode + 1
 
     _ensure_out(args.out)
@@ -225,15 +229,22 @@ EVAL_HEADER = [
 ]
 
 
+def _read_checkpoint(args, kinds: Sequence[str]) -> Optional[dict]:
+    """The `--checkpoint` tensors, read once per run if a learned kind needs them."""
+    if args.checkpoint and any(kind in policies.LEARNED_KINDS for kind in kinds):
+        return neuralcore.load_checkpoint(args.checkpoint)
+    return None
+
+
 def _load_bundle_for(
-    kind: str, args, train_kv: dict[str, str], env: envsim.PremigrationEnv
+    kind: str, args, train_kv: dict[str, str], env: envsim.PremigrationEnv, tensors
 ) -> Optional[msrl.PolicyBundle]:
     """The `--checkpoint` bundle, a fresh one without it, None for heuristics."""
     if kind not in policies.LEARNED_KINDS:
         return None
     cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=policies.LEARNED_KINDS[kind])
     if args.checkpoint:
-        return _checkpoint_bundle(args.checkpoint, cfg, env)[0]
+        return _checkpoint_bundle(args.checkpoint, tensors, cfg, env)[0]
     return msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
 
 
@@ -242,7 +253,7 @@ def cmd_eval(args) -> int:
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
     kind = args.policy
     env = _build_env(scenario, kind)
-    bundle = _load_bundle_for(kind, args, train_kv, env)
+    bundle = _load_bundle_for(kind, args, train_kv, env, _read_checkpoint(args, [kind]))
     rng = np.random.default_rng([args.seed, 11])
     act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
 
@@ -316,11 +327,12 @@ def cmd_compare(args) -> int:
         raise ConfigError("empty sweep value list")
 
     results: list[list] = []
+    tensors = _read_checkpoint(args, kinds)
     for vi, value in enumerate(values):
         swept = apply_sweep(scenario, args.sweep_param, value)
         for kind in kinds:
             env = _build_env(swept, kind)
-            bundle = _load_bundle_for(kind, args, train_kv, env)
+            bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
             rng = np.random.default_rng([args.seed, 13, vi])
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
             # Episode seeds are paired across policies at each sweep point.

@@ -27,8 +27,10 @@ from .neuralcore import (
     Adam,
     Critic,
     DenseNet,
-    PROB_FLOOR,
     SplitActor,
+    entropy_of,
+    log_prob,
+    sample_actions,
     softmax,
 )
 
@@ -154,9 +156,9 @@ def train_config_from(cfg: dict[str, str], **overrides) -> TrainConfig:
 
 @dataclass
 class PolicyBundle:
-    """Trained state: per-agent actors, centralized critic(s), controllers."""
+    """Trained state: every agent's actor stacked in one, critic(s), controllers."""
 
-    actors: list[SplitActor]
+    actor: SplitActor
     critics: list[Critic]
     controllers: Optional[list[SwitchController]]
     obs_dim: int
@@ -169,18 +171,15 @@ class PolicyBundle:
         return self.critics[0] if self.shared_critic else self.critics[v]
 
     def client_params(self) -> int:
-        return self.actors[0].param_count(CLIENT)
+        return self.actor.param_count(CLIENT)
 
     def full_params(self) -> int:
-        return self.actors[0].param_count("client+server")
+        return self.actor.param_count("client+server")
 
 
 def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -> PolicyBundle:
     rng = np.random.default_rng([cfg.seed, 1])
-    actors = [
-        SplitActor(obs_dim, n_actions, cfg.hidden_dims, cfg.split_index, rng)
-        for _ in range(n_agents)
-    ]
+    actor = SplitActor(obs_dim, n_actions, cfg.hidden_dims, cfg.split_index, rng, n_agents)
     critic_in = n_agents * obs_dim + n_agents * n_actions
     n_critics = 1 if cfg.shared_critic else n_agents
     critics = [Critic(critic_in, cfg.critic_dims, rng) for _ in range(n_critics)]
@@ -191,7 +190,7 @@ def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -
             for _ in range(n_agents)
         ]
     return PolicyBundle(
-        actors=actors,
+        actor=actor,
         critics=critics,
         controllers=controllers,
         obs_dim=obs_dim,
@@ -218,24 +217,12 @@ class RolloutBuffer:
     qhat: Optional[np.ndarray] = None
     adv: Optional[np.ndarray] = None
 
-    @property
-    def T(self) -> int:
-        return self.obs.shape[0]
-
-    @property
-    def V(self) -> int:
-        return self.obs.shape[1]
-
 
 def critic_inputs(buffer: RolloutBuffer, n_actions: int) -> np.ndarray:
     """Joint observation concatenated with one-hot joint action, (T, D)."""
     T, V, O = buffer.obs.shape
-    joint_obs = buffer.obs.reshape(T, V * O)
-    onehot = np.zeros((T, V, n_actions))
-    rows = np.repeat(np.arange(T), V)
-    cols = np.tile(np.arange(V), T)
-    onehot[rows, cols, buffer.actions.reshape(-1)] = 1.0
-    return np.concatenate([joint_obs, onehot.reshape(T, V * n_actions)], axis=1)
+    onehot = np.eye(n_actions)[buffer.actions].reshape(T, V * n_actions)
+    return np.concatenate([buffer.obs.reshape(T, V * O), onehot], axis=1)
 
 
 def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam: float) -> np.ndarray:
@@ -245,19 +232,16 @@ def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam:
     bootstrap past the final slot; the tail sum runs as a backward recursion.
     Runs before the update, so Q is the critic as it stood during collection.
     """
-    T, V = buffer.rewards.shape
     X = critic_inputs(buffer, bundle.n_actions)
-    qhat = np.zeros((T, V))
-    q = None
-    for v in range(V):
-        if q is None or not bundle.shared_critic:
-            q = bundle.critic_for(v).value(X)
-        q_next = np.append(q[1:], 0.0)
-        delta = buffer.rewards[:, v] + gamma * q_next - q
-        acc = 0.0
-        for t in range(T - 1, -1, -1):
-            acc = delta[t] + gamma * lam * acc
-            qhat[t, v] = q[t] + acc
+    values = np.stack([c.value(X) for c in bundle.critics], axis=1)
+    q = np.broadcast_to(values, buffer.rewards.shape)
+    q_next = np.append(q[1:], np.zeros_like(q[:1]), axis=0)
+    delta = buffer.rewards + gamma * q_next - q
+    qhat = np.zeros_like(q)
+    acc = np.zeros(q.shape[1])
+    for t in range(len(q) - 1, -1, -1):
+        acc = delta[t] + gamma * lam * acc
+        qhat[t] = q[t] + acc
     return qhat
 
 
@@ -283,59 +267,57 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, agent: int) -
 
 
 def clipped_surrogate(
-    new_logp: np.ndarray,
-    old_logp: np.ndarray,
-    adv: np.ndarray,
-    clip: float,
-    denom: Optional[int] = None,
-) -> tuple[float, np.ndarray]:
-    """Clipped-ratio objective. Returns (loss, dloss/dnew_logp).
+    new_logp: np.ndarray, old_logp: np.ndarray, adv: np.ndarray, clip: float, denom: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped-ratio objective per sample. Returns (terms, dloss/dnew_logp).
 
     Per sample the objective term is min(beta * A, clip(beta, 1-eps, 1+eps) * A)
-    with beta = exp(new_logp - old_logp); the loss is the negated mean. The
-    gradient coefficient zeroes out exactly where the clip saturates the min.
+    with beta = exp(new_logp - old_logp); the loss is minus the terms' sum over
+    denom. The gradient coefficient zeroes out exactly where the clip
+    saturates the min.
     """
-    n = denom if denom is not None else len(new_logp)
     beta = np.exp(new_logp - old_logp)
     term = np.minimum(beta * adv, np.clip(beta, 1.0 - clip, 1.0 + clip) * adv)
     clipped_out = ((adv >= 0) & (beta > 1.0 + clip)) | ((adv < 0) & (beta < 1.0 - clip))
-    loss = -float(term.sum()) / n
-    dlogp = -(adv * beta * (~clipped_out)) / n
-    return loss, dlogp
+    dlogp = -(adv * beta * (~clipped_out)) / denom
+    return term, dlogp
 
 
 def surrogate_losses(
-    actor: SplitActor,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    old_logp: np.ndarray,
-    adv: np.ndarray,
-    clip: float,
-    path: str,
-    denom: Optional[int] = None,
-) -> tuple[float, dict[str, list[np.ndarray]]]:
-    """Policy loss and gradients through one actor path."""
-    logits, cache = actor.path_logits(obs, path)
-    probs = softmax(logits)
-    rows = np.arange(len(actions))
-    new_logp = np.log(np.maximum(probs[rows, actions], PROB_FLOOR))
-    loss, dlogp = clipped_surrogate(new_logp, old_logp, adv, clip, denom)
-    dlogits = dlogp[:, None] * (-probs)
-    dlogits[rows, actions] += dlogp
-    return loss, actor.path_backward(cache, dlogits, path)
+    actor: SplitActor, path: str, batch: tuple, sel: np.ndarray, clip: float
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Surrogate terms (V, B) and flat gradients (V, P) per component through
+    one path of the stacked actor, for batch = (obs, actions, old_logp, adv)
+    over (V, B) samples of which `sel` marks each agent's on this path.
+
+    An agent with exactly one such sample runs it as a one-row batch, as it
+    would alone: numpy evaluates a one-row product as a matrix-vector
+    product, which rounds differently from a row of a matrix product.
+    """
+    V, B = sel.shape
+    n = sel.sum(axis=1)
+    row = sel.argmax(axis=1)
+    passes = [(batch, sel & (n > 1)[:, None])]
+    if (n == 1).any():
+        passes.append((tuple(a[np.arange(V), row][:, None] for a in batch), (n == 1)[:, None]))
+    terms, grads = [], {}
+    for (obs, actions, old_logp, adv), mask in passes:
+        logits, cache = actor.path_logits(obs, path)
+        probs = softmax(logits)
+        term, dlogp = clipped_surrogate(log_prob(probs, actions), old_logp, adv, clip, B)
+        terms.append(np.where(mask, term, 0.0))
+        dlogp = np.where(mask, dlogp, 0.0)
+        dlogits = dlogp[..., None] * (-probs)
+        at = actions[..., None]
+        np.put_along_axis(dlogits, at, np.take_along_axis(dlogits, at, -1) + dlogp[..., None], -1)
+        for name, g in actor.path_backward(cache, dlogits, path).items():
+            grads[name] = grads[name] + g if name in grads else g
+    if len(terms) > 1:
+        terms[0][n == 1, row[n == 1]] = terms[1][n == 1, 0]
+    return terms[0], grads
 
 
 # --- rollout collection ---
-
-def _decide(
-    bundle: PolicyBundle, cfg_mode: str, agent: int, entropy: float
-) -> tuple[str, bool]:
-    if cfg_mode == "client":
-        return CLIENT, False
-    if cfg_mode == "server":
-        return SERVER, False
-    return bundle.controllers[agent].select(entropy)
-
 
 def collect_episode(
     env,
@@ -344,6 +326,7 @@ def collect_episode(
     action_rng: np.random.Generator,
     env_seed: int,
 ) -> RolloutBuffer:
+    """One episode; per slot one client and at most one server forward for all agents."""
     obs_list = env.reset(env_seed)
     V = bundle.n_agents
     store = {k: [] for k in (
@@ -353,30 +336,25 @@ def collect_episode(
     done = False
     while not done:
         slot_obs = np.array(obs_list)
-        actions = np.zeros(V, dtype=int)
-        logp = np.zeros(V)
-        logp_client = np.zeros(V)
-        probs = np.zeros((V, bundle.n_actions))
-        entropy = np.zeros(V)
-        model = np.zeros(V, dtype=int)
-        dual = np.zeros(V, dtype=bool)
-        for v in range(V):
-            features, cdist = bundle.actors[v].forward_client(slot_obs[v])
-            entropy[v] = cdist.entropy
-            choice, dual_v = _decide(bundle, mode, v, entropy[v])
-            dist = bundle.actors[v].forward_server(features) if choice == SERVER else cdist
-            a, lp = dist.sample(action_rng)
-            actions[v] = a
-            logp[v] = lp
-            logp_client[v] = cdist.log_prob(a)
-            probs[v] = dist.probs
-            model[v] = 1 if choice == SERVER else 0
-            dual[v] = dual_v
+        features, client_probs = bundle.actor.forward_client(slot_obs)
+        entropy = entropy_of(client_probs)
+        if mode == "split":
+            picks = [bundle.controllers[v].select(entropy[v]) for v in range(V)]
+            model = np.array([choice == SERVER for choice, _ in picks], dtype=int)
+            dual = np.array([d for _, d in picks], dtype=bool)
+        else:
+            model = np.full(V, int(mode == "server"))
+            dual = np.zeros(V, dtype=bool)
+        probs = client_probs
+        if model.any():
+            server = bundle.actor.forward_server(features)
+            probs = np.where(model[:, None] == 1, server, client_probs)
+        actions = sample_actions(probs, action_rng.random(V))
         result = env.step(list(actions))
         store["obs"].append(slot_obs)
         store["actions"].append(actions)
-        store["logp"].append(logp)
-        store["logp_client"].append(logp_client)
+        store["logp"].append(log_prob(probs, actions))
+        store["logp_client"].append(log_prob(client_probs, actions))
         store["probs"].append(probs)
         store["rewards"].append(result.rewards.copy())
         store["entropy"].append(entropy)
@@ -402,60 +380,45 @@ def collect_episode(
 # --- update phase ---
 
 class _Optimizers:
+    """One Adam per actor component over all agents, one per critic."""
+
     def __init__(self, bundle: PolicyBundle, lr: float):
-        self.actor_opts: list[dict[str, Adam]] = []
-        for actor in bundle.actors:
-            self.actor_opts.append(
-                {name: Adam(net.parameters(), lr=lr) for name, net in actor.components().items()}
-            )
-        self.critic_opts = [Adam(c.net.parameters(), lr=lr) for c in bundle.critics]
-
-
-def _merge_grads(into: dict[str, list[np.ndarray]], grads: dict[str, list[np.ndarray]]) -> None:
-    for name, glist in grads.items():
-        if name not in into:
-            into[name] = [g.copy() for g in glist]
-        else:
-            for dst, g in zip(into[name], glist):
-                dst += g
+        self.actor_opts = {
+            name: Adam(net.flat, lr=lr) for name, net in bundle.actor.components().items()
+        }
+        self.critic_opts = [Adam(c.net.flat, lr=lr) for c in bundle.critics]
 
 
 def _update_policy(
-    bundle: PolicyBundle,
-    opts: _Optimizers,
-    buffer: RolloutBuffer,
-    idx: np.ndarray,
-    agent: int,
+    bundle: PolicyBundle, opts: _Optimizers, buffer: RolloutBuffer, idx: np.ndarray,
     cfg: TrainConfig,
-) -> float:
-    obs = buffer.obs[idx, agent]
-    actions = buffer.actions[idx, agent]
-    adv = buffer.adv[idx, agent]
-    model = buffer.model_used[idx, agent]
-    dual = buffer.dual[idx, agent]
-    actor = bundle.actors[agent]
-    denom = len(idx)
-
-    accum: dict[str, list[np.ndarray]] = {}
-    total_loss = 0.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every agent's policy step on minibatch rows idx; returns (terms, sel),
+    both (V, B), of each path that ran. An agent's Adam moves in a component
+    only if one of its samples ran through it."""
+    actor, obs = bundle.actor, buffer.obs[idx].swapaxes(0, 1)
+    actions, adv, model, dual = (
+        a[idx].T for a in (buffer.actions, buffer.adv, buffer.model_used, buffer.dual)
+    )
+    grads: dict[str, np.ndarray] = {}
+    active: dict[str, np.ndarray] = {}
+    paths = []
     # Gradients flow only through each sample's recorded path; dual samples
     # additionally train the client path on its own recomputed log-probs.
-    client_sel = (model == 0) | dual
-    server_sel = model == 1
     for path, sel, old in (
-        (CLIENT, client_sel, buffer.logp_old_client[idx, agent]),
-        (SERVER, server_sel, buffer.logp_old[idx, agent]),
+        (CLIENT, (model == 0) | dual, buffer.logp_old_client[idx].T),
+        (SERVER, model == 1, buffer.logp_old[idx].T),
     ):
         if not sel.any():
             continue
-        loss, grads = surrogate_losses(
-            actor, obs[sel], actions[sel], old[sel], adv[sel], cfg.clip, path, denom
-        )
-        total_loss += loss
-        _merge_grads(accum, grads)
-    for name, glist in accum.items():
-        opts.actor_opts[agent][name].step(glist)
-    return total_loss
+        term, path_grads = surrogate_losses(actor, path, (obs, actions, old, adv), sel, cfg.clip)
+        paths.append((term, sel))
+        for name, g in path_grads.items():
+            grads[name] = grads[name] + g if name in grads else g
+            active[name] = active.get(name, False) | sel.any(axis=1)
+    for name, g in grads.items():
+        opts.actor_opts[name].step(g, active[name])
+    return paths
 
 
 def _update_critics(
@@ -517,12 +480,7 @@ def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) ->
     client_n = bundle.client_params()
     full_n = bundle.full_params()
     active = np.where(buffer.model_used == 1, full_n, client_n)
-    switches = int(
-        sum(
-            np.count_nonzero(buffer.model_used[1:, v] != buffer.model_used[:-1, v])
-            for v in range(buffer.V)
-        )
-    )
+    switches = int(np.count_nonzero(buffer.model_used[1:] != buffer.model_used[:-1]))
     thr = (
         float(np.mean([c.thr for c in bundle.controllers]))
         if bundle.controllers
@@ -558,17 +516,19 @@ def train_episode(
         [compute_advantage(buffer, bundle, v) for v in range(bundle.n_agents)], axis=1
     )
     X = critic_inputs(buffer, bundle.n_actions)
-    T = buffer.T
+    T = len(buffer.obs)
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(T)
         for start in range(0, T, cfg.minibatch):
             idx = perm[start : start + cfg.minibatch]
             c_loss = _update_critics(bundle, opts, buffer, X, idx)
-            p_losses = [
-                _update_policy(bundle, opts, buffer, idx, v, cfg)
-                for v in range(bundle.n_agents)
-            ]
-            if not math.isfinite(c_loss) or not all(math.isfinite(p) for p in p_losses):
+            paths = _update_policy(bundle, opts, buffer, idx, cfg)
+            if not math.isfinite(c_loss) or not all(np.isfinite(t.sum()) for t, _ in paths):
+                # Each agent's loss: its own samples' terms, summed path by path.
+                p_losses = [
+                    sum((-float(t[v][s[v]].sum()) / len(idx) for t, s in paths if s[v].any()), 0.0)
+                    for v in range(bundle.n_agents)
+                ]
                 raise TrainAbort(
                     f"non-finite loss at episode {episode}",
                     {
@@ -681,17 +641,18 @@ def greedy_act_fn(
         controllers = [copy.deepcopy(c) for c in bundle.controllers]
     client_n = bundle.client_params()
     full_n = bundle.full_params()
+    actors = [bundle.actor.agent(v) for v in range(bundle.n_agents)]
 
     def act(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-        features, cdist = bundle.actors[v].forward_client(obs)
+        features, probs = actors[v].forward_client(obs)
         if kind == "client":
-            return cdist.argmax(), client_n
+            return int(np.argmax(probs)), client_n
         if kind == "server":
-            return bundle.actors[v].forward_server(features).argmax(), full_n
-        choice, _ = controllers[v].select(cdist.entropy)
+            return int(np.argmax(actors[v].forward_server(features))), full_n
+        choice, _ = controllers[v].select(float(entropy_of(probs)))
         if choice == SERVER:
-            return bundle.actors[v].forward_server(features).argmax(), full_n
-        return cdist.argmax(), client_n
+            return int(np.argmax(actors[v].forward_server(features))), full_n
+        return int(np.argmax(probs)), client_n
 
     return act
 
@@ -707,8 +668,10 @@ def _net_tensors(prefix: str, net: DenseNet) -> list[tuple[str, np.ndarray]]:
 
 
 def _restore_net(tensors: dict[str, np.ndarray], prefix: str, net: DenseNet) -> None:
-    """Copy checkpoint tensors into a net, refusing any shape but its own."""
+    """Copy checkpoint tensors into a net, refusing a missing one or any shape but its own."""
     for name, param in _net_tensors(prefix, net):
+        if name not in tensors:
+            raise ValueError(f"checkpoint has no tensor {name}")
         saved = tensors[name]
         if saved.shape != param.shape:
             raise ValueError(
@@ -724,9 +687,9 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
         ("meta/obs_dim", np.array([[float(bundle.obs_dim)]])),
         ("meta/actions", np.array([[float(bundle.n_actions)]])),
     ]
-    for v, actor in enumerate(bundle.actors):
-        for comp, net in actor.components().items():
-            tensors += _net_tensors(f"agent{v}/{comp}", net)
+    for v in range(bundle.n_agents):
+        for comp, net in bundle.actor.components().items():
+            tensors += _net_tensors(f"agent{v}/{comp}", net.agent(v))
         if bundle.controllers is not None:
             c = bundle.controllers[v]
             tensors.append(
@@ -749,9 +712,9 @@ def load_bundle(
     obs_dim = int(tensors["meta/obs_dim"][0, 0])
     n_actions = int(tensors["meta/actions"][0, 0])
     bundle = make_bundle(obs_dim, n_actions, n_agents, cfg)
-    for v, actor in enumerate(bundle.actors):
-        for comp, net in actor.components().items():
-            _restore_net(tensors, f"agent{v}/{comp}", net)
+    for v in range(n_agents):
+        for comp, net in bundle.actor.components().items():
+            _restore_net(tensors, f"agent{v}/{comp}", net.agent(v))
         key = f"agent{v}/ctrl"
         if bundle.controllers is not None and key in tensors:
             c = bundle.controllers[v]

@@ -8,11 +8,12 @@ from vtmigsim.neuralcore import (
     CKPT_MAGIC,
     Critic,
     DenseNet,
-    Distribution,
     SplitActor,
     entropy_of,
     grad_check,
     load_checkpoint,
+    log_prob,
+    sample_actions,
     save_checkpoint,
     softmax,
 )
@@ -48,36 +49,37 @@ def test_zero_weights_give_uniform():
             w[...] = 0.0
         for b in net.biases:
             b[...] = 0.0
-    _, dist = actor.forward_client(np.zeros(9))
-    assert np.allclose(dist.probs, 0.25)
-    assert dist.entropy == pytest.approx(math.log(4.0), abs=1e-12)
-    assert dist.entropy == pytest.approx(1.3862943611198906, abs=1e-9)
+    _, probs = actor.forward_client(np.zeros(9))
+    entropy = float(entropy_of(probs))
+    assert np.allclose(probs, 0.25)
+    assert entropy == pytest.approx(math.log(4.0), abs=1e-12)
+    assert entropy == pytest.approx(1.3862943611198906, abs=1e-9)
 
 
 def test_sample_degenerate_distribution():
-    dist = Distribution(np.array([1.0, 0.0, 0.0, 0.0]))
+    probs = np.array([1.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a, logp = dist.sample(rng)
+        a = sample_actions(probs, rng.random())
+        logp = log_prob(probs, a)
         assert a == 0
         assert logp == 0.0
 
 
 def test_sample_frequencies_uniform():
-    dist = Distribution(np.full(4, 0.25))
+    probs = np.full((100_000, 4), 0.25)
     rng = np.random.default_rng(123)
     counts = np.zeros(4)
     n = 100_000
-    for _ in range(n):
-        a, _ = dist.sample(rng)
+    for a in sample_actions(probs, rng.random(n)):
         counts[a] += 1
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 
 def test_log_prob_clamped_finite():
-    dist = Distribution(np.array([1.0, 0.0]))
-    assert math.isfinite(dist.log_prob(1))
-    assert dist.log_prob(1) == pytest.approx(math.log(1e-12))
+    probs = np.array([1.0, 0.0])
+    assert math.isfinite(log_prob(probs, 1))
+    assert log_prob(probs, 1) == pytest.approx(math.log(1e-12))
 
 
 # --- forward oracle ---
@@ -104,13 +106,13 @@ def test_forward_client_matches_naive():
     rng = np.random.default_rng(5)
     actor = make_actor(seed=3)
     obs = rng.normal(size=9)
-    features, dist = actor.forward_client(obs)
+    features, probs = actor.forward_client(obs)
     feat_ref = naive_forward(actor.client_trunk, obs)
     assert np.allclose(features, feat_ref, atol=1e-9)
     logits_ref = naive_forward(actor.client_head, feat_ref)
     z = logits_ref - logits_ref.max()
     probs_ref = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(dist.probs, probs_ref, atol=1e-9)
+    assert np.allclose(probs, probs_ref, atol=1e-9)
 
 
 def test_forward_server_matches_naive():
@@ -118,12 +120,12 @@ def test_forward_server_matches_naive():
     actor = make_actor(seed=4)
     obs = rng.normal(size=9)
     features, _ = actor.forward_client(obs)
-    dist = actor.forward_server(features)
+    probs = actor.forward_server(features)
     hidden_ref = naive_forward(actor.server_trunk, features)
     logits_ref = naive_forward(actor.server_head, hidden_ref)
     z = logits_ref - logits_ref.max()
     probs_ref = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(dist.probs, probs_ref, atol=1e-9)
+    assert np.allclose(probs, probs_ref, atol=1e-9)
 
 
 def test_forward_dimension_mismatch():
@@ -171,9 +173,9 @@ def test_grad_check_dense_paths():
             y, cache = net.forward(x)
             loss = float((y * r).sum())
             grads, _ = net.backward(cache, r)
-            return loss, net.grads_as_params(grads)
+            return loss, [net.flat_grads(grads)]
 
-        err = grad_check(net.parameters(), loss_and_grads)
+        err = grad_check([net.flat], loss_and_grads)
         assert err < 1e-4
 
 
@@ -187,18 +189,13 @@ def test_grad_check_actor_paths():
         ("client", ("client_trunk", "client_head")),
         ("server", ("client_trunk", "server_trunk", "server_head")),
     ):
-        params = []
-        for name in comps:
-            params.extend(actor.components()[name].parameters())
+        params = [actor.components()[name].flat for name in comps]
 
         def loss_and_grads():
             logits, cache = actor.path_logits(x, path)
             loss = float((logits * r).sum())
             grads = actor.path_backward(cache, r, path)
-            flat = []
-            for name in comps:
-                flat.extend(grads[name])
-            return loss, flat
+            return loss, [grads[name] for name in comps]
 
         err = grad_check(params, loss_and_grads)
         assert err < 1e-4
@@ -244,16 +241,16 @@ def test_param_count_ordering():
 
 def test_adam_zero_gradient_no_change():
     p = np.array([1.0, -2.0])
-    opt = Adam([p], lr=1e-3)
+    opt = Adam(p, lr=1e-3)
     before = p.copy()
-    opt.step([np.zeros(2)])
+    opt.step(np.zeros(2))
     assert np.array_equal(p, before)
 
 
 def test_adam_first_step_magnitude():
     p = np.array([0.0])
-    opt = Adam([p], lr=1e-3)
-    opt.step([np.array([1.0])])
+    opt = Adam(p, lr=1e-3)
+    opt.step(np.array([1.0]))
     # bias-corrected first step is -lr within eps rounding
     assert p[0] == pytest.approx(-1e-3, rel=1e-6)
 
@@ -262,9 +259,9 @@ def test_adam_deterministic():
     results = []
     for _ in range(2):
         p = np.array([0.5, -0.5])
-        opt = Adam([p], lr=1e-2)
+        opt = Adam(p, lr=1e-2)
         for i in range(10):
-            opt.step([np.array([0.1 * (i + 1), -0.2])])
+            opt.step(np.array([0.1 * (i + 1), -0.2]))
         results.append(p.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -285,6 +282,35 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     loaded = load_checkpoint(str(path))
     for name, arr in tensors:
         assert np.array_equal(loaded[name], np.atleast_2d(arr))
+
+
+def test_checkpoint_text_is_per_value_17g_and_parses_back_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(16)
+    values = np.concatenate([
+        rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40),
+        [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 0.1, 1 / 3, np.inf, -np.inf],
+    ])
+    tensors = [("a/W0", values.reshape(7, 7)), ("a/b0", values[:5]), ("meta/x", np.array([[2.0]]))]
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(str(path), tensors)
+    want = CKPT_MAGIC + "\n"
+    for name, arr in tensors:
+        mat = np.atleast_2d(arr)
+        want += f"{name} {mat.shape[0]} {mat.shape[1]}\n"
+        want += "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in mat)
+    assert path.read_text() == want
+    loaded = load_checkpoint(str(path))
+    for name, arr in tensors:
+        got = loaded[name]
+        assert got.shape == np.atleast_2d(arr).shape
+        assert np.array_equal(got.view(np.uint64), np.atleast_2d(arr).view(np.uint64)), name
+
+
+def test_checkpoint_rejects_a_short_row(tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text(f"{CKPT_MAGIC}\nx/W0 2 3\n1 2 3\n4 5\n")
+    with pytest.raises(ValueError, match="tensor x/W0: row 1 has 2 values, wanted 3"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -312,6 +338,6 @@ def test_critic_grad_check():
         v, cache = critic.forward(x)
         loss = float(((v - target) ** 2).mean())
         grads = critic.backward(cache, 2.0 * (v - target) / len(v))
-        return loss, grads
+        return loss, [grads]
 
-    assert grad_check(critic.net.parameters(), loss_and_grads) < 1e-4
+    assert grad_check([critic.net.flat], loss_and_grads) < 1e-4
