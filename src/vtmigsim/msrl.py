@@ -319,6 +319,32 @@ def surrogate_losses(
 
 # --- rollout collection ---
 
+def slot_policy(
+    actor: SplitActor, controllers: Optional[list[SwitchController]], mode: str, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every agent's acting distribution for one slot of observations (V, O).
+
+    One client forward for all agents; in split mode each agent's controller
+    picks its path in agent order; one server forward if any agent needs it.
+    Returns (client probs, client entropy, acting probs, model 0 client /
+    1 server, dual), each with a leading agent axis.
+    """
+    features, client_probs = actor.forward_client(obs)
+    entropy = entropy_of(client_probs)
+    if mode == "split":
+        picks = [c.select(e) for c, e in zip(controllers, entropy)]
+        model = np.array([choice == SERVER for choice, _ in picks], dtype=int)
+        dual = np.array([d for _, d in picks], dtype=bool)
+    else:
+        model = np.full(len(obs), int(mode == "server"))
+        dual = np.zeros(len(obs), dtype=bool)
+    probs = client_probs
+    if model.any():
+        server = actor.forward_server(features)
+        probs = np.where(model[:, None] == 1, server, client_probs)
+    return client_probs, entropy, probs, model, dual
+
+
 def collect_episode(
     env,
     bundle: PolicyBundle,
@@ -328,7 +354,6 @@ def collect_episode(
 ) -> RolloutBuffer:
     """One episode; per slot one client and at most one server forward for all agents."""
     obs_list = env.reset(env_seed)
-    V = bundle.n_agents
     store = {k: [] for k in (
         "obs", "actions", "logp", "logp_client", "probs", "rewards",
         "entropy", "model", "dual", "metrics",
@@ -336,20 +361,10 @@ def collect_episode(
     done = False
     while not done:
         slot_obs = np.array(obs_list)
-        features, client_probs = bundle.actor.forward_client(slot_obs)
-        entropy = entropy_of(client_probs)
-        if mode == "split":
-            picks = [bundle.controllers[v].select(entropy[v]) for v in range(V)]
-            model = np.array([choice == SERVER for choice, _ in picks], dtype=int)
-            dual = np.array([d for _, d in picks], dtype=bool)
-        else:
-            model = np.full(V, int(mode == "server"))
-            dual = np.zeros(V, dtype=bool)
-        probs = client_probs
-        if model.any():
-            server = bundle.actor.forward_server(features)
-            probs = np.where(model[:, None] == 1, server, client_probs)
-        actions = sample_actions(probs, action_rng.random(V))
+        client_probs, entropy, probs, model, dual = slot_policy(
+            bundle.actor, bundle.controllers, mode, slot_obs
+        )
+        actions = sample_actions(probs, action_rng.random(bundle.n_agents))
         result = env.step(list(actions))
         store["obs"].append(slot_obs)
         store["actions"].append(actions)
@@ -587,24 +602,23 @@ class EvalSummary:
 
 def run_episodes(
     env,
-    act_fn: Callable[[int, np.ndarray, int], tuple[int, float]],
+    act_fn: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
     episodes: int,
     seed_base: int,
     on_slot: Optional[Callable] = None,
 ) -> EvalSummary:
-    """Greedy/no-learning rollouts. act_fn(agent, obs, slot) -> (action, active params)."""
+    """Greedy/no-learning rollouts. Once per slot, act_fn(obs (V, O), slot)
+    returns every vehicle's (actions (V,) int, active params (V,));
+    on_slot(episode, slot, vehicle, metrics) runs per vehicle in id order."""
     rewards, qoes, lats, errs, active = [], [], [], [], []
     for ep in range(episodes):
         obs_list = env.reset(seed_base + ep)
         done = False
         slot = 0
         while not done:
-            actions = []
-            for v in range(env.V):
-                a, n_active = act_fn(v, obs_list[v], slot)
-                actions.append(a)
-                active.append(n_active)
-            result = env.step(actions)
+            actions, n_active = act_fn(np.array(obs_list), slot)
+            active.append(n_active)
+            result = env.step(actions.tolist())
             rewards.extend(result.rewards.tolist())
             for v, m in enumerate(result.metrics):
                 qoes.append(m.qoe)
@@ -620,15 +634,15 @@ def run_episodes(
         mean_qoe=float(np.mean(qoes)),
         mean_latency=float(np.mean(lats)),
         mean_err=float(np.mean(errs)),
-        mean_active_params=float(np.mean(active)),
+        mean_active_params=float(np.mean(np.concatenate(active))),
         episodes=episodes,
     )
 
 
 def greedy_act_fn(
     bundle: PolicyBundle, kind: str
-) -> Callable[[int, np.ndarray, int], tuple[int, float]]:
-    """Greedy action selector over a trained bundle.
+) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
+    """Greedy action function over a trained bundle, for all agents per slot.
 
     kind 'client' uses only the client path, 'server' always runs the full
     path, 'split' applies the switching controllers (on copies, so evaluation
@@ -638,21 +652,12 @@ def greedy_act_fn(
     if kind == "split":
         if bundle.controllers is None:
             raise ValueError("bundle has no controllers; was it trained in split mode?")
-        controllers = [copy.deepcopy(c) for c in bundle.controllers]
-    client_n = bundle.client_params()
-    full_n = bundle.full_params()
-    actors = [bundle.actor.agent(v) for v in range(bundle.n_agents)]
+        controllers = copy.deepcopy(bundle.controllers)
+    params = np.array([bundle.client_params(), bundle.full_params()])
 
-    def act(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-        features, probs = actors[v].forward_client(obs)
-        if kind == "client":
-            return int(np.argmax(probs)), client_n
-        if kind == "server":
-            return int(np.argmax(actors[v].forward_server(features))), full_n
-        choice, _ = controllers[v].select(float(entropy_of(probs)))
-        if choice == SERVER:
-            return int(np.argmax(actors[v].forward_server(features))), full_n
-        return int(np.argmax(probs)), client_n
+    def act(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        _, _, probs, model, _ = slot_policy(bundle.actor, controllers, kind, obs)
+        return probs.argmax(axis=1), params[model]
 
     return act
 

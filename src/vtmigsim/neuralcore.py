@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -152,14 +152,6 @@ class SplitActor:
         for v in [None] if agents is None else range(agents):
             for net in self.components().values():
                 net.draw(rng, v)
-
-    def agent(self, v: int) -> "SplitActor":
-        """Agent v of a stacked actor, as an unstacked actor sharing its memory."""
-        view = copy.copy(self)
-        view.agents = None
-        for name, net in self.components().items():
-            setattr(view, name, net.agent(v))
-        return view
 
     # --- rollout inference: one observation per agent ---
 
@@ -306,41 +298,6 @@ class Adam:
         p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
         if rows is not ...:
             self.params[rows], self.m[rows], self.v[rows] = p, m, v
-
-
-def grad_check(
-    params: list[np.ndarray],
-    loss_and_grads: Callable[[], tuple[float, list[np.ndarray]]],
-    step: float = 1e-5,
-    max_entries: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_and_grads must evaluate the loss at the current parameters and return
-    analytic gradients aligned with `params`. When max_entries is given, only
-    a random subset of coordinates per tensor is probed.
-    """
-    _, grads = loss_and_grads()
-    worst = 0.0
-    for p, g in zip(params, grads):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        idx = np.arange(flat_p.size)
-        if max_entries is not None and flat_p.size > max_entries:
-            assert rng is not None
-            idx = rng.choice(flat_p.size, size=max_entries, replace=False)
-        for i in idx:
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            up, _ = loss_and_grads()
-            flat_p[i] = orig - step
-            down, _ = loss_and_grads()
-            flat_p[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            denom = max(abs(numeric) + abs(flat_g[i]), 1e-8)
-            worst = max(worst, abs(numeric - flat_g[i]) / denom)
-    return worst
 
 
 # --- checkpoint format ---

@@ -2,8 +2,9 @@
 
 Five kinds: the switching policy itself, the always-full-path and
 client-only variants, nearest-RSU full migration, and random migration to a
-nearby RSU. Each exposes act(agent, obs, slot) -> (action, active params) so
-evaluation and comparison code treats them uniformly.
+nearby RSU. Each exposes act(obs (V, O), slot) -> (actions (V,) int, active
+params (V,)), called once per slot for all vehicles, so evaluation and
+comparison code treats them uniformly.
 """
 
 from __future__ import annotations
@@ -55,17 +56,19 @@ def make_act_fn(
     env: PremigrationEnv,
     bundle: Optional[PolicyBundle] = None,
     rng: Optional[np.random.Generator] = None,
-) -> Callable[[int, np.ndarray, int], tuple[int, float]]:
-    """Build the per-agent action function for one policy kind."""
+) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
+    """Build the action function of one policy kind: act(obs (V, O), slot)
+    -> (actions (V,) int, active params (V,)) for every vehicle of a slot."""
     if kind in LEARNED_KINDS:
         if bundle is None:
             raise ValueError(f"policy {kind!r} needs a trained bundle")
         return greedy_act_fn(bundle, LEARNED_KINDS[kind])
 
+    no_params = np.zeros(env.V)
     if kind == FULL_MIGRATION:
 
-        def act_full(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-            return int(env.serving[slot, v]), 0.0
+        def act_full(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+            return env.serving[slot], no_params
 
         return act_full
 
@@ -79,12 +82,17 @@ def make_act_fn(
             np.hypot(rsu_xy[:, 0] - xy[:, :1], rsu_xy[:, 1] - xy[:, 1:]) <= radius
             for xy in env.xy
         ])
+        # A vehicle with no RSU nearby draws among all of them.
+        pool = nearby | ~nearby.any(axis=2, keepdims=True)
+        counts = pool.sum(axis=2)
+        rank = pool.cumsum(axis=2)
 
-        def act_random(v: int, obs: np.ndarray, slot: int) -> tuple[int, float]:
-            candidates = np.flatnonzero(nearby[slot, v])
-            if candidates.size == 0:
-                candidates = np.arange(env.E)
-            return int(candidates[rng.integers(0, candidates.size)]), 0.0
+        def act_random(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+            # One bounded draw per vehicle in id order, the same stream as one
+            # scalar draw each; the k-th pooled RSU (from 0) is at the index
+            # that counts the RSUs of pooled rank <= k.
+            k = rng.integers(0, counts[slot])
+            return (rank[slot] <= k[:, None]).sum(axis=1), no_params
 
         return act_random
 

@@ -1,4 +1,6 @@
-"""Shared builders for environment and scenario tests."""
+"""Shared builders for environment and scenario tests, and a gradient checker."""
+
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,3 +132,38 @@ def write_train_cfg(directory, shared_critic):
         encoding="utf-8",
     )
     return str(path)
+
+
+def grad_check(
+    params: list[np.ndarray],
+    loss_and_grads: Callable[[], tuple[float, list[np.ndarray]]],
+    step: float = 1e-5,
+    max_entries: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    loss_and_grads must evaluate the loss at the current parameters and return
+    analytic gradients aligned with `params`. When max_entries is given, only
+    a random subset of coordinates per tensor is probed.
+    """
+    _, grads = loss_and_grads()
+    worst = 0.0
+    for p, g in zip(params, grads):
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        idx = np.arange(flat_p.size)
+        if max_entries is not None and flat_p.size > max_entries:
+            assert rng is not None
+            idx = rng.choice(flat_p.size, size=max_entries, replace=False)
+        for i in idx:
+            orig = flat_p[i]
+            flat_p[i] = orig + step
+            up, _ = loss_and_grads()
+            flat_p[i] = orig - step
+            down, _ = loss_and_grads()
+            flat_p[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            denom = max(abs(numeric) + abs(flat_g[i]), 1e-8)
+            worst = max(worst, abs(numeric - flat_g[i]) / denom)
+    return worst

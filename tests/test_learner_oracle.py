@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_learner as ref
-from helpers import line_trajectory, make_env
+from reference_policies import agent_actor
+from helpers import grad_check, line_trajectory, make_env
 from vtmigsim import msrl
-from vtmigsim.neuralcore import SplitActor, grad_check
+from vtmigsim.neuralcore import SplitActor
 
 O, A = 5, 3
 
@@ -293,7 +294,7 @@ def test_grad_check_stacked_paths():
 
 def test_agent_view_shares_memory_with_the_stack():
     actor = SplitActor(5, 3, (4, 6, 5), 1, np.random.default_rng(0), agents=3)
-    view = actor.agent(1)
+    view = agent_actor(actor, 1)
     for name, net in view.components().items():
         assert np.shares_memory(net.flat, actor.components()[name].flat)
         assert net.weights[0].shape == actor.components()[name].weights[0].shape[1:]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from vtmigsim.neuralcore import (
     Adam,
     CKPT_MAGIC,
@@ -10,7 +11,6 @@ from vtmigsim.neuralcore import (
     DenseNet,
     SplitActor,
     entropy_of,
-    grad_check,
     load_checkpoint,
     log_prob,
     sample_actions,
