@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import envsim, msrl, neuralcore, policies, trajgen
-from .configio import ConfigError, get_float, get_int, get_str, load_kv
+from .configio import ConfigError, get_int, get_str, load_kv, read_config
 from .roadnet import load_network
 
 EXIT_OK = 0
@@ -57,14 +57,7 @@ def cmd_trajgen(args) -> int:
     ) as ef:
         net = load_network(nf, ef)
 
-    gen_cfg = trajgen.GenConfig(
-        delta_t=get_float(cfg, "gen.delta_t", 30.0),
-        bandwidth=get_float(cfg, "gen.bandwidth", 50.0),
-        per_hour_count_scale=get_float(cfg, "gen.count_scale", 1.0),
-        max_speed=get_float(cfg, "gen.max_speed", 60.0),
-        gap_split=get_float(cfg, "gen.gap_split", 300.0),
-        seed=args.seed,
-    )
+    gen_cfg = read_config(trajgen.GenConfig, cfg, "gen")
     total = args.count if args.count is not None else get_int(cfg, "gen.total_count", 100)
     rng = np.random.default_rng(args.seed)
 
@@ -120,18 +113,15 @@ def cmd_trajgen(args) -> int:
 
 # --- shared env/bundle assembly ---
 
-def _build_env(scenario: dict[str, str], kind: Optional[str] = None) -> envsim.PremigrationEnv:
+def _build_env(
+    scenario: dict[str, str], kind: str, train_kv: dict[str, str]
+) -> envsim.PremigrationEnv:
+    """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`."""
     cfg = dict(scenario)
-    if kind:
-        cfg.update(policies.env_overrides(kind))
+    if "train.reward_mode" in train_kv:
+        cfg["env.reward_mode"] = train_kv["train.reward_mode"]
+    cfg.update(policies.env_overrides(kind))
     return envsim.build_env(cfg)
-
-
-def _scenario_with_reward_mode(scenario: dict[str, str], train_cfg_kv: dict[str, str]) -> dict[str, str]:
-    out = dict(scenario)
-    if "train.reward_mode" in train_cfg_kv:
-        out["env.reward_mode"] = train_cfg_kv["train.reward_mode"]
-    return out
 
 
 def _checkpoint_bundle(
@@ -157,7 +147,6 @@ def _checkpoint_bundle(
 def cmd_train(args) -> int:
     scenario = load_kv(args.scenario)
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
-    scenario = _scenario_with_reward_mode(scenario, train_kv)
     kind = args.policy or get_str(train_kv, "train.policy", policies.SPLIT)
     if kind not in policies.LEARNED_KINDS:
         raise ConfigError(f"cannot train policy kind {kind!r}")
@@ -165,7 +154,7 @@ def cmd_train(args) -> int:
     cfg = msrl.train_config_from(
         train_kv, seed=args.seed, mode=policies.LEARNED_KINDS[kind], **episodes
     )
-    env = _build_env(scenario, kind)
+    env = _build_env(scenario, kind, train_kv)
 
     bundle = None
     start_episode = 0
@@ -252,7 +241,7 @@ def cmd_eval(args) -> int:
     scenario = load_kv(args.scenario)
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
     kind = args.policy
-    env = _build_env(scenario, kind)
+    env = _build_env(scenario, kind, train_kv)
     bundle = _load_bundle_for(kind, args, train_kv, env, _read_checkpoint(args, [kind]))
     rng = np.random.default_rng([args.seed, 11])
     act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
@@ -331,7 +320,7 @@ def cmd_compare(args) -> int:
     for vi, value in enumerate(values):
         swept = apply_sweep(scenario, args.sweep_param, value)
         for kind in kinds:
-            env = _build_env(swept, kind)
+            env = _build_env(swept, kind, train_kv)
             bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
             rng = np.random.default_rng([args.seed, 13, vi])
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)

@@ -1,12 +1,19 @@
 """Flat ``key = value`` configuration files.
 
 One assignment per line, ``#`` starts a comment, blank lines are ignored.
-Values stay strings until a typed getter pulls them out.
+Values stay strings until a typed getter or `read_config` pulls them out.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Optional
+
+# `dataclasses.field` metadata: the field's config key, when it is not
+# `<section>.<field name>`; None when the field is not read from a config.
+KEY = "config_key"
+NO_KEY = {KEY: None}
 
 
 class ConfigError(ValueError):
@@ -52,9 +59,12 @@ def get_float(cfg: dict[str, str], key: str, default: Optional[float] = None) ->
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse float from {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a finite number")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str, default: Optional[int] = None) -> int:
@@ -66,3 +76,27 @@ def get_int(cfg: dict[str, str], key: str, default: Optional[int] = None) -> int
         return int(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse int from {cfg[key]!r}") from None
+
+
+_GETTERS = {bool: lambda cfg, key: get_int(cfg, key) != 0, int: get_int, float: get_float,
+            str: get_str}
+
+
+def read_config(cls, cfg: dict[str, str], section: str, **overrides):
+    """Build dataclass `cls` from `cfg`, then `overrides`; missing keys keep its defaults.
+
+    A field's key is `<section>.<field name>` unless its metadata names
+    another (see `KEY`). It is read as the exact type of the field's default,
+    a bool as an int that is not 0. A `ValueError` from the dataclass's own
+    checks becomes a `ConfigError`.
+    """
+    values = {}
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get(KEY, f"{section}.{f.name}")
+        if key is not None and key in cfg:
+            values[f.name] = _GETTERS[type(f.default)](cfg, key)
+    values.update(overrides)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .configio import ConfigError, get_float, get_int, get_str
+from .configio import KEY, ConfigError, get_float, get_int, get_str, read_config
 from .roadnet import GeoPoint
 from .trajgen import Trajectory
 
@@ -33,7 +33,7 @@ class ActionError(ValueError):
 class ChannelParams:
     """Deterministic distance-law channel: h = A * (c / (4 pi f d))^2."""
 
-    gain_coeff: float = 1.0        # A
+    gain_coeff: float = field(default=1.0, metadata={KEY: "channel.gain"})  # A
     carrier: float = 2.4e9         # f, Hz
     light_speed: float = 3.0e8     # c, m/s
 
@@ -494,15 +494,10 @@ def metrics_row(episode: int, slot: int, vehicle: int, m: SlotMetrics) -> list:
 
 # --- scenario config interface ---
 
-def _veh_key(cfg: dict[str, str], i: int, name: str) -> str:
-    """veh.<i>.<name> with fallback to the unindexed veh.<name>."""
-    specific = f"veh.{i}.{name}"
-    return specific if specific in cfg else f"veh.{name}"
-
-
-def _rsu_key(cfg: dict[str, str], i: int, name: str) -> str:
-    specific = f"rsu.{i}.{name}"
-    return specific if specific in cfg else f"rsu.{name}"
+def _indexed_float(cfg: dict[str, str], section: str, i: int, name: str, default=None) -> float:
+    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>."""
+    specific = f"{section}.{i}.{name}"
+    return get_float(cfg, specific if specific in cfg else f"{section}.{name}", default)
 
 
 def build_env(
@@ -540,11 +535,11 @@ def build_env(
             RsuSpec(
                 id=i,
                 pos=GeoPoint(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")),
-                compute=get_float(cfg, _rsu_key(cfg, i, "compute")),
-                max_load=get_float(cfg, _rsu_key(cfg, i, "max_load")),
-                bw_up=get_float(cfg, _rsu_key(cfg, i, "bw_up")),
-                bw_down=get_float(cfg, _rsu_key(cfg, i, "bw_down")),
-                noise_power=get_float(cfg, _rsu_key(cfg, i, "noise")),
+                compute=_indexed_float(cfg, "rsu", i, "compute"),
+                max_load=_indexed_float(cfg, "rsu", i, "max_load"),
+                bw_up=_indexed_float(cfg, "rsu", i, "bw_up"),
+                bw_down=_indexed_float(cfg, "rsu", i, "bw_down"),
+                noise_power=_indexed_float(cfg, "rsu", i, "noise"),
                 backhaul=backhaul,
             )
         )
@@ -558,39 +553,18 @@ def build_env(
 
     vehicles = []
     for i in range(n_veh):
-        result_bits = get_float(cfg, _veh_key(cfg, i, "result_bits"), 0.0)
+        result_bits = _indexed_float(cfg, "veh", i, "result_bits", 0.0)
         vehicles.append(
             VehicleSpec(
                 id=i,
-                tx_power=get_float(cfg, _veh_key(cfg, i, "power")),
-                cycles_per_bit=get_float(cfg, _veh_key(cfg, i, "cycles_per_bit")),
-                task_bits=np.array([get_float(cfg, _veh_key(cfg, i, "task_bits"))]),
-                request_bits=get_float(cfg, _veh_key(cfg, i, "request_bits"), 0.0),
+                tx_power=_indexed_float(cfg, "veh", i, "power"),
+                cycles_per_bit=_indexed_float(cfg, "veh", i, "cycles_per_bit"),
+                task_bits=np.array([_indexed_float(cfg, "veh", i, "task_bits")]),
+                request_bits=_indexed_float(cfg, "veh", i, "request_bits", 0.0),
                 result_bits=np.full(n_rsu, result_bits),
                 trajectory=trajectories[i % len(trajectories)],
             )
         )
 
-    channel = ChannelParams(
-        gain_coeff=get_float(cfg, "channel.gain", 1.0),
-        carrier=get_float(cfg, "channel.carrier", 2.4e9),
-        light_speed=get_float(cfg, "channel.light_speed", 3.0e8),
-    )
-    try:
-        env_cfg = EnvConfig(
-            alpha=get_float(cfg, "env.alpha", 0.5),
-            mu=get_float(cfg, "env.mu", 0.5),
-            tau=get_float(cfg, "env.tau", 5e-8),
-            lambda1=get_float(cfg, "env.lambda1", 1.0),
-            lambda2=get_float(cfg, "env.lambda2", 1.0),
-            slot_seconds=get_float(cfg, "env.slot_seconds", 1.0),
-            horizon=get_int(cfg, "env.horizon", 100),
-            reward_mode=get_str(cfg, "env.reward_mode", "latency"),
-            background_mean=get_float(cfg, "env.background_mean", 0.0),
-            background_unit=get_float(cfg, "env.background_unit", 5e8),
-            init_load=get_float(cfg, "env.init_load", 0.0),
-            warmup_slots=get_int(cfg, "env.warmup_slots", 32),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return PremigrationEnv(rsus, vehicles, channel, env_cfg)
+    channel = read_config(ChannelParams, cfg, "channel")
+    return PremigrationEnv(rsus, vehicles, channel, read_config(EnvConfig, cfg, "env"))

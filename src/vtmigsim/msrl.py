@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .configio import get_float, get_int, get_str
+from .configio import KEY, NO_KEY, read_config
 from .neuralcore import (
     CLIENT,
     SERVER,
@@ -55,20 +55,21 @@ class SwitchController:
     of hold_len slots that pins the server path with dual training.
     """
 
-    thr0: float = 0.7
-    change: float = 0.005
-    window: int = 16
-    hold_len: int = 32
-    flutter_limit: int = 4
+    thr0: float
+    change: float
+    window: int
+    hold_len: int
+    flutter_limit: int
     thr: float = field(init=False)
-    calls: int = 0
-    server_calls: int = 0
-    hold_remaining: int = 0
+    calls: int = field(init=False)
+    server_calls: int = field(init=False)
+    hold_remaining: int = field(init=False)
     entropy_window: deque = field(init=False)
     switch_log: deque = field(init=False)
 
     def __post_init__(self) -> None:
         self.thr = self.thr0
+        self.calls = self.server_calls = self.hold_remaining = 0
         self.entropy_window = deque(maxlen=self.window)
         self.switch_log = deque(maxlen=self.window)
 
@@ -112,12 +113,12 @@ class TrainConfig:
     hold: int = 32
     flutter_limit: int = 4
     thr0: float = 0.7
-    change: float = 0.005
-    seed: int = 0
-    mode: str = "split"
-    hidden_dims: tuple = (8, 16, 16, 32, 16)
-    split_index: int = 2
-    critic_dims: tuple = (32, 32)
+    change: float = field(default=0.005, metadata={KEY: "train.ch"})
+    seed: int = field(default=0, metadata=NO_KEY)
+    mode: str = field(default="split", metadata=NO_KEY)
+    hidden_dims: tuple = field(default=(8, 16, 16, 32, 16), metadata=NO_KEY)
+    split_index: int = field(default=2, metadata=NO_KEY)
+    critic_dims: tuple = field(default=(32, 32), metadata=NO_KEY)
     shared_critic: bool = True
 
     def __post_init__(self) -> None:
@@ -125,33 +126,17 @@ class TrainConfig:
             raise ValueError("gamma and lam must be in (0, 1]")
         if not (0.0 < self.clip < 1.0):
             raise ValueError("clip must be in (0, 1)")
-        if self.epochs < 1 or self.minibatch < 1:
-            raise ValueError("epochs and minibatch must be >= 1")
+        if self.epochs < 1 or self.minibatch < 1 or self.window < 1:
+            raise ValueError("epochs, minibatch and window must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
 
 def train_config_from(cfg: dict[str, str], **overrides) -> TrainConfig:
     """Build a TrainConfig from flat `train.*` keys plus keyword overrides."""
-    values = dict(
-        gamma=get_float(cfg, "train.gamma", 0.95),
-        lam=get_float(cfg, "train.lam", 0.95),
-        clip=get_float(cfg, "train.clip", 0.2),
-        epochs=get_int(cfg, "train.epochs", 4),
-        minibatch=get_int(cfg, "train.minibatch", 8),
-        lr=get_float(cfg, "train.lr", 1e-3),
-        episodes=get_int(cfg, "train.episodes", 100),
-        window=get_int(cfg, "train.window", 16),
-        hold=get_int(cfg, "train.hold", 32),
-        flutter_limit=get_int(cfg, "train.flutter_limit", 4),
-        thr0=get_float(cfg, "train.thr0", 0.7),
-        change=get_float(cfg, "train.ch", 0.005),
-        seed=get_int(cfg, "train.seed", 0),
-        mode=get_str(cfg, "train.mode", "split"),
-        shared_critic=get_int(cfg, "train.shared_critic", 1) != 0,
-    )
-    values.update(overrides)
-    return TrainConfig(**values)
+    return read_config(TrainConfig, cfg, "train", **overrides)
 
 
 @dataclass

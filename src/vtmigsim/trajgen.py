@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .configio import KEY
 from .roadnet import GeoPoint, RoadNetwork, UnreachableError, map_match, shortest_path
 
 HOURS = 24
@@ -106,10 +107,9 @@ class GenConfig:
 
     delta_t: float = 30.0            # interpolation interval, seconds
     bandwidth: float = 50.0          # kernel bandwidth, meters
-    per_hour_count_scale: float = 1.0
+    per_hour_count_scale: float = field(default=1.0, metadata={KEY: "gen.count_scale"})
     max_speed: float = 60.0          # anomaly threshold, m/s
     gap_split: float = 300.0         # segmentation gap, seconds
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.delta_t > 0:

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, scenario key fallbacks, and checkpoints that do
 not fit the scenario."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,50 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     argv[argv.index("--out") + 1] = str(tmp_path / "h")
     assert cli.main(argv + ["--policy", "full_migration,random_migration"]) == cli.EXIT_OK
     assert loads == [ckpt]
+
+
+@pytest.mark.parametrize("scenario_line, train_text, message", [
+    ("env.lambda1 = nan", "train.reward_mode = qoe\n", "key 'env.lambda1': 'nan' is not a finite"),
+    ("", "train.lr = nan\n", "key 'train.lr': 'nan' is not a finite"),
+    ("", "train.thr0 = -inf\n", "key 'train.thr0': '-inf' is not a finite"),
+    ("", "train.window = 0\n", "window must be >= 1"),
+    ("", "train.lr = -1\n", "lr must be positive"),
+], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative"])
+def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
+                                                 message):
+    scenario = write_cli_scenario(tmp_path)
+    with open(scenario, "a", encoding="utf-8") as fh:
+        fh.write(scenario_line + "\n")
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(train_text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["train", "--scenario", scenario, "--train-cfg", str(train_cfg), "--out", str(out),
+            "--episodes", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()  # nor a train_report.csv.partial in it
+
+
+def test_eval_and_compare_reward_follows_train_reward_mode(tmp_path):
+    scenario = write_cli_scenario(tmp_path)
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("train.reward_mode = qoe\n", encoding="utf-8")
+    common = ["--scenario", scenario, "--train-cfg", str(train_cfg)]
+    assert cli.main(["train", *common, "--out", str(tmp_path / "t"), "--episodes", "1"]) == 0
+    ckpt = str(tmp_path / "t" / "ckpt_final.txt")
+    assert cli.main(["eval", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "e"),
+                     "--episodes", "1"]) == cli.EXIT_OK
+    assert cli.main(["compare", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "c"),
+                     "--episodes", "1", "--policy", "split,local",
+                     "--sweep-param", "rsu.max_load", "--sweep-values", "5e10"]) == cli.EXIT_OK
+    summary = next(csv.DictReader(_lines(tmp_path / "e" / "eval_summary.csv")))
+    assert summary["mean_reward"] == summary["mean_qoe"] != "-" + summary["mean_latency"]
+    means = {(row["policy"], row["metric"]): row["mean"]
+             for row in csv.DictReader(_lines(tmp_path / "c" / "compare_results.csv"))}
+    for kind in ("split", "local"):
+        assert means[kind, "reward"] == means[kind, "qoe"]
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
