@@ -6,7 +6,8 @@ Subcommands: `trajgen` (synthesize trajectories and density/histogram data),
 (parameter sweeps across policies, long-format CSV output).
 
 All primary outputs are written atomically (a `.partial` file renamed on
-completion) and are byte-identical across runs with the same seed and inputs.
+completion) and are byte-identical across runs with the same seed, inputs and
+commit.
 Exit codes: 0 success, 2 config error, 3 training abort, 4 I/O error.
 """
 
@@ -202,11 +203,7 @@ def cmd_train(args) -> int:
         return EXIT_ABORT
 
     save_ckpt("ckpt_final.txt", bundle, start_episode + cfg.episodes - 1)
-    last = stats_list[-1] if stats_list else None
-    print(
-        f"train: {len(stats_list)} episodes, "
-        f"final mean_reward={last.mean_reward:.6g}" if last else "train: 0 episodes"
-    )
+    print(f"train: {len(stats_list)} episodes, final mean_reward={stats_list[-1].mean_reward:.6g}")
     return EXIT_OK
 
 
@@ -405,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "episodes", None) is not None and args.episodes < 1:
+            raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -87,6 +87,8 @@ class EnvConfig:
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.tau < 0 or self.background_mean < 0 or not self.background_unit > 0:
+            raise ValueError("tau and background_mean must be >= 0, background_unit > 0")
 
 
 # Observation layout per vehicle: [prev action, E RSU loads, error rate,
@@ -364,17 +366,6 @@ class PremigrationEnv:
             obs[:, 4 + self.E] = t_total / self._latency_scale
         return list(obs)
 
-    def denormalize_observation(self, obs: np.ndarray) -> dict[str, np.ndarray]:
-        """Invert observation scaling back to raw metric values."""
-        return {
-            "action": obs[0] * self._action_scale,
-            "loads": obs[1 : 1 + self.E] * self._max_load,
-            "err_rate": obs[1 + self.E],
-            "stability": obs[2 + self.E],
-            "contention": obs[3 + self.E],
-            "t_total": obs[4 + self.E] * self._latency_scale,
-        }
-
     def step(self, joint_actions: Sequence[int]) -> StepResult:
         """Advance one slot under the given per-vehicle RSU choices."""
         if self._rng is None:
@@ -543,6 +534,9 @@ def build_env(
                 backhaul=backhaul,
             )
         )
+
+    if not all(r.max_load > 0 for r in rsus):
+        raise ConfigError("rsu max_load must be > 0")
 
     if trajectories is None:
         path = get_str(cfg, "veh.traj_csv")

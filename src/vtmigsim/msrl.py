@@ -126,8 +126,8 @@ class TrainConfig:
             raise ValueError("gamma and lam must be in (0, 1]")
         if not (0.0 < self.clip < 1.0):
             raise ValueError("clip must be in (0, 1)")
-        if self.epochs < 1 or self.minibatch < 1 or self.window < 1:
-            raise ValueError("epochs, minibatch and window must be >= 1")
+        if min(self.episodes, self.epochs, self.minibatch, self.window) < 1:
+            raise ValueError("episodes, epochs, minibatch and window must be >= 1")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if self.mode not in MODES:
@@ -210,14 +210,16 @@ def critic_inputs(buffer: RolloutBuffer, n_actions: int) -> np.ndarray:
     return np.concatenate([buffer.obs.reshape(T, V * O), onehot], axis=1)
 
 
-def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam: float) -> np.ndarray:
-    """Lambda-return targets Q(o,a) + sum_k (gamma*lam)^(k-t) * delta_k.
+def compute_qhat(
+    buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray, gamma: float, lam: float
+) -> np.ndarray:
+    """Lambda-return targets Q(o,a) + sum_k (gamma*lam)^(k-t) * delta_k, on
+    the episode's joint critic input X = critic_inputs(buffer).
 
     delta_t = r_t + gamma * Q(o_{t+1}, a_{t+1}) - Q(o_t, a_t) with a zero
     bootstrap past the final slot; the tail sum runs as a backward recursion.
     Runs before the update, so Q is the critic as it stood during collection.
     """
-    X = critic_inputs(buffer, bundle.n_actions)
     values = np.stack([c.value(X) for c in bundle.critics], axis=1)
     q = np.broadcast_to(values, buffer.rewards.shape)
     q_next = np.append(q[1:], np.zeros_like(q[:1]), axis=0)
@@ -230,25 +232,30 @@ def compute_qhat(buffer: RolloutBuffer, bundle: PolicyBundle, gamma: float, lam:
     return qhat
 
 
-def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, agent: int) -> np.ndarray:
-    """Counterfactual advantage: qhat minus the own-action expectation of Q.
+def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray) -> np.ndarray:
+    """Counterfactual advantages (T, V): qhat minus the own-action expectation of Q.
 
-    The baseline swaps agent `agent`'s one-hot action through all
-    alternatives, keeps the other agents' actions fixed, and weights the
-    critic values by the agent's acting probabilities.
+    Agent v's baseline swaps v's one-hot action in X = critic_inputs(buffer)
+    through all A alternatives, keeps the other agents' fixed, and weights Q by
+    v's acting probabilities. With z0 = X·W₀ᵀ + b₀ once per critic and c(a) =
+    V·O + v·A + a, alternative a's first layer is z0 − W₀[:, c(a_v)] + W₀[:, c(a)];
+    layers 1 and up run on those (T·A, H) rows, one agent at a time. This sums
+    layer 0 in another order than the critic on a swapped copy of X, so the
+    two agree to rounding, not bit for bit.
     """
-    assert buffer.qhat is not None
     T, V, O = buffer.obs.shape
     A = bundle.n_actions
-    X = critic_inputs(buffer, A)
-    base = V * O + agent * A
-    swapped = np.repeat(X, A, axis=0)            # (T*A, D)
-    swapped[:, base : base + A] = 0.0
-    rows = np.arange(T * A)
-    swapped[rows, base + np.tile(np.arange(A), T)] = 1.0
-    q_swap = bundle.critic_for(agent).value(swapped).reshape(T, A)
-    baseline = (buffer.probs_old[:, agent, :] * q_swap).sum(axis=1)
-    return buffer.qhat[:, agent] - baseline
+    adv = np.empty((T, V))
+    for v in range(V):
+        net = bundle.critic_for(v).net
+        if v == 0 or not bundle.shared_critic:
+            z0 = X @ net.weights[0].T + net.biases[0]
+        block = net.weights[0][:, V * O + v * A : V * O + (v + 1) * A].T    # (A, H)
+        z = (z0 - block[buffer.actions[:, v]])[:, None, :] + block          # (T, A, H)
+        q_swap, _ = net.forward(None, z.reshape(T * A, -1))
+        baseline = (buffer.probs_old[:, v, :] * q_swap.reshape(T, A)).sum(axis=1)
+        adv[:, v] = buffer.qhat[:, v] - baseline
+    return adv
 
 
 def clipped_surrogate(
@@ -511,11 +518,9 @@ def train_episode(
     episode: int,
 ) -> EpisodeStats:
     buffer = collect_episode(env, bundle, cfg.mode, action_rng, env_seed)
-    buffer.qhat = compute_qhat(buffer, bundle, cfg.gamma, cfg.lam)
-    buffer.adv = np.stack(
-        [compute_advantage(buffer, bundle, v) for v in range(bundle.n_agents)], axis=1
-    )
     X = critic_inputs(buffer, bundle.n_actions)
+    buffer.qhat = compute_qhat(buffer, bundle, X, cfg.gamma, cfg.lam)
+    buffer.adv = compute_advantage(buffer, bundle, X)
     T = len(buffer.obs)
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(T)

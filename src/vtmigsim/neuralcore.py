@@ -88,15 +88,16 @@ class DenseNet:
         view.biases = [b[v] for b in self.biases]
         return view
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def forward(self, x: Optional[np.ndarray], z0: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
         """Batched forward pass, (B, in) or stacked (V, B, in); returns
-        (output, cache for backward). Each layer is one matmul."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        (output, cache for backward). Each layer is one matmul. A caller that
+        already holds layer 0's pre-activation x·W₀ᵀ + b₀ passes it as z0 and
+        x as None: layer 0 then only applies its activation."""
+        h = x if z0 is not None else np.atleast_2d(np.asarray(x, dtype=float))
         cache = []
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.swapaxes(-1, -2) + b[..., None, :]
+            z = z0 if i == 0 and z0 is not None else h @ w.swapaxes(-1, -2) + b[..., None, :]
             use_tanh = i < last or self.out_tanh
             y = np.tanh(z) if use_tanh else z
             cache.append((h, y, use_tanh))

@@ -74,6 +74,19 @@ def make_env(
     return PremigrationEnv(rsus, vehicles, channel or ChannelParams(), cfg)
 
 
+def denormalize_observation(env, obs):
+    """Invert one vehicle's observation scaling back to raw metric values."""
+    E = env.E
+    return {
+        "action": obs[0] * env._action_scale,
+        "loads": obs[1 : 1 + E] * env._max_load,
+        "err_rate": obs[1 + E],
+        "stability": obs[2 + E],
+        "contention": obs[3 + E],
+        "t_total": obs[4 + E] * env._latency_scale,
+    }
+
+
 CLI_RSU_XY = [(0.0, 0.0), (600.0, 0.0), (300.0, 500.0)]
 CLI_TRACKS = [  # (x0, y0, vx, vy) in m and m/s
     (20.0, 10.0, 12.0, 0.0),

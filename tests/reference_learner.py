@@ -7,6 +7,10 @@ on that agent's compacted rows, merged the two paths' gradients and stepped
 one Adam per component and agent. The stacked learner in `vtmigsim.msrl`
 must reproduce it bit for bit.
 
+`compute_advantage` is the counterfactual baseline as it ran before the
+one-pass first layer: the full critic on a swapped (T·A, D) copy of the
+joint input per agent. `msrl.compute_advantage` agrees with it to rounding.
+
 The reference reads and writes the networks of a `PolicyBundle` through
 per-agent views (`W[v]`), so a bundle built by `msrl.make_bundle` can be
 driven by either implementation.
@@ -392,18 +396,34 @@ def compute_qhat(buffer, bundle, gamma, lam):
     return qhat
 
 
+def compute_advantage(buffer, bundle, agent):
+    """One agent's counterfactual advantage, the critic run on a swapped copy
+    of the joint input: X repeated A times per slot, with the agent's one-hot
+    action set to each alternative in turn."""
+    T, V, O = buffer.obs.shape
+    A = bundle.n_actions
+    X = critic_inputs(buffer, A)
+    base = V * O + agent * A
+    swapped = np.repeat(X, A, axis=0)            # (T*A, D)
+    swapped[:, base : base + A] = 0.0
+    rows = np.arange(T * A)
+    swapped[rows, base + np.tile(np.arange(A), T)] = 1.0
+    q_swap = bundle.critic_for(agent).value(swapped).reshape(T, A)
+    baseline = (buffer.probs_old[:, agent, :] * q_swap).sum(axis=1)
+    return buffer.qhat[:, agent] - baseline
+
+
 def train(env, bundle, cfg, compute_advantage):
-    """cfg.episodes training episodes as msrl.train ran them; returns the optimizers."""
+    """cfg.episodes training episodes as msrl.train ran them, with advantages
+    from compute_advantage(buffer, bundle, X) -> (T, V); returns the optimizers."""
     opts = Optimizers(bundle, cfg.lr)
     action_rng = np.random.default_rng([cfg.seed, 2])
     shuffle_rng = np.random.default_rng([cfg.seed, 3])
     for episode in range(cfg.episodes):
         buffer = collect_episode(env, bundle, cfg.mode, action_rng, cfg.seed * 1_000_003 + episode)
         buffer.qhat = compute_qhat(buffer, bundle, cfg.gamma, cfg.lam)
-        buffer.adv = np.stack(
-            [compute_advantage(buffer, bundle, v) for v in range(bundle.n_agents)], axis=1
-        )
         X = critic_inputs(buffer, bundle.n_actions)
+        buffer.adv = compute_advantage(buffer, bundle, X)
         T = len(buffer.obs)
         for _ in range(cfg.epochs):
             perm = shuffle_rng.permutation(T)

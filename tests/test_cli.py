@@ -144,7 +144,14 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("", "train.thr0 = -inf\n", "key 'train.thr0': '-inf' is not a finite"),
     ("", "train.window = 0\n", "window must be >= 1"),
     ("", "train.lr = -1\n", "lr must be positive"),
-], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative"])
+    ("env.tau = -1", "", "tau and background_mean must be >= 0"),
+    ("env.background_mean = -0.5", "", "tau and background_mean must be >= 0"),
+    ("env.background_unit = -1e8", "", "background_unit > 0"),
+    ("rsu.max_load = 0", "", "rsu max_load must be > 0"),
+    ("rsu.2.max_load = -1e9", "", "rsu max_load must be > 0"),
+], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "tau_negative",
+        "background_mean_negative", "background_unit_negative", "max_load_0",
+        "one_max_load_negative"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)
@@ -159,6 +166,30 @@ def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists()  # nor a train_report.csv.partial in it
+
+
+@pytest.mark.parametrize("command", ["train", "train_cfg_key", "eval", "compare",
+                                     "compare_max_load_0"])
+def test_no_episodes_or_empty_rsu_exits_2_before_output(tmp_path, capsys, command):
+    scenario = write_cli_scenario(tmp_path)
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("train.episodes = -2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    sweep = ["--sweep-param", "rsu.max_load", "--sweep-values"]
+    argv, message = {
+        "train": (["train", "--episodes", "0"], "--episodes must be >= 1, got 0"),
+        "train_cfg_key": (["train", "--train-cfg", str(train_cfg)], "episodes, epochs"),
+        "eval": (["eval", "--policy", "full_migration", "--episodes", "0"],
+                 "--episodes must be >= 1, got 0"),
+        "compare": (["compare", "--episodes", "0", *sweep, "5e10"],
+                    "--episodes must be >= 1, got 0"),
+        "compare_max_load_0": (["compare", "--episodes", "1", *sweep, "5e10,0"],
+                               "rsu max_load must be > 0"),
+    }[command]
+    assert cli.main(argv + ["--scenario", scenario, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
 
 
 def test_eval_and_compare_reward_follows_train_reward_mode(tmp_path):

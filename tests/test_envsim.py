@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import line_trajectory, make_env
+from helpers import denormalize_observation, line_trajectory, make_env
 
 from vtmigsim.envsim import ActionError, ChannelParams, EnvConfig, PremigrationEnv
 
@@ -425,7 +425,7 @@ def test_observation_denormalization_roundtrip():
     result = env.step([1])
     obs = result.observations[0]
     m = result.metrics[0]
-    raw = env.denormalize_observation(obs)
+    raw = denormalize_observation(env, obs)
     assert raw["action"] == pytest.approx(m.action)
     assert raw["t_total"] == pytest.approx(m.t_total, rel=1e-12)
     assert raw["err_rate"] == pytest.approx(m.err_rate)

@@ -16,16 +16,21 @@ from helpers import write_cli_scenario, write_train_cfg
 from vtmigsim import cli
 
 # Recorded with the rollout copies of the networks (actors_old/critics_old).
+# The four */ckpt_final.txt digests were re-recorded when the counterfactual
+# baseline moved to one first-layer pass per critic (msrl.compute_advantage):
+# layer 0 now sums in another order, which moves the advantages by rounding
+# (~1e-16) and so the trained weights' last digits. The train reports, eval
+# and compare outputs did not change.
 GOLDEN = {
     "split_shared": {
         "train/train_report.csv":
             "200c36b8746433152f989a1cc5796d908d1632088d080a5d59e95c12b2c772de",
         "train/ckpt_final.txt":
-            "9dacab998b976cb934f5a5b7080711c4bedf52046416368f435bbf2a9accd622",
+            "da356b20822db1d63b594ba2e5b8a42ac5bcb8d08972397d2273bbc27f9fe0d9",
         "resume/train_report.csv":
             "706227fe1f4a423e8fe800f0437e27eec027ec6b96644ebe56c242a6bbfc9ad7",
         "resume/ckpt_final.txt":
-            "0e3dc297ee04c69d8680ecf92f89b363ad2936a804e9019a90ee77e53b206ed9",
+            "b460becd7db2477c5100f0bd492376dcc9c3b16a312489494bfaac48e1d93102",
         "eval/eval_summary.csv":
             "3e777297a1283867dceef2dddf096cdc44ef6179429aa5f591f694747f06e8a4",
         "eval/eval_metrics.csv":
@@ -39,11 +44,11 @@ GOLDEN = {
         "train/train_report.csv":
             "ad386c7bba6c48fea6310de4ba4b894b28789ed1c6a0cfec6ba41479a7961c01",
         "train/ckpt_final.txt":
-            "302d1fd1b7bc7e7f8ee5e0ce139c772ef9c4ce0bb51d9bc53b761d4797ddf1b0",
+            "c469ed25882318666e47d99b3612522098debe91d31557eed16cd6d48abbbde4",
         "resume/train_report.csv":
             "e71d2649db8942b24ad325cc036bd841c01dcc50dc1ede57cacefeca26a69a46",
         "resume/ckpt_final.txt":
-            "ef45b124983589e0a24cece1c0bca50f20711905b766cede4d49b0fad9d15166",
+            "f7baf9f08d203366a9570e17627a026b196e1138ed4f5432bbebf63004ffe73f",
         "eval/eval_summary.csv":
             "75b4de0b74892f8f6b3be9bfffebe5d9d2fdba7f6202011a75c9be93963476be",
         "eval/eval_metrics.csv":

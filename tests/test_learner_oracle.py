@@ -67,15 +67,15 @@ def update_case(draw):
     return mode, shared_critic, V, T, minibatch, model, dual, seed
 
 
-def random_buffer(T, V, model, dual, seed):
+def random_buffer(T, V, model, dual, seed, n_actions=A):
     rng = np.random.default_rng(seed)
     buffer = msrl.RolloutBuffer(
         obs=rng.normal(size=(T, V, O)),
-        actions=rng.integers(0, A, size=(T, V)),
+        actions=rng.integers(0, n_actions, size=(T, V)),
         # Old log-probs far from the new ones, so that the clip binds often.
         logp_old=np.log(rng.uniform(0.02, 1.0, size=(T, V))),
         logp_old_client=np.log(rng.uniform(0.02, 1.0, size=(T, V))),
-        probs_old=rng.dirichlet(np.ones(A), size=(T, V)),
+        probs_old=rng.dirichlet(np.ones(n_actions), size=(T, V)),
         rewards=rng.normal(size=(T, V)),
         entropies=np.zeros((T, V)),
         model_used=model,
@@ -215,8 +215,44 @@ def test_qhat_matches_per_agent_recursion():
     for shared_critic in (True, False):
         bundle = msrl.make_bundle(O, A, 3, config("split", shared_critic, seed=4))
         buffer = random_buffer(9, 3, np.zeros((9, 3), dtype=int), np.zeros((9, 3), bool), 4)
-        got = msrl.compute_qhat(buffer, bundle, 0.9, 0.8)
+        got = msrl.compute_qhat(buffer, bundle, msrl.critic_inputs(buffer, A), 0.9, 0.8)
         assert np.array_equal(got, ref.compute_qhat(buffer, bundle, 0.9, 0.8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shared_critic=st.booleans(), V=st.integers(1, 4), n_actions=st.integers(1, 5),
+    T=st.integers(1, 12), critic_dims=st.lists(st.integers(1, 8), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_one_pass_advantage_matches_critic_on_swapped_copies(
+    shared_critic, V, n_actions, T, critic_dims, seed
+):
+    """The one-pass baseline against the full critic on a swapped copy of the
+    joint input per agent. No hidden layer makes layer 0 the identity output.
+    The bound scales with the largest advantage: one near 0 is the difference
+    of two larger numbers and carries their rounding."""
+    cfg = msrl.TrainConfig(seed=seed, critic_dims=tuple(critic_dims), shared_critic=shared_critic)
+    bundle = msrl.make_bundle(O, n_actions, V, cfg)
+    rng = np.random.default_rng([seed, 1])
+    for critic in bundle.critics:
+        for b in critic.net.biases:
+            b[...] = rng.normal(scale=0.5, size=b.shape)
+    zeros = np.zeros((T, V), dtype=int)
+    buffer = random_buffer(T, V, zeros, zeros.astype(bool), seed, n_actions)
+    got = msrl.compute_advantage(buffer, bundle, msrl.critic_inputs(buffer, n_actions))
+    want = np.stack([ref.compute_advantage(buffer, bundle, v) for v in range(V)], axis=1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("shared_critic", [True, False])
+def test_joint_input_is_built_once_per_episode(monkeypatch, shared_critic):
+    calls = []
+    build = msrl.critic_inputs
+    monkeypatch.setattr(msrl, "critic_inputs", lambda *args: calls.append(1) or build(*args))
+    msrl.train(episode_env(), config("split", shared_critic, episodes=3, epochs=2, minibatch=4))
+    assert len(calls) == 3
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -228,10 +264,9 @@ def test_abort_reports_each_agents_policy_loss(monkeypatch):
 
     advantage = msrl.compute_advantage
 
-    def poisoned_advantage(buffer, bundle, agent):
-        adv = advantage(buffer, bundle, agent)
-        if agent == 1:
-            adv[first[2]] = np.inf
+    def poisoned_advantage(buffer, bundle, X):
+        adv = advantage(buffer, bundle, X)
+        adv[first[2], 1] = np.inf
         return adv
 
     ref_bundle = msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
@@ -239,9 +274,9 @@ def test_abort_reports_each_agents_policy_loss(monkeypatch):
         env, ref_bundle, cfg.mode, np.random.default_rng([cfg.seed, 2]), cfg.seed * 1_000_003
     )
     buffer.qhat = ref.compute_qhat(buffer, ref_bundle, cfg.gamma, cfg.lam)
-    buffer.adv = np.stack([poisoned_advantage(buffer, ref_bundle, v) for v in range(env.V)], axis=1)
-    ref_opts = ref.Optimizers(ref_bundle, cfg.lr)
     X = ref.critic_inputs(buffer, env.E)
+    buffer.adv = poisoned_advantage(buffer, ref_bundle, X)
+    ref_opts = ref.Optimizers(ref_bundle, cfg.lr)
     c_loss, p_losses = ref.update_minibatch(ref_bundle, ref_opts, buffer, X, first, cfg.clip)
     assert not ref.all_finite(c_loss, p_losses)
 

@@ -59,7 +59,7 @@ def q_value(bundle, agent, obs_t, actions_t):
 def test_qhat_is_q_plus_discounted_sum_of_td_errors(shared_critic, gamma, lam):
     bundle = small_bundle(shared_critic)
     buffer = random_buffer()
-    got = msrl.compute_qhat(buffer, bundle, gamma, lam)
+    got = msrl.compute_qhat(buffer, bundle, msrl.critic_inputs(buffer, A), gamma, lam)
     for v in range(V):
         q = [q_value(bundle, v, buffer.obs[t], buffer.actions[t]) for t in range(T)] + [0.0]
         delta = [buffer.rewards[t, v] + gamma * q[t + 1] - q[t] for t in range(T)]
@@ -73,8 +73,9 @@ def test_advantage_subtracts_own_action_expectation(shared_critic):
     bundle = small_bundle(shared_critic, seed=4)
     buffer = random_buffer(seed=4)
     buffer.qhat = np.random.default_rng(5).normal(size=(T, V))
+    adv = msrl.compute_advantage(buffer, bundle, msrl.critic_inputs(buffer, A))
     for agent in range(V):
-        got = msrl.compute_advantage(buffer, bundle, agent)
+        got = adv[:, agent]
         for t in range(T):
             baseline = 0.0
             for own in range(A):
