@@ -170,7 +170,7 @@ def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line
 
 @pytest.mark.parametrize("command", ["train", "train_cfg_key", "eval", "compare",
                                      "compare_max_load_0"])
-def test_no_episodes_or_empty_rsu_exits_2_before_output(tmp_path, capsys, command):
+def test_no_episodes_or_zero_max_load_exits_2_before_output(tmp_path, capsys, command):
     scenario = write_cli_scenario(tmp_path)
     train_cfg = tmp_path / "train.cfg"
     train_cfg.write_text("train.episodes = -2\n", encoding="utf-8")
