@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,14 +44,26 @@ def atomic_write(path: str, write_fn: Callable) -> None:
     os.replace(tmp, path)
 
 
-def _ensure_out(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table, the header row and then `rows`, through `atomic_write`."""
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    atomic_write(path, write)
 
 
 # --- trajgen ---
 
 def cmd_trajgen(args) -> int:
     cfg = load_kv(args.gen_cfg)
+    total = args.count if args.count is not None else get_int(cfg, "gen.total_count", 100)
+    if total < 0:
+        raise ConfigError(f"trajectory count must be >= 0, got {total}")
+    if not 0 < args.grid_cell < math.inf:
+        raise ConfigError(f"--grid-cell must be a finite number > 0, got {args.grid_cell}")
     nodes_path = get_str(cfg, "roadnet.nodes")
     edges_path = get_str(cfg, "roadnet.edges")
     with open(nodes_path, "r", encoding="utf-8") as nf, open(
@@ -59,7 +72,6 @@ def cmd_trajgen(args) -> int:
         net = load_network(nf, ef)
 
     gen_cfg = read_config(trajgen.GenConfig, cfg, "gen")
-    total = args.count if args.count is not None else get_int(cfg, "gen.total_count", 100)
     rng = np.random.default_rng(args.seed)
 
     synthetic = args.synthetic_profile or get_int(cfg, "gen.synthetic", 0) != 0
@@ -79,31 +91,23 @@ def cmd_trajgen(args) -> int:
     profile = trajgen.build_profile(matched, gen_cfg)
     generated, skipped = trajgen.generate_dataset(profile, net, gen_cfg, total, rng)
 
-    _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectories.csv")
     atomic_write(traj_path, lambda fh: trajgen.write_trajectories_csv(generated, fh))
 
     grid = trajgen.density_grid(generated, args.grid_cell)
-
-    def write_grid(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_x", "cell_y", "count"])
-        for (cx, cy), count in sorted(grid.items()):
-            writer.writerow([cx, cy, count])
-
-    atomic_write(os.path.join(args.out, "density_grid.csv"), write_grid)
+    write_table(
+        os.path.join(args.out, "density_grid.csv"), ["cell_x", "cell_y", "count"],
+        ([cx, cy, count] for (cx, cy), count in sorted(grid.items())),
+    )
 
     hours = np.zeros(trajgen.HOURS, dtype=int)
     for traj in generated:
         hours[traj.start_hour()] += 1
-
-    def write_hist(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hour", "count", "profile_weight"])
-        for h in range(trajgen.HOURS):
-            writer.writerow([h, int(hours[h]), f"{profile.hour_histogram[h]:.9g}"])
-
-    atomic_write(os.path.join(args.out, "hourly_histogram.csv"), write_hist)
+    write_table(
+        os.path.join(args.out, "hourly_histogram.csv"), ["hour", "count", "profile_weight"],
+        ([h, int(hours[h]), f"{profile.hour_histogram[h]:.9g}"] for h in range(trajgen.HOURS)),
+    )
 
     print(
         f"trajgen: {len(generated)} trajectories "
@@ -164,7 +168,7 @@ def cmd_train(args) -> int:
         bundle, last_episode = _checkpoint_bundle(args.resume, tensors, cfg, env)
         start_episode = last_episode + 1
 
-    _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     ckpt_every = get_int(train_kv, "train.ckpt_every", 50)
     report_path = os.path.join(args.out, "train_report.csv")
     tmp_path = _atomic_path(report_path)
@@ -209,10 +213,9 @@ def cmd_train(args) -> int:
 
 # --- eval ---
 
-EVAL_HEADER = [
-    "policy", "episodes", "mean_reward", "mean_qoe", "mean_latency",
-    "mean_err", "mean_active_params",
-]
+# The msrl.EvalSummary means, in column order.
+EVAL_MEANS = ["mean_reward", "mean_qoe", "mean_latency", "mean_err", "mean_active_params"]
+EVAL_HEADER = ["policy", "episodes", *EVAL_MEANS]
 
 
 def _read_checkpoint(args, kinds: Sequence[str]) -> Optional[dict]:
@@ -250,27 +253,12 @@ def cmd_eval(args) -> int:
 
     summary = msrl.run_episodes(env, act, args.episodes, args.seed * 1000, on_slot=on_slot)
 
-    _ensure_out(args.out)
-
-    def write_summary(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_HEADER)
-        writer.writerow(
-            [
-                kind, summary.episodes, f"{summary.mean_reward:.9g}",
-                f"{summary.mean_qoe:.9g}", f"{summary.mean_latency:.9g}",
-                f"{summary.mean_err:.9g}", f"{summary.mean_active_params:.9g}",
-            ]
-        )
-
-    atomic_write(os.path.join(args.out, "eval_summary.csv"), write_summary)
-
-    def write_metrics(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(envsim.METRICS_HEADER)
-        writer.writerows(rows)
-
-    atomic_write(os.path.join(args.out, "eval_metrics.csv"), write_metrics)
+    os.makedirs(args.out, exist_ok=True)
+    write_table(
+        os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER,
+        [[kind, summary.episodes, *(f"{getattr(summary, m):.9g}" for m in EVAL_MEANS)]],
+    )
+    write_table(os.path.join(args.out, "eval_metrics.csv"), envsim.METRICS_HEADER, rows)
     print(
         f"eval: policy={kind} episodes={summary.episodes} "
         f"mean_reward={summary.mean_reward:.6g} mean_latency={summary.mean_latency:.6g}"
@@ -281,20 +269,23 @@ def cmd_eval(args) -> int:
 # --- compare ---
 
 COMPARE_HEADER = ["policy", "param_value", "metric", "mean", "stderr"]
-COMPARE_METRICS = ("reward", "qoe", "latency", "err_rate", "active_params")
+COMPARE_METRICS = ("reward", "qoe", "latency", "err_rate", "active_params")  # EVAL_MEANS
 
 
-def apply_sweep(scenario: dict[str, str], param: str, value: float) -> dict[str, str]:
-    """Override one scenario parameter; unindexed rsu.<name> broadcasts."""
+def apply_sweep(scenario: dict[str, str], param: str, value: str) -> dict[str, str]:
+    """Set scenario key `param` to the text `value`, as it was given.
+
+    An unindexed rsu.<name> or veh.<name> sets every unit: it drops each
+    indexed rsu.<i>.<name> or veh.<i>.<name> override.
+    """
     out = dict(scenario)
     parts = param.split(".")
-    if parts[0] == "rsu" and len(parts) == 2:
-        name = parts[1]
+    if parts[0] in ("rsu", "veh") and len(parts) == 2:
         for key in list(out):
             kp = key.split(".")
-            if len(kp) == 3 and kp[0] == "rsu" and kp[2] == name:
+            if len(kp) == 3 and kp[0] == parts[0] and kp[2] == parts[1]:
                 del out[key]
-    out[param] = repr(value)
+    out[param] = value
     return out
 
 
@@ -305,8 +296,11 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in policies.KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}")
+    if args.sweep_param.split(".")[0] not in ("rsu", "veh", "backhaul", "channel", "env"):
+        raise ConfigError(f"--sweep-param {args.sweep_param!r} is not a scenario key")
+    texts = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
     try:
-        values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+        values = [float(v) for v in texts]
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {args.sweep_values!r}") from None
     if not values:
@@ -314,8 +308,8 @@ def cmd_compare(args) -> int:
 
     results: list[list] = []
     tensors = _read_checkpoint(args, kinds)
-    for vi, value in enumerate(values):
-        swept = apply_sweep(scenario, args.sweep_param, value)
+    for vi, (text, value) in enumerate(zip(texts, values)):
+        swept = apply_sweep(scenario, args.sweep_param, text)
         for kind in kinds:
             env = _build_env(swept, kind, train_kv)
             bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
@@ -323,29 +317,16 @@ def cmd_compare(args) -> int:
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
             # Episode seeds are paired across policies at each sweep point.
             seed_base = args.seed * 100_000 + vi * 1_000
-            per_episode = {m: [] for m in COMPARE_METRICS}
-            for ep in range(args.episodes):
-                s = msrl.run_episodes(env, act, 1, seed_base + ep)
-                per_episode["reward"].append(s.mean_reward)
-                per_episode["qoe"].append(s.mean_qoe)
-                per_episode["latency"].append(s.mean_latency)
-                per_episode["err_rate"].append(s.mean_err)
-                per_episode["active_params"].append(s.mean_active_params)
-            for metric in COMPARE_METRICS:
-                arr = np.array(per_episode[metric])
+            runs = [msrl.run_episodes(env, act, 1, seed_base + ep) for ep in range(args.episodes)]
+            for metric, mean in zip(COMPARE_METRICS, EVAL_MEANS):
+                arr = np.array([getattr(s, mean) for s in runs])
                 stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
                 results.append(
                     [kind, f"{value:.9g}", metric, f"{arr.mean():.9g}", f"{stderr:.9g}"]
                 )
 
-    _ensure_out(args.out)
-
-    def write_results(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARE_HEADER)
-        writer.writerows(results)
-
-    atomic_write(os.path.join(args.out, "compare_results.csv"), write_results)
+    os.makedirs(args.out, exist_ok=True)
+    write_table(os.path.join(args.out, "compare_results.csv"), COMPARE_HEADER, results)
     print(f"compare: {len(kinds)} policies x {len(values)} values -> {len(results)} rows")
     return EXIT_OK
 

@@ -119,7 +119,7 @@ class SlotMetrics:
 
 @dataclass
 class StepResult:
-    observations: list[np.ndarray]
+    observations: np.ndarray       # (V, obs_dim), one row per vehicle
     rewards: np.ndarray
     metrics: list[SlotMetrics]
     done: bool
@@ -316,7 +316,7 @@ class PremigrationEnv:
 
     # --- episode control ---
 
-    def reset(self, seed: int) -> list[np.ndarray]:
+    def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
         self.t = 0
         self.loads = np.full(self.E, min(self.cfg.init_load, float(self._max_load.min())), dtype=float)
@@ -352,8 +352,8 @@ class PremigrationEnv:
     def latency_scale(self) -> float:
         return self._latency_scale
 
-    def _observations(self, last: Optional[tuple]) -> list[np.ndarray]:
-        """Per-vehicle observations; `last` is the previous slot's (action,
+    def _observations(self, last: Optional[tuple]) -> np.ndarray:
+        """Observations (V, obs_dim); `last` is the previous slot's (action,
         err_rate, stability, contention, t_total) arrays, None after reset."""
         obs = np.zeros((self.V, self.obs_dim))
         obs[:, 1 : 1 + self.E] = self.loads / self._max_load
@@ -364,7 +364,7 @@ class PremigrationEnv:
             obs[:, 2 + self.E] = stability
             obs[:, 3 + self.E] = contention
             obs[:, 4 + self.E] = t_total / self._latency_scale
-        return list(obs)
+        return obs
 
     def step(self, joint_actions: Sequence[int]) -> StepResult:
         """Advance one slot under the given per-vehicle RSU choices."""

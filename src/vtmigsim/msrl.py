@@ -149,11 +149,6 @@ class PolicyBundle:
     obs_dim: int
     n_actions: int
     n_agents: int
-    shared_critic: bool
-
-    def critic_for(self, v: int) -> Critic:
-        """Agent v's critic: the one shared critic, or v's own."""
-        return self.critics[0] if self.shared_critic else self.critics[v]
 
     def client_params(self) -> int:
         return self.actor.param_count(CLIENT)
@@ -181,7 +176,6 @@ def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -
         obs_dim=obs_dim,
         n_actions=n_actions,
         n_agents=n_agents,
-        shared_critic=cfg.shared_critic,
     )
 
 
@@ -236,19 +230,20 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray
     """Counterfactual advantages (T, V): qhat minus the own-action expectation of Q.
 
     Agent v's baseline swaps v's one-hot action in X = critic_inputs(buffer)
-    through all A alternatives, keeps the other agents' fixed, and weights Q by
-    v's acting probabilities. With z0 = X·W₀ᵀ + b₀ once per critic and c(a) =
-    V·O + v·A + a, alternative a's first layer is z0 − W₀[:, c(a_v)] + W₀[:, c(a)];
+    through all A alternatives, keeps the other agents' fixed, and weights Q,
+    critic v·C // V of the C critics, by v's acting probabilities. With
+    z0 = X·W₀ᵀ + b₀ computed at each critic's first agent (v·C % V == 0) and
+    c(a) = V·O + v·A + a, alternative a's first layer is z0 − W₀[:, c(a_v)] + W₀[:, c(a)];
     layers 1 and up run on those (T·A, H) rows, one agent at a time. This sums
     layer 0 in another order than the critic on a swapped copy of X, so the
     two agree to rounding, not bit for bit.
     """
     T, V, O = buffer.obs.shape
-    A = bundle.n_actions
+    A, C = bundle.n_actions, len(bundle.critics)
     adv = np.empty((T, V))
     for v in range(V):
-        net = bundle.critic_for(v).net
-        if v == 0 or not bundle.shared_critic:
+        net = bundle.critics[v * C // V].net
+        if v * C % V == 0:
             z0 = X @ net.weights[0].T + net.biases[0]
         block = net.weights[0][:, V * O + v * A : V * O + (v + 1) * A].T    # (A, H)
         z = (z0 - block[buffer.actions[:, v]])[:, None, :] + block          # (T, A, H)
@@ -344,44 +339,24 @@ def collect_episode(
     action_rng: np.random.Generator,
     env_seed: int,
 ) -> RolloutBuffer:
-    """One episode; per slot one client and at most one server forward for all agents."""
-    obs_list = env.reset(env_seed)
-    store = {k: [] for k in (
-        "obs", "actions", "logp", "logp_client", "probs", "rewards",
-        "entropy", "model", "dual", "metrics",
-    )}
+    """One episode; per slot one client and at most one server forward for all
+    agents, and one record in RolloutBuffer field order, each field stacked at the end."""
+    obs = env.reset(env_seed)
+    records = []
     done = False
     while not done:
-        slot_obs = np.array(obs_list)
         client_probs, entropy, probs, model, dual = slot_policy(
-            bundle.actor, bundle.controllers, mode, slot_obs
+            bundle.actor, bundle.controllers, mode, obs
         )
         actions = sample_actions(probs, action_rng.random(bundle.n_agents))
-        result = env.step(list(actions))
-        store["obs"].append(slot_obs)
-        store["actions"].append(actions)
-        store["logp"].append(log_prob(probs, actions))
-        store["logp_client"].append(log_prob(client_probs, actions))
-        store["probs"].append(probs)
-        store["rewards"].append(result.rewards.copy())
-        store["entropy"].append(entropy)
-        store["model"].append(model)
-        store["dual"].append(dual)
-        store["metrics"].append(result.metrics)
-        obs_list = result.observations
-        done = result.done
-    return RolloutBuffer(
-        obs=np.array(store["obs"]),
-        actions=np.array(store["actions"]),
-        logp_old=np.array(store["logp"]),
-        logp_old_client=np.array(store["logp_client"]),
-        probs_old=np.array(store["probs"]),
-        rewards=np.array(store["rewards"]),
-        entropies=np.array(store["entropy"]),
-        model_used=np.array(store["model"]),
-        dual=np.array(store["dual"]),
-        metrics=store["metrics"],
-    )
+        result = env.step(actions)
+        records.append((
+            obs, actions, log_prob(probs, actions), log_prob(client_probs, actions), probs,
+            result.rewards, entropy, model, dual, result.metrics,
+        ))
+        obs, done = result.observations, result.done
+    *arrays, metrics = zip(*records)
+    return RolloutBuffer(*map(np.array, arrays), list(metrics))
 
 
 # --- update phase ---
@@ -435,22 +410,19 @@ def _update_critics(
     X: np.ndarray,
     idx: np.ndarray,
 ) -> float:
-    targets = buffer.qhat[idx]
+    """One step of each critic on minibatch rows idx; returns their mean loss.
+
+    Critic j of C serves the contiguous block of agents v with v·C // V = j:
+    one shared critic (C = 1) all V, a per-agent critic (C = V) agent j alone.
+    It regresses on its block's targets, dvalue = 2·err.mean(axis=1) / B."""
     B = len(idx)
-    if bundle.shared_critic:
-        critic = bundle.critics[0]
-        values, cache = critic.forward(X[idx])
-        err = values[:, None] - targets               # (B, V)
-        loss = float((err**2).mean())
-        dvalue = 2.0 * err.mean(axis=1) / B
-        opts.critic_opts[0].step(critic.backward(cache, dvalue))
-        return loss
+    targets = buffer.qhat[idx].reshape(B, len(bundle.critics), -1)
     losses = []
-    for v, critic in enumerate(bundle.critics):
+    for j, critic in enumerate(bundle.critics):
         values, cache = critic.forward(X[idx])
-        err = values - targets[:, v]
+        err = values[:, None] - targets[:, j]               # (B, V // C)
         losses.append(float((err**2).mean()))
-        opts.critic_opts[v].step(critic.backward(cache, 2.0 * err / B))
+        opts.critic_opts[j].step(critic.backward(cache, 2.0 * err.mean(axis=1) / B))
     return float(np.mean(losses))
 
 
@@ -602,11 +574,11 @@ def run_episodes(
     on_slot(episode, slot, vehicle, metrics) runs per vehicle in id order."""
     rewards, qoes, lats, errs, active = [], [], [], [], []
     for ep in range(episodes):
-        obs_list = env.reset(seed_base + ep)
+        obs = env.reset(seed_base + ep)
         done = False
         slot = 0
         while not done:
-            actions, n_active = act_fn(np.array(obs_list), slot)
+            actions, n_active = act_fn(obs, slot)
             active.append(n_active)
             result = env.step(actions.tolist())
             rewards.extend(result.rewards.tolist())
@@ -616,8 +588,7 @@ def run_episodes(
                 errs.append(m.err_rate)
                 if on_slot is not None:
                     on_slot(ep, slot, v, m)
-            obs_list = result.observations
-            done = result.done
+            obs, done = result.observations, result.done
             slot += 1
     return EvalSummary(
         mean_reward=float(np.mean(rewards)),

@@ -131,12 +131,12 @@ def write_cli_scenario(directory, n_vehicles=len(CLI_TRACKS)):
     return str(path)
 
 
-def write_train_cfg(directory, shared_critic):
+def write_train_cfg(directory, shared_critic, minibatch=4):
     """Short training: small minibatches and a controller that switches often."""
     path = directory / "train.cfg"
     path.write_text(
         "train.epochs = 2\n"
-        "train.minibatch = 4\n"
+        f"train.minibatch = {minibatch}\n"
         "train.window = 4\n"
         "train.hold = 3\n"
         "train.flutter_limit = 1\n"

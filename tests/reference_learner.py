@@ -301,7 +301,7 @@ def update_policy(opts, buffer, idx, agent, clip):
 def update_critics(bundle, opts, buffer, X, idx):
     targets = buffer.qhat[idx]
     B = len(idx)
-    if bundle.shared_critic:
+    if len(bundle.critics) == 1:
         critic = opts.critics[0]
         values, cache = critic.forward(X[idx])
         values = values[:, 0]
@@ -385,8 +385,8 @@ def compute_qhat(buffer, bundle, gamma, lam):
     qhat = np.zeros((T, V))
     q = None
     for v in range(V):
-        if q is None or not bundle.shared_critic:
-            q = critics[0 if bundle.shared_critic else v].forward(X)[0][:, 0]
+        if q is None or len(critics) > 1:
+            q = critics[v * len(critics) // V].forward(X)[0][:, 0]
         q_next = np.append(q[1:], 0.0)
         delta = buffer.rewards[:, v] + gamma * q_next - q
         acc = 0.0
@@ -408,7 +408,7 @@ def compute_advantage(buffer, bundle, agent):
     swapped[:, base : base + A] = 0.0
     rows = np.arange(T * A)
     swapped[rows, base + np.tile(np.arange(A), T)] = 1.0
-    q_swap = bundle.critic_for(agent).value(swapped).reshape(T, A)
+    q_swap = bundle.critics[agent * len(bundle.critics) // V].value(swapped).reshape(T, A)
     baseline = (buffer.probs_old[:, agent, :] * q_swap).sum(axis=1)
     return buffer.qhat[:, agent] - baseline
 

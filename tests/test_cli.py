@@ -2,6 +2,7 @@
 not fit the scenario."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +215,91 @@ def test_eval_and_compare_reward_follows_train_reward_mode(tmp_path):
 
 def _lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def _compare(tmp_path, scenario, param, values, out="c"):
+    return cli.main(["compare", "--scenario", scenario, "--out", str(tmp_path / out),
+                     "--episodes", "1", "--policy", "full_migration",
+                     "--sweep-param", param, "--sweep-values", values])
+
+
+@pytest.mark.parametrize("param", ["env.horizon", "env.warmup_slots"])
+def test_sweep_over_an_integer_key(tmp_path, param):
+    scenario = write_cli_scenario(tmp_path)
+    assert _compare(tmp_path, scenario, param, "6,8") == cli.EXIT_OK
+    rows = list(csv.DictReader(_lines(tmp_path / "c" / "compare_results.csv")))
+    assert [row["param_value"] for row in rows if row["metric"] == "reward"] == ["6", "8"]
+
+
+@pytest.mark.parametrize("section", ["veh", "rsu"])
+def test_unindexed_sweep_sets_every_unit(tmp_path, section):
+    name, override, swept = {
+        "veh": ("task_bits", "3e6", "8e6"),
+        "rsu": ("max_load", "2e10", "4e10"),
+    }[section]
+    plain = write_cli_scenario(tmp_path)
+    overridden = tmp_path / "overridden.cfg"
+    overridden.write_text(
+        Path(plain).read_text(encoding="utf-8") + f"{section}.0.{name} = {override}\n",
+        encoding="utf-8",
+    )
+    cfg = cli.apply_sweep(load_kv(str(overridden)), f"{section}.{name}", swept)
+    env = envsim.build_env(cfg)
+    units = env.vehicles if section == "veh" else env.rsus
+    values = [float(u.task_bits[0]) if section == "veh" else u.max_load for u in units]
+    assert values == [float(swept)] * len(units)
+    # Through the CLI, the override leaves no trace in the results.
+    for scenario, out in ((plain, "p"), (str(overridden), "o")):
+        assert _compare(tmp_path, scenario, f"{section}.{name}", swept, out=out) == cli.EXIT_OK
+    assert (tmp_path / "p" / "compare_results.csv").read_bytes() == (
+        tmp_path / "o" / "compare_results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("param", ["train.thr0", "gen.total_count"])
+def test_sweep_over_a_key_outside_the_scenario_exits_2(tmp_path, capsys, param):
+    scenario = write_cli_scenario(tmp_path)
+    assert _compare(tmp_path, scenario, param, "0.1,5") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{param!r} is not a scenario key" in err
+    assert not (tmp_path / "c").exists()
+
+
+def _write_gen_cfg(tmp_path, extra=""):
+    """A 4x4 grid road network and a synthetic-profile trajgen config."""
+    nodes = tmp_path / "nodes.csv"
+    edges = tmp_path / "edges.csv"
+    nodes.write_text("node_id,x,y\n" + "".join(
+        f"{4 * i + j},{200.0 * j},{200.0 * i}\n" for i in range(4) for j in range(4)),
+        encoding="utf-8")
+    links = [(n, n + 1) for n in range(16) if n % 4 < 3] + [(n, n + 4) for n in range(12)]
+    edges.write_text("from,to,length_m,speed_mps\n" + "".join(
+        f"{a},{b},,13.9\n" for a, b in links), encoding="utf-8")
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"roadnet.nodes = {nodes}\nroadnet.edges = {edges}\n"
+                   f"gen.synthetic = 1\ngen.synthetic_count = 10\n{extra}", encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("flags, extra, message", [
+    (["--grid-cell", "0"], "", "--grid-cell must be a finite number > 0, got 0.0"),
+    (["--grid-cell", "-50"], "", "--grid-cell must be a finite number > 0, got -50.0"),
+    (["--grid-cell", "nan"], "", "--grid-cell must be a finite number > 0, got nan"),
+    (["--grid-cell", "inf"], "", "--grid-cell must be a finite number > 0, got inf"),
+    (["--count", "-1"], "", "trajectory count must be >= 0, got -1"),
+    ([], "gen.total_count = -3\n", "trajectory count must be >= 0, got -3"),
+], ids=["cell_0", "cell_negative", "cell_nan", "cell_inf", "count_flag", "count_key"])
+def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, message):
+    out = tmp_path / "out"
+    argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out), *flags]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_trajgen_with_count_0_writes_empty_tables(tmp_path):
+    out = tmp_path / "out"
+    argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path), "--out", str(out), "--count", "0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert _lines(out / "density_grid.csv") == ["cell_x,cell_y,count"]
+    assert len(_lines(out / "hourly_histogram.csv")) == 25

@@ -56,16 +56,53 @@ GOLDEN = {
         "compare/compare_results.csv":
             "2e96a19d64dc8772dec403a2cd26bfdff7f0ca9591b404e937a37c0df78ece27",
     },
+    # At minibatch 8, the TrainConfig default, numpy's unrolled 8-way
+    # pairwise sums run over a minibatch; below 8 they never do, so a change
+    # of reduction order in the update can pass the cases above unseen.
+    "split_shared_mb8": {
+        "train/train_report.csv":
+            "cdc0a3757fd13831187fd5610c01d2fbbe9452cb2f83eb84ec0ad2a3d5aa3e7f",
+        "train/ckpt_final.txt":
+            "651d769a4892bb59dc44cd82ad0da47b01405edd9e6bae95bcffc36b47eb5fbb",
+        "resume/train_report.csv":
+            "4194f271d6cd6a9bbbff71f58d619f5c9129a9d54591fa9da9c7e0a88931d26d",
+        "resume/ckpt_final.txt":
+            "c8750459285438b5a235743c1b6eeb4bb49737a2ead03df3e264aa1b70addda4",
+        "eval/eval_summary.csv":
+            "dbac403b1c5e96eee839a2348d810ff59705880c11a03cd3c6dedbee7c8b3f6c",
+        "eval/eval_metrics.csv":
+            "c1f8f064d4ff05cbbaa26b04f5035a9e2eb47853f8cb044c3832a2e02a0f7227",
+        "compare/compare_results.csv":
+            "23551aa68d3992e0b90b1687833f722316faa59a695ca77f1d9cac8e2a0ab613",
+    },
+    "split_per_agent_mb8": {
+        "train/train_report.csv":
+            "a7710d22a7fa7a6202b0d3e615cba151547c8f36d1e35fdce017f095c139f5b9",
+        "train/ckpt_final.txt":
+            "5fc405e74b21382e1e7a064c5af398d2dc5cc2b40d869abfdbf582f34b682ce9",
+        "resume/train_report.csv":
+            "21437f40fef5cb570065d82bd6b133f7f946e218e5e99223807e2dd11f0d244a",
+        "resume/ckpt_final.txt":
+            "64b2012331bc7c9d421e635796bca64349fff5a915b72cb5f50c262c2fbb5cd6",
+        "eval/eval_summary.csv":
+            "c83bb0e079221c27bc5aa2442a6fe628ba92d9d9c73499c9d404e6263f89aa5b",
+        "eval/eval_metrics.csv":
+            "2c8865d778386c61d6f7dfcfe117e444b50bc946c91aa76091020fd41e4649cf",
+        "compare/compare_results.csv":
+            "5f9e3f5f61082f796ec9ccaeba33ca6f9c54cc693b53acc2fde716c1f3f67bc2",
+    },
 }
-CASES = {
-    "split_shared": ("split", 1),
-    "local_edge_per_agent": ("local_edge", 0),
+CASES = {  # policy, train.shared_critic, train.minibatch
+    "split_shared": ("split", 1, 4),
+    "local_edge_per_agent": ("local_edge", 0, 4),
+    "split_shared_mb8": ("split", 1, 8),
+    "split_per_agent_mb8": ("split", 0, 8),
 }
 
 
-def run_pipeline(tmp_path, policy, shared_critic, seed=5):
+def run_pipeline(tmp_path, policy, shared_critic, minibatch=4, seed=5):
     scenario = write_cli_scenario(tmp_path)
-    train_cfg = write_train_cfg(tmp_path, shared_critic)
+    train_cfg = write_train_cfg(tmp_path, shared_critic, minibatch)
     common = ["--scenario", scenario, "--train-cfg", train_cfg, "--seed", str(seed)]
     out = {name: tmp_path / name for name in ("train", "resume", "eval", "compare", "fresh")}
     argvs = [
@@ -90,8 +127,7 @@ def run_pipeline(tmp_path, policy, shared_critic, seed=5):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_learner_outputs_match_golden(tmp_path, case):
-    policy, shared_critic = CASES[case]
-    run_pipeline(tmp_path, policy, shared_critic)
+    run_pipeline(tmp_path, *CASES[case])
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN[case]

@@ -50,7 +50,7 @@ def q_value(bundle, agent, obs_t, actions_t):
         onehot[a] = 1.0
         onehots += onehot
     x = np.array(list(obs_t.reshape(-1)) + onehots)
-    critic = bundle.critics[0] if bundle.shared_critic else bundle.critics[agent]
+    critic = bundle.critics[agent * len(bundle.critics) // V]
     return float(critic.value(x[None, :])[0])
 
 
