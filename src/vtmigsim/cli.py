@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import envsim, msrl, neuralcore, policies, trajgen
-from .configio import ConfigError, get_int, get_str, load_kv, read_config
+from .configio import ConfigError, ReadLog, get_int, get_str, load_kv, read_config
 from .roadnet import load_network
 
 EXIT_OK = 0
@@ -90,12 +90,15 @@ def cmd_trajgen(args) -> int:
         raise ConfigError("input produced no usable segments")
     profile = trajgen.build_profile(matched, gen_cfg)
     generated, skipped = trajgen.generate_dataset(profile, net, gen_cfg, total, rng)
+    try:
+        with np.errstate(over="ignore"):  # a coordinate / cell of inf fails in math.floor
+            grid = trajgen.density_grid(generated, args.grid_cell)
+    except OverflowError:
+        raise ConfigError(f"--grid-cell {args.grid_cell} gives a non-finite cell index") from None
 
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectories.csv")
     atomic_write(traj_path, lambda fh: trajgen.write_trajectories_csv(generated, fh))
-
-    grid = trajgen.density_grid(generated, args.grid_cell)
     write_table(
         os.path.join(args.out, "density_grid.csv"), ["cell_x", "cell_y", "count"],
         ([cx, cy, count] for (cx, cy), count in sorted(grid.items())),
@@ -119,14 +122,19 @@ def cmd_trajgen(args) -> int:
 # --- shared env/bundle assembly ---
 
 def _build_env(
-    scenario: dict[str, str], kind: str, train_kv: dict[str, str]
+    scenario: dict[str, str], kind: str, train_kv: dict[str, str], sweep_key: Optional[str] = None
 ) -> envsim.PremigrationEnv:
-    """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`."""
-    cfg = dict(scenario)
+    """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`.
+
+    A `sweep_key` that `build_env` does not read is a config error."""
+    cfg = ReadLog(scenario)
     if "train.reward_mode" in train_kv:
         cfg["env.reward_mode"] = train_kv["train.reward_mode"]
     cfg.update(policies.env_overrides(kind))
-    return envsim.build_env(cfg)
+    env = envsim.build_env(cfg)
+    if sweep_key is not None and sweep_key not in cfg.read:
+        raise ConfigError(f"--sweep-param {sweep_key!r} is not a scenario key that the env reads")
+    return env
 
 
 def _checkpoint_bundle(
@@ -138,9 +146,9 @@ def _checkpoint_bundle(
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     for what, saved, want in (
-        ("agents", bundle.n_agents, env.V),
-        ("obs_dim", bundle.obs_dim, env.obs_dim),
-        ("actions", bundle.n_actions, env.E),
+        ("agents", bundle.actor.agents, env.V),
+        ("obs_dim", bundle.actor.obs_dim, env.obs_dim),
+        ("actions", bundle.actor.n_actions, env.E),
     ):
         if saved != want:
             raise ConfigError(
@@ -256,11 +264,11 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_table(
         os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER,
-        [[kind, summary.episodes, *(f"{getattr(summary, m):.9g}" for m in EVAL_MEANS)]],
+        [[kind, args.episodes, *(f"{getattr(summary, m):.9g}" for m in EVAL_MEANS)]],
     )
     write_table(os.path.join(args.out, "eval_metrics.csv"), envsim.METRICS_HEADER, rows)
     print(
-        f"eval: policy={kind} episodes={summary.episodes} "
+        f"eval: policy={kind} episodes={args.episodes} "
         f"mean_reward={summary.mean_reward:.6g} mean_latency={summary.mean_latency:.6g}"
     )
     return EXIT_OK
@@ -296,8 +304,6 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in policies.KINDS:
             raise ConfigError(f"unknown policy kind {kind!r}")
-    if args.sweep_param.split(".")[0] not in ("rsu", "veh", "backhaul", "channel", "env"):
-        raise ConfigError(f"--sweep-param {args.sweep_param!r} is not a scenario key")
     texts = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
     try:
         values = [float(v) for v in texts]
@@ -311,7 +317,7 @@ def cmd_compare(args) -> int:
     for vi, (text, value) in enumerate(zip(texts, values)):
         swept = apply_sweep(scenario, args.sweep_param, text)
         for kind in kinds:
-            env = _build_env(swept, kind, train_kv)
+            env = _build_env(swept, kind, train_kv, args.sweep_param)
             bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
             rng = np.random.default_rng([args.seed, 13, vi])
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)

@@ -20,6 +20,18 @@ class ConfigError(ValueError):
     """Malformed config text or a missing/invalid key."""
 
 
+class ReadLog(dict):
+    """A flat config that records in `read` each key whose value was looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def parse_kv(lines) -> dict[str, str]:
     """Parse an iterable of lines (or an open file) into a key/value dict."""
     out: dict[str, str] = {}

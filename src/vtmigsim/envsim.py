@@ -22,7 +22,7 @@ import numpy as np
 
 from .configio import KEY, ConfigError, get_float, get_int, get_str, read_config
 from .roadnet import GeoPoint
-from .trajgen import Trajectory
+from .trajgen import Trajectory, read_trajectories_csv
 
 
 class ActionError(ValueError):
@@ -172,7 +172,7 @@ class PremigrationEnv:
             [[r.backhaul.get(j, 0.0) for j in range(self.E)] for r in self.rsus], dtype=float
         )
         self._action_scale = float(max(self.E - 1, 1))
-        self._latency_scale = 1.0
+        self.latency_scale = 1.0
         self._rng: Optional[np.random.Generator] = None
 
         slots = np.arange(cfg.horizon)
@@ -324,9 +324,9 @@ class PremigrationEnv:
         self.prev_serving = np.full(self.V, -1, dtype=int)
         self.prev_local_bits = np.zeros(self.V)
         self.prev_mig_bits = np.zeros(self.V)
-        self._latency_scale = 1.0
+        self.latency_scale = 1.0
         if self.cfg.warmup_slots > 0:
-            self._latency_scale = self._calibrate_latency_scale(seed)
+            self.latency_scale = self._calibrate_latency_scale(seed)
         return self._observations(None)
 
     def _calibrate_latency_scale(self, seed: int) -> float:
@@ -348,10 +348,6 @@ class PremigrationEnv:
         scale = float(np.percentile(samples, 99.0)) if samples else 1.0
         return scale if scale > 0 else 1.0
 
-    @property
-    def latency_scale(self) -> float:
-        return self._latency_scale
-
     def _observations(self, last: Optional[tuple]) -> np.ndarray:
         """Observations (V, obs_dim); `last` is the previous slot's (action,
         err_rate, stability, contention, t_total) arrays, None after reset."""
@@ -363,7 +359,7 @@ class PremigrationEnv:
             obs[:, 1 + self.E] = err
             obs[:, 2 + self.E] = stability
             obs[:, 3 + self.E] = contention
-            obs[:, 4 + self.E] = t_total / self._latency_scale
+            obs[:, 4 + self.E] = t_total / self.latency_scale
         return obs
 
     def step(self, joint_actions: Sequence[int]) -> StepResult:
@@ -491,18 +487,12 @@ def _indexed_float(cfg: dict[str, str], section: str, i: int, name: str, default
     return get_float(cfg, specific if specific in cfg else f"{section}.{name}", default)
 
 
-def build_env(
-    cfg: dict[str, str],
-    trajectories: Optional[Sequence[Trajectory]] = None,
-) -> PremigrationEnv:
+def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     """Assemble an environment from a flat scenario config.
 
-    Vehicle trajectories come from the `trajectories` argument when given,
-    otherwise from the CSV named by `veh.traj_csv` (vehicle i takes the i-th
-    trajectory in file order, cycling when fewer are available).
+    Vehicle trajectories come from the CSV named by `veh.traj_csv` (vehicle i
+    takes the i-th trajectory in file order, cycling when fewer are available).
     """
-    from .trajgen import read_trajectories_csv
-
     n_rsu = get_int(cfg, "rsu.count")
     n_veh = get_int(cfg, "veh.count")
     if n_rsu < 1 or n_veh < 1:
@@ -538,10 +528,8 @@ def build_env(
     if not all(r.max_load > 0 for r in rsus):
         raise ConfigError("rsu max_load must be > 0")
 
-    if trajectories is None:
-        path = get_str(cfg, "veh.traj_csv")
-        with open(path, "r", encoding="utf-8") as fh:
-            trajectories = read_trajectories_csv(fh)
+    with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
+        trajectories = read_trajectories_csv(fh)
     if not trajectories:
         raise ConfigError("no trajectories available for vehicles")
 

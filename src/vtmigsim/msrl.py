@@ -60,7 +60,6 @@ class SwitchController:
     window: int
     hold_len: int
     flutter_limit: int
-    thr: float = field(init=False)
     calls: int = field(init=False)
     server_calls: int = field(init=False)
     hold_remaining: int = field(init=False)
@@ -68,7 +67,6 @@ class SwitchController:
     switch_log: deque = field(init=False)
 
     def __post_init__(self) -> None:
-        self.thr = self.thr0
         self.calls = self.server_calls = self.hold_remaining = 0
         self.entropy_window = deque(maxlen=self.window)
         self.switch_log = deque(maxlen=self.window)
@@ -93,8 +91,11 @@ class SwitchController:
         self.switch_log.append(choice)
         if choice == SERVER:
             self.server_calls += 1
-            self.thr = self.thr0 + self.server_calls * self.change
         return choice, dual
+
+    @property
+    def thr(self) -> float:
+        return self.thr0 + self.server_calls * self.change
 
     def _mean_entropy(self) -> float:
         return sum(self.entropy_window) / len(self.entropy_window)
@@ -141,20 +142,13 @@ def train_config_from(cfg: dict[str, str], **overrides) -> TrainConfig:
 
 @dataclass
 class PolicyBundle:
-    """Trained state: every agent's actor stacked in one, critic(s), controllers."""
+    """Trained state: every agent's actor stacked in one, critic(s), controllers.
+
+    The actor holds the bundle's shape: `agents`, `obs_dim` and `n_actions`."""
 
     actor: SplitActor
     critics: list[Critic]
     controllers: Optional[list[SwitchController]]
-    obs_dim: int
-    n_actions: int
-    n_agents: int
-
-    def client_params(self) -> int:
-        return self.actor.param_count(CLIENT)
-
-    def full_params(self) -> int:
-        return self.actor.param_count("client+server")
 
 
 def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -> PolicyBundle:
@@ -169,14 +163,7 @@ def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -
             SwitchController(cfg.thr0, cfg.change, cfg.window, cfg.hold, cfg.flutter_limit)
             for _ in range(n_agents)
         ]
-    return PolicyBundle(
-        actor=actor,
-        critics=critics,
-        controllers=controllers,
-        obs_dim=obs_dim,
-        n_actions=n_actions,
-        n_agents=n_agents,
-    )
+    return PolicyBundle(actor, critics, controllers)
 
 
 @dataclass
@@ -239,7 +226,7 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray
     two agree to rounding, not bit for bit.
     """
     T, V, O = buffer.obs.shape
-    A, C = bundle.n_actions, len(bundle.critics)
+    A, C = bundle.actor.n_actions, len(bundle.critics)
     adv = np.empty((T, V))
     for v in range(V):
         net = bundle.critics[v * C // V].net
@@ -348,7 +335,7 @@ def collect_episode(
         client_probs, entropy, probs, model, dual = slot_policy(
             bundle.actor, bundle.controllers, mode, obs
         )
-        actions = sample_actions(probs, action_rng.random(bundle.n_agents))
+        actions = sample_actions(probs, action_rng.random(len(obs)))
         result = env.step(actions)
         records.append((
             obs, actions, log_prob(probs, actions), log_prob(client_probs, actions), probs,
@@ -456,9 +443,7 @@ def report_row(s: EpisodeStats) -> list:
 
 def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) -> EpisodeStats:
     flat = [m for slot in buffer.metrics for m in slot]
-    client_n = bundle.client_params()
-    full_n = bundle.full_params()
-    active = np.where(buffer.model_used == 1, full_n, client_n)
+    active = bundle.actor.path_params[buffer.model_used]
     switches = int(np.count_nonzero(buffer.model_used[1:] != buffer.model_used[:-1]))
     thr = (
         float(np.mean([c.thr for c in bundle.controllers]))
@@ -490,7 +475,7 @@ def train_episode(
     episode: int,
 ) -> EpisodeStats:
     buffer = collect_episode(env, bundle, cfg.mode, action_rng, env_seed)
-    X = critic_inputs(buffer, bundle.n_actions)
+    X = critic_inputs(buffer, bundle.actor.n_actions)
     buffer.qhat = compute_qhat(buffer, bundle, X, cfg.gamma, cfg.lam)
     buffer.adv = compute_advantage(buffer, bundle, X)
     T = len(buffer.obs)
@@ -504,7 +489,7 @@ def train_episode(
                 # Each agent's loss: its own samples' terms, summed path by path.
                 p_losses = [
                     sum((-float(t[v][s[v]].sum()) / len(idx) for t, s in paths if s[v].any()), 0.0)
-                    for v in range(bundle.n_agents)
+                    for v in range(bundle.actor.agents)
                 ]
                 raise TrainAbort(
                     f"non-finite loss at episode {episode}",
@@ -531,10 +516,8 @@ def train(
     on_episode: Optional[Callable[[EpisodeStats], None]] = None,
 ) -> tuple[list[EpisodeStats], PolicyBundle]:
     """Run cfg.episodes training episodes; deterministic under a fixed seed."""
-    obs_dim = env.obs_dim
-    n_actions = env.E
     if bundle is None:
-        bundle = make_bundle(obs_dim, n_actions, env.V, cfg)
+        bundle = make_bundle(env.obs_dim, env.E, env.V, cfg)
     opts = _Optimizers(bundle, cfg.lr)
     action_rng = np.random.default_rng([cfg.seed, 2])
     shuffle_rng = np.random.default_rng([cfg.seed, 3])
@@ -559,7 +542,6 @@ class EvalSummary:
     mean_latency: float
     mean_err: float
     mean_active_params: float
-    episodes: int
 
 
 def run_episodes(
@@ -596,7 +578,6 @@ def run_episodes(
         mean_latency=float(np.mean(lats)),
         mean_err=float(np.mean(errs)),
         mean_active_params=float(np.mean(np.concatenate(active))),
-        episodes=episodes,
     )
 
 
@@ -614,7 +595,7 @@ def greedy_act_fn(
         if bundle.controllers is None:
             raise ValueError("bundle has no controllers; was it trained in split mode?")
         controllers = copy.deepcopy(bundle.controllers)
-    params = np.array([bundle.client_params(), bundle.full_params()])
+    params = bundle.actor.path_params
 
     def act(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
         _, _, probs, model, _ = slot_policy(bundle.actor, controllers, kind, obs)
@@ -625,37 +606,34 @@ def greedy_act_fn(
 
 # --- checkpoint persistence ---
 
-def _net_tensors(prefix: str, net: DenseNet) -> list[tuple[str, np.ndarray]]:
-    """Named views of a net's parameters: prefix/W<i> and prefix/b<i> as a row."""
+def _net_tensors(prefix: str, net: DenseNet, agent=...) -> list[tuple[str, np.ndarray]]:
+    """Views of one net's parameters (agent `agent`'s, if stacked): prefix/W<i>
+    and prefix/b<i> as a row."""
     tensors = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        tensors += [(f"{prefix}/W{i}", w), (f"{prefix}/b{i}", b.reshape(1, -1))]
+        tensors += [(f"{prefix}/W{i}", w[agent]), (f"{prefix}/b{i}", b[agent].reshape(1, -1))]
     return tensors
 
 
-def _restore_net(tensors: dict[str, np.ndarray], prefix: str, net: DenseNet) -> None:
-    """Copy checkpoint tensors into a net, refusing a missing one or any shape but its own."""
-    for name, param in _net_tensors(prefix, net):
-        if name not in tensors:
-            raise ValueError(f"checkpoint has no tensor {name}")
-        saved = tensors[name]
-        if saved.shape != param.shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape {saved.shape}, expected {param.shape}"
-            )
-        param[...] = saved
-
-
 def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.ndarray]]:
+    """The checkpoint layout of a bundle, in file order, as (name, tensor) pairs.
+
+    meta/episode, meta/agents, meta/obs_dim and meta/actions (1, 1); then per
+    agent v each actor component's agent<v>/<component>/W<i> and /b<i> and, in
+    split mode, agent<v>/ctrl = [[server_calls, hold_remaining, calls]]; then
+    each critic's critic<j>/W<i> and /b<i>. Every W and b is a view of the
+    bundle's parameters, so `load_bundle` restores a bundle by writing into them.
+    """
+    actor = bundle.actor
     tensors: list[tuple[str, np.ndarray]] = [
         ("meta/episode", np.array([[float(episode)]])),
-        ("meta/agents", np.array([[float(bundle.n_agents)]])),
-        ("meta/obs_dim", np.array([[float(bundle.obs_dim)]])),
-        ("meta/actions", np.array([[float(bundle.n_actions)]])),
+        ("meta/agents", np.array([[float(actor.agents)]])),
+        ("meta/obs_dim", np.array([[float(actor.obs_dim)]])),
+        ("meta/actions", np.array([[float(actor.n_actions)]])),
     ]
-    for v in range(bundle.n_agents):
-        for comp, net in bundle.actor.components().items():
-            tensors += _net_tensors(f"agent{v}/{comp}", net.agent(v))
+    for v in range(actor.agents):
+        for comp, net in actor.components().items():
+            tensors += _net_tensors(f"agent{v}/{comp}", net, v)
         if bundle.controllers is not None:
             c = bundle.controllers[v]
             tensors.append(
@@ -672,22 +650,31 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
 def load_bundle(
     tensors: dict[str, np.ndarray], cfg: TrainConfig
 ) -> tuple[PolicyBundle, int]:
-    """Rebuild a bundle from checkpoint tensors; returns (bundle, episode)."""
+    """Rebuild a bundle from checkpoint tensors; returns (bundle, episode).
+
+    Builds a fresh bundle of the checkpoint's size and writes every tensor
+    `bundle_tensors` lists for it, refusing a missing one or any shape but its
+    own. A controller row may be missing (the checkpoint was trained outside
+    split mode): that controller starts fresh.
+    """
     episode = int(tensors["meta/episode"][0, 0])
-    n_agents = int(tensors["meta/agents"][0, 0])
-    obs_dim = int(tensors["meta/obs_dim"][0, 0])
-    n_actions = int(tensors["meta/actions"][0, 0])
-    bundle = make_bundle(obs_dim, n_actions, n_agents, cfg)
-    for v in range(n_agents):
-        for comp, net in bundle.actor.components().items():
-            _restore_net(tensors, f"agent{v}/{comp}", net.agent(v))
-        key = f"agent{v}/ctrl"
-        if bundle.controllers is not None and key in tensors:
-            c = bundle.controllers[v]
-            c.server_calls = int(tensors[key][0, 0])
-            c.hold_remaining = int(tensors[key][0, 1])
-            c.calls = int(tensors[key][0, 2])
-            c.thr = c.thr0 + c.server_calls * c.change
-    for j, critic in enumerate(bundle.critics):
-        _restore_net(tensors, f"critic{j}", critic.net)
+    agents, obs_dim, actions = (
+        int(tensors[f"meta/{key}"][0, 0]) for key in ("agents", "obs_dim", "actions")
+    )
+    bundle = make_bundle(obs_dim, actions, agents, cfg)
+    layout = bundle_tensors(bundle, episode)
+    for name, param in layout:
+        saved = tensors.get(name)
+        if saved is None and name.endswith("/ctrl"):
+            continue
+        if saved is None:
+            raise ValueError(f"checkpoint has no tensor {name}")
+        if saved.shape != param.shape:
+            raise ValueError(
+                f"checkpoint tensor {name} has shape {saved.shape}, expected {param.shape}"
+            )
+        param[...] = saved
+    rows = (row for name, row in layout if name.endswith("/ctrl"))
+    for c, row in zip(bundle.controllers or [], rows):
+        c.server_calls, c.hold_remaining, c.calls = (int(x) for x in row[0])
     return bundle, episode

@@ -8,7 +8,6 @@ optimizer, and a plain-text checkpoint format.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -80,14 +79,6 @@ class DenseNet:
             limit = math.sqrt(6.0 / sum(w.shape[-2:]))
             (w if agent is None else w[agent])[...] = rng.uniform(-limit, limit, w.shape[-2:])
 
-    def agent(self, v: int) -> "DenseNet":
-        """Agent v of a stacked net, as an unstacked net sharing its memory."""
-        view = copy.copy(self)
-        view.flat = self.flat[v]
-        view.weights = [w[v] for w in self.weights]
-        view.biases = [b[v] for b in self.biases]
-        return view
-
     def forward(self, x: Optional[np.ndarray], z0: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
         """Batched forward pass, (B, in) or stacked (V, B, in); returns
         (output, cache for backward). Each layer is one matmul. A caller that
@@ -143,6 +134,7 @@ class SplitActor:
         if not (1 <= split_index < len(hidden_dims)):
             raise ValueError("split_index must leave at least one layer on each side")
         self.obs_dim = obs_dim
+        self.n_actions = n_actions
         self.agents = agents
         client_dims = [obs_dim] + list(hidden_dims[:split_index])
         server_dims = [client_dims[-1]] + list(hidden_dims[split_index:])
@@ -224,25 +216,23 @@ class SplitActor:
             "server_head": self.server_head,
         }
 
-    def param_count(self, mode: str) -> int:
-        """Parameters one agent evaluates on a path: 'client' or 'client+server'.
+    @property
+    def path_params(self) -> np.ndarray:
+        """Parameters one agent evaluates per path: [client path, full path],
+        indexed by the 0 client / 1 server path flag.
 
         The server path runs after the client produced its logits, so the
         full-path count includes every client parameter as well.
         """
         client = self.client_trunk.param_count() + self.client_head.param_count()
-        if mode == CLIENT:
-            return client
-        if mode == "client+server":
-            return client + self.server_trunk.param_count() + self.server_head.param_count()
-        raise ValueError(f"unknown mode {mode!r}")
+        server = self.server_trunk.param_count() + self.server_head.param_count()
+        return np.array([client, client + server])
 
 
 class Critic:
     """Centralized action-value network over joint observation + one-hot joint action."""
 
     def __init__(self, input_dim: int, hidden_dims: Sequence[int], rng: np.random.Generator):
-        self.input_dim = input_dim
         self.net = DenseNet([input_dim] + list(hidden_dims) + [1], rng)
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -258,9 +248,6 @@ class Critic:
         grads, _ = self.net.backward(cache, np.asarray(dvalue).reshape(-1, 1))
         return self.net.flat_grads(grads)
 
-    def param_count(self) -> int:
-        return self.net.param_count()
-
 
 class Adam:
     """Adaptive-moment optimizer updating one flat parameter buffer in place.
@@ -269,15 +256,13 @@ class Adam:
     the `active` agents. Bias corrections are Python float powers.
     """
 
-    def __init__(
-        self, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.steps = np.zeros(params.shape[:-1], dtype=int)
@@ -288,15 +273,15 @@ class Adam:
         self.steps[rows] += 1
         if self.steps.max() >= self._corrections.shape[1]:
             n = 2 * int(self.steps.max()) + 1
-            betas = (self.beta1, self.beta2)
+            betas = (self.BETA1, self.BETA2)
             self._corrections = np.array([[1.0 - b**s for s in range(n)] for b in betas])
         b1c, b2c = self._corrections[:, self.steps[rows], None]
         p, g, m, v = self.params[rows], grads[rows], self.m[rows], self.v[rows]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * g * g
+        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
         if rows is not ...:
             self.params[rows], self.m[rows], self.v[rows] = p, m, v
 

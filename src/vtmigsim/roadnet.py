@@ -1,14 +1,14 @@
 """Planar road network: CSV loading, nearest-segment projection, shortest paths.
 
 Coordinates are planar meters (x east, y north). Undirected road segments are
-stored as two directed arcs so adjacency stays a plain outgoing-edge list.
-The network is immutable after construction and safe to share across workers;
-its two query indexes are built eagerly. Dijkstra runs on dense node indices
-in sorted-id order, so heap ties break exactly as on node ids. `map_match`
-reads a uniform grid of arc buckets: it projects onto the arcs of the 3x3 cell
-block around the query and keeps the best one only if it is nearer than one
-cell by a margin that covers rounding, as every other arc is at least one cell
-away. Other queries scan every arc with the same per-arc arithmetic.
+stored as two directed arcs. The network is immutable after construction and
+safe to share across workers; its two query indexes are built eagerly. Dijkstra
+runs on dense node indices in sorted-id order, so heap ties break exactly as
+on node ids. `map_match` reads a uniform grid of arc buckets: it projects onto
+the arcs of the 3x3 cell block around the query and keeps the best one only if
+it is nearer than one cell by a margin that covers rounding, as every other arc
+is at least one cell away. Other queries scan every arc with the same per-arc
+arithmetic.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Projection:
 
 
 class RoadNetwork:
-    """Immutable graph of RoadNodes and directed arcs with adjacency lists."""
+    """Immutable graph of RoadNodes and directed arcs."""
 
     def __init__(self, nodes: Sequence[RoadNode], arcs: Sequence[RoadEdge]):
         self.nodes: dict[int, RoadNode] = {}
@@ -96,7 +96,6 @@ class RoadNetwork:
                 raise ValidationError(f"node {node.id} has non-finite coordinates")
             self.nodes[node.id] = node
         self.edges: list[RoadEdge] = list(arcs)
-        self.adjacency: dict[int, list[int]] = {nid: [] for nid in self.nodes}
         self._ids = sorted(self.nodes)
         self._index = index = {nid: i for i, nid in enumerate(self._ids)}
         self._out = out = [[] for _ in self._ids]  # (to index, length) per node
@@ -110,7 +109,6 @@ class RoadNetwork:
                 raise ValidationError(f"edge {eid} has non-positive length")
             if not edge.speed_limit > 0:
                 raise ValidationError(f"edge {eid} has non-positive speed limit")
-            self.adjacency[edge.from_node].append(eid)
             out[u].append((v, edge.length))
             ends += (u, v)
         xy = np.array([(self.nodes[nid].pos.x, self.nodes[nid].pos.y) for nid in self._ids])
@@ -185,7 +183,8 @@ class RoadNetwork:
         self._slack = 1e-9 * (scale + cell)  # covers rounding in cell indices and projections
 
 
-def _num(field: str, kind: type, what: str, line_no: int):
+def parse_num(field: str, kind: type, what: str, line_no: int):
+    """`field` as an int or a finite float; a ParseError names `what` and the line."""
     try:
         value = kind(field)
     except ValueError:
@@ -195,8 +194,9 @@ def _num(field: str, kind: type, what: str, line_no: int):
     return value
 
 
-def _csv_rows(source: Iterable[str], header: list[str], what: str):
-    """Yield (line number, row) of the data rows after a required header."""
+def csv_rows(source: Iterable[str], header: list[str], what: str):
+    """Yield (line number, row) of the data rows after a required header,
+    skipping blank rows; a ParseError names the line of a row of another width."""
     reader = csv.reader(source)
     first = next(reader, None)
     if first is None or [c.strip() for c in first] != header:
@@ -217,14 +217,15 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
     Both sources must start with their header line.
     """
     nodes = [
-        (_num(row[0], int, "node id", n), _num(row[1], float, "x", n), _num(row[2], float, "y", n))
-        for n, row in _csv_rows(nodes_source, ["node_id", "x", "y"], "node")
+        (parse_num(row[0], int, "node id", n), parse_num(row[1], float, "x", n),
+         parse_num(row[2], float, "y", n))
+        for n, row in csv_rows(nodes_source, ["node_id", "x", "y"], "node")
     ]
     edges = [
-        (_num(row[0], int, "from node", n), _num(row[1], int, "to node", n),
-         _num(row[2], float, "length", n) if row[2].strip() else None,
-         _num(row[3], float, "speed", n))
-        for n, row in _csv_rows(edges_source, ["from", "to", "length_m", "speed_mps"], "edge")
+        (parse_num(row[0], int, "from node", n), parse_num(row[1], int, "to node", n),
+         parse_num(row[2], float, "length", n) if row[2].strip() else None,
+         parse_num(row[3], float, "speed", n))
+        for n, row in csv_rows(edges_source, ["from", "to", "length_m", "speed_mps"], "edge")
     ]
     return RoadNetwork.from_undirected(nodes, edges)
 

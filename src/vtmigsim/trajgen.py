@@ -19,6 +19,7 @@ import numpy as np
 
 from .configio import KEY
 from .roadnet import GeoPoint, RoadNetwork, UnreachableError, map_match, shortest_path
+from .roadnet import csv_rows, parse_num
 
 HOURS = 24
 _SECONDS_PER_HOUR = 3600.0
@@ -36,7 +37,6 @@ class RouteError(ValueError):
 class TrajectoryPoint:
     t: float                      # seconds since epoch
     pos: GeoPoint
-    speed: Optional[float] = None  # m/s, optional on raw input
 
 
 @dataclass
@@ -77,26 +77,13 @@ class KdeModel:
         self.samples = samples
         self.bandwidth = float(bandwidth)
 
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    def density(self, p: GeoPoint) -> float:
-        """Estimated density (1/m^2) at a query point."""
-        h = self.bandwidth
-        d2 = (self.samples[:, 0] - p.x) ** 2 + (self.samples[:, 1] - p.y) ** 2
-        kern = np.exp(-d2 / (2.0 * h * h)) / (2.0 * math.pi * h * h)
-        return float(kern.mean())
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw exact samples from the kernel mixture.
 
         Each draw picks a data point uniformly and adds an isotropic Gaussian
         offset with standard deviation equal to the bandwidth.
         """
-        if count == 0:
-            return np.empty((0, 2))
-        idx = rng.integers(0, self.n, size=count)
+        idx = rng.integers(0, len(self.samples), size=count)
         noise = rng.normal(0.0, self.bandwidth, size=(count, 2))
         return self.samples[idx] + noise
 
@@ -170,7 +157,7 @@ def clean_and_segment(raw: Trajectory, cfg: GenConfig) -> list[Trajectory]:
 def map_to_roads(traj: Trajectory, net: RoadNetwork) -> Trajectory:
     """Replace every point with its nearest-segment projection."""
     points = [
-        TrajectoryPoint(p.t, map_match(net, p.pos).point, p.speed) for p in traj.points
+        TrajectoryPoint(p.t, map_match(net, p.pos).point) for p in traj.points
     ]
     return Trajectory(traj.vehicle_id, points)
 
@@ -407,25 +394,21 @@ def write_trajectories_csv(trajs: Iterable[Trajectory], fh) -> int:
 
 
 def read_trajectories_csv(fh) -> list[Trajectory]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["vehicle_id", "t", "x", "y"]:
-        raise ValueError(f"expected header vehicle_id,t,x,y, got {header}")
+    """Trajectories by vehicle id; a non-finite time or coordinate is a ParseError."""
     by_vehicle: dict[int, list[TrajectoryPoint]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
-        vid = int(row[0])
-        by_vehicle.setdefault(vid, []).append(
-            TrajectoryPoint(float(row[1]), GeoPoint(float(row[2]), float(row[3])))
+    for n, row in csv_rows(fh, ["vehicle_id", "t", "x", "y"], "trajectory"):
+        t, x, y = (parse_num(f, float, what, n) for f, what in zip(row[1:], "txy"))
+        by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).append(
+            TrajectoryPoint(t, GeoPoint(x, y))
         )
     return [Trajectory(vid, pts) for vid, pts in sorted(by_vehicle.items())]
 
 
 def density_grid(trajs: Sequence[Trajectory], cell: float) -> dict[tuple[int, int], int]:
-    """Count trajectory points per square grid cell of side `cell` meters."""
+    """Count trajectory points per square grid cell of side `cell` meters.
+
+    Raises OverflowError when a cell index is not finite (a cell too small
+    for the coordinates)."""
     counts: dict[tuple[int, int], int] = {}
     for traj in trajs:
         for p in traj.points:

@@ -83,7 +83,7 @@ def denormalize_observation(env, obs):
         "err_rate": obs[1 + E],
         "stability": obs[2 + E],
         "contention": obs[3 + E],
-        "t_total": obs[4 + E] * env._latency_scale,
+        "t_total": obs[4 + E] * env.latency_scale,
     }
 
 

@@ -169,7 +169,7 @@ class Optimizers:
     """One Adam per agent and component, and one per critic."""
 
     def __init__(self, bundle, lr):
-        self.actors = [Actor(agent_nets(bundle, v)) for v in range(bundle.n_agents)]
+        self.actors = [Actor(agent_nets(bundle, v)) for v in range(bundle.actor.agents)]
         self.actor_opts = [
             {name: Adam(net.parameters(), lr=lr) for name, net in actor.nets.items()}
             for actor in self.actors
@@ -179,9 +179,9 @@ class Optimizers:
 
 
 def collect_episode(env, bundle, mode, action_rng, env_seed):
-    actors = [Actor(agent_nets(bundle, v)) for v in range(bundle.n_agents)]
+    actors = [Actor(agent_nets(bundle, v)) for v in range(bundle.actor.agents)]
     obs_list = env.reset(env_seed)
-    V = bundle.n_agents
+    V = bundle.actor.agents
     store = {k: [] for k in (
         "obs", "actions", "logp", "logp_client", "probs", "rewards",
         "entropy", "model", "dual", "metrics",
@@ -192,7 +192,7 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
         actions = np.zeros(V, dtype=int)
         logp = np.zeros(V)
         logp_client = np.zeros(V)
-        probs = np.zeros((V, bundle.n_actions))
+        probs = np.zeros((V, bundle.actor.n_actions))
         entropy = np.zeros(V)
         model = np.zeros(V, dtype=int)
         dual = np.zeros(V, dtype=bool)
@@ -324,7 +324,7 @@ def update_critics(bundle, opts, buffer, X, idx):
 def update_minibatch(bundle, opts, buffer, X, idx, clip):
     """Critic step, then every agent's policy step; returns (critic, policy losses)."""
     c_loss = update_critics(bundle, opts, buffer, X, idx)
-    p_losses = [update_policy(opts, buffer, idx, v, clip) for v in range(bundle.n_agents)]
+    p_losses = [update_policy(opts, buffer, idx, v, clip) for v in range(bundle.actor.agents)]
     return c_loss, p_losses
 
 
@@ -380,7 +380,7 @@ def critic_inputs(buffer, n_actions):
 def compute_qhat(buffer, bundle, gamma, lam):
     """Lambda-returns, one agent at a time."""
     T, V = buffer.rewards.shape
-    X = critic_inputs(buffer, bundle.n_actions)
+    X = critic_inputs(buffer, bundle.actor.n_actions)
     critics = critic_nets(bundle)
     qhat = np.zeros((T, V))
     q = None
@@ -401,7 +401,7 @@ def compute_advantage(buffer, bundle, agent):
     of the joint input: X repeated A times per slot, with the agent's one-hot
     action set to each alternative in turn."""
     T, V, O = buffer.obs.shape
-    A = bundle.n_actions
+    A = bundle.actor.n_actions
     X = critic_inputs(buffer, A)
     base = V * O + agent * A
     swapped = np.repeat(X, A, axis=0)            # (T*A, D)
@@ -422,7 +422,7 @@ def train(env, bundle, cfg, compute_advantage):
     for episode in range(cfg.episodes):
         buffer = collect_episode(env, bundle, cfg.mode, action_rng, cfg.seed * 1_000_003 + episode)
         buffer.qhat = compute_qhat(buffer, bundle, cfg.gamma, cfg.lam)
-        X = critic_inputs(buffer, bundle.n_actions)
+        X = critic_inputs(buffer, bundle.actor.n_actions)
         buffer.adv = compute_advantage(buffer, bundle, X)
         T = len(buffer.obs)
         for _ in range(cfg.epochs):

@@ -16,8 +16,17 @@ import copy
 import numpy as np
 
 from vtmigsim.msrl import PolicyBundle
-from vtmigsim.neuralcore import SERVER, SplitActor, entropy_of
+from vtmigsim.neuralcore import SERVER, DenseNet, SplitActor, entropy_of
 from vtmigsim.policies import FULL_MIGRATION, LEARNED_KINDS, RANDOM_MIGRATION, nearby_radius
+
+
+def agent_net(net: DenseNet, v: int) -> DenseNet:
+    """Agent v of a stacked net, as an unstacked net sharing its memory."""
+    view = copy.copy(net)
+    view.flat = net.flat[v]
+    view.weights = [w[v] for w in net.weights]
+    view.biases = [b[v] for b in net.biases]
+    return view
 
 
 def agent_actor(actor: SplitActor, v: int) -> SplitActor:
@@ -25,7 +34,7 @@ def agent_actor(actor: SplitActor, v: int) -> SplitActor:
     view = copy.copy(actor)
     view.agents = None
     for name, net in actor.components().items():
-        setattr(view, name, net.agent(v))
+        setattr(view, name, agent_net(net, v))
     return view
 
 
@@ -34,9 +43,8 @@ def greedy_act_fn(bundle: PolicyBundle, kind: str):
     controllers = None
     if kind == "split":
         controllers = [copy.deepcopy(c) for c in bundle.controllers]
-    client_n = bundle.client_params()
-    full_n = bundle.full_params()
-    actors = [agent_actor(bundle.actor, v) for v in range(bundle.n_agents)]
+    client_n, full_n = bundle.actor.path_params
+    actors = [agent_actor(bundle.actor, v) for v in range(bundle.actor.agents)]
 
     def act(v, obs, slot):
         features, probs = actors[v].forward_client(obs)

@@ -3,7 +3,7 @@
 These are the implementations that the dense-index `shortest_path` and the
 bucket-indexed `map_match` replaced. They are kept, unchanged in their
 arithmetic and tie rules, as the oracle the fast queries must match bit for
-bit. They read only the public `nodes`, `edges` and `adjacency` of a network.
+bit. They read only the public `nodes` and `edges` of a network.
 """
 
 import heapq
@@ -18,6 +18,14 @@ from vtmigsim.roadnet import (
     UnreachableError,
     ValidationError,
 )
+
+
+def adjacency(net):
+    """Each node's outgoing arc ids, ascending."""
+    out = {nid: [] for nid in net.nodes}
+    for eid, edge in enumerate(net.edges):
+        out[edge.from_node].append(eid)
+    return out
 
 
 def segment_arrays(net):
@@ -61,6 +69,7 @@ def shortest_path(net, src, dst):
             raise ValidationError(f"unknown node {nid}")
     if src == dst:
         return [src], 0.0
+    arcs = adjacency(net)
     dist = {src: 0.0}
     parent = {}
     done = set()
@@ -72,7 +81,7 @@ def shortest_path(net, src, dst):
         done.add(u)
         if u == dst:
             break
-        for eid in net.adjacency[u]:
+        for eid in arcs[u]:
             edge = net.edges[eid]
             v = edge.to_node
             cand = d_u + edge.length

@@ -255,7 +255,14 @@ def test_unindexed_sweep_sets_every_unit(tmp_path, section):
         tmp_path / "o" / "compare_results.csv").read_bytes()
 
 
-@pytest.mark.parametrize("param", ["train.thr0", "gen.total_count"])
+@pytest.mark.parametrize("param", ["channel.gain", "backhaul.0.1", "rsu.1.compute", "veh.2.power"])
+def test_sweep_over_an_indexed_or_section_key(tmp_path, param):
+    scenario = write_cli_scenario(tmp_path)
+    assert _compare(tmp_path, scenario, param, "0.5,2e9") == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("param", ["train.thr0", "gen.total_count", "env.horizn", "rsu.computee",
+                                   "channel.gian", "backhaul.x.y", "rsu.3.compute"])
 def test_sweep_over_a_key_outside_the_scenario_exits_2(tmp_path, capsys, param):
     scenario = write_cli_scenario(tmp_path)
     assert _compare(tmp_path, scenario, param, "0.1,5") == cli.EXIT_CONFIG
@@ -285,9 +292,11 @@ def _write_gen_cfg(tmp_path, extra=""):
     (["--grid-cell", "-50"], "", "--grid-cell must be a finite number > 0, got -50.0"),
     (["--grid-cell", "nan"], "", "--grid-cell must be a finite number > 0, got nan"),
     (["--grid-cell", "inf"], "", "--grid-cell must be a finite number > 0, got inf"),
+    (["--grid-cell", "1e-320", "--count", "60"], "",
+     "--grid-cell 1e-320 gives a non-finite cell index"),
     (["--count", "-1"], "", "trajectory count must be >= 0, got -1"),
     ([], "gen.total_count = -3\n", "trajectory count must be >= 0, got -3"),
-], ids=["cell_0", "cell_negative", "cell_nan", "cell_inf", "count_flag", "count_key"])
+], ids=["cell_0", "cell_negative", "cell_nan", "cell_inf", "cell_tiny", "count_flag", "count_key"])
 def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, message):
     out = tmp_path / "out"
     argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out), *flags]
@@ -303,3 +312,22 @@ def test_trajgen_with_count_0_writes_empty_tables(tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     assert _lines(out / "density_grid.csv") == ["cell_x,cell_y,count"]
     assert len(_lines(out / "hourly_histogram.csv")) == 25
+
+
+@pytest.mark.parametrize("command, value", [("eval", "nan"), ("trajgen", "inf")])
+def test_non_finite_trajectory_value_exits_2_with_its_line(tmp_path, capsys, command, value):
+    scenario = write_cli_scenario(tmp_path)
+    tracks = tmp_path / "vehicles.csv"
+    lines = _lines(tracks)
+    lines[2] = f"0,10.000000,{value},10.000000"
+    tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--scenario", scenario, "--policy", "full_migration"],
+        "trajgen": ["trajgen", "--gen-cfg",
+                    _write_gen_cfg(tmp_path, f"gen.synthetic = 0\ngen.input = {tracks}\n")],
+    }[command]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "line 3: non-finite x" in err
+    assert not out.exists()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_learner as ref
-from reference_policies import agent_actor
+from reference_policies import agent_actor, agent_net
 from helpers import grad_check, line_trajectory, make_env
 from vtmigsim import msrl
 from vtmigsim.neuralcore import SplitActor
@@ -92,7 +92,7 @@ def assert_same_learner(bundle, opts, ref_bundle, ref_opts):
         ref_net = ref_bundle.actor.components()[name]
         assert np.array_equal(net.flat, ref_net.flat), name
         adam = opts.actor_opts[name]
-        for v in range(bundle.n_agents):
+        for v in range(bundle.actor.agents):
             ref_adam = ref_opts.actor_opts[v][name]
             m, s = ref.flat_moments(ref_adam)
             assert adam.steps[v] == ref_adam.steps, (name, v)
@@ -298,7 +298,7 @@ def test_make_bundle_draws_agent_by_agent():
                 net = bundle.actor.components()[name]
                 for w, want in zip(net.weights, weights):
                     assert np.array_equal(w[v], want), (v, name)
-                assert not net.agent(v).flat[-net.dims[-1]:].any()  # zero biases
+                assert not agent_net(net, v).flat[-net.dims[-1]:].any()  # zero biases
         for critic, weights in zip(bundle.critics, critics):
             assert all(np.array_equal(w, want) for w, want in zip(critic.net.weights, weights))
 

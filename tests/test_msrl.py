@@ -125,3 +125,17 @@ def test_load_refuses_a_tensor_of_the_wrong_shape(tmp_path, name, shape, shared_
     save_checkpoint(tampered, tensors.items())
     with pytest.raises(ValueError, match=f"checkpoint tensor {name} has shape"):
         msrl.load_bundle(load_checkpoint(tampered), small_config(shared_critic))
+
+
+def test_threshold_follows_server_calls(tmp_path):
+    bundle = small_bundle(True)
+    c = bundle.controllers[0]
+    for _ in range(3):
+        c.select(10.0)  # above thr0: a server pick each
+    c.server_calls = 7  # a direct write, as a checkpoint load makes
+    tensors = _saved_tensors(tmp_path, bundle)
+    loaded, _ = msrl.load_bundle(tensors, small_config(True))
+    for controllers in (bundle.controllers, loaded.controllers):
+        for got, server_calls in zip(controllers, (7, 0, 0)):
+            assert got.server_calls == server_calls
+            assert got.thr == got.thr0 + server_calls * got.change

@@ -218,13 +218,13 @@ def test_client_path_never_touches_server():
 def test_param_count_closed_form():
     actor = make_actor(obs_dim=9, n_actions=4)
     # client: 9*8+8 + 8*16+16 + 16*4+4 = 292
-    assert actor.param_count("client") == 292
+    assert actor.path_params[0] == 292
     # server side: 16*16+16 + 16*32+32 + 32*16+16 + 16*4+4 = 1412
     server_only = (
         actor.server_trunk.param_count() + actor.server_head.param_count()
     )
     assert server_only == 1412
-    assert actor.param_count("client+server") == 1704
+    assert actor.path_params[1] == 1704
 
 
 def test_param_count_ordering():
@@ -234,7 +234,7 @@ def test_param_count_ordering():
         dims = tuple(int(rng.integers(2, 20)) for _ in range(n_hidden))
         split = int(rng.integers(1, n_hidden))
         actor = SplitActor(int(rng.integers(2, 12)), int(rng.integers(2, 6)), dims, split, rng)
-        assert actor.param_count("client") < actor.param_count("client+server")
+        assert actor.path_params[0] < actor.path_params[1]
 
 
 # --- optimizer ---

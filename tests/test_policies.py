@@ -129,7 +129,7 @@ def test_per_slot_act_matches_per_agent_reference(tmp_path, monkeypatch, scenari
         for c, r in zip(new, reference.controllers):
             assert vars(c) == vars(r)
         assert all(c.calls == 0 for c in bundle.controllers)  # evaluation ran on copies
-        assert set(np.concatenate(active).tolist()) == {bundle.client_params(), bundle.full_params()}
+        assert set(np.concatenate(active).tolist()) == set(bundle.actor.path_params.tolist())
         assert any(duals)
 
 

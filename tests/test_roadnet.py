@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_roadnet import adjacency
 from vtmigsim.roadnet import (
     GeoPoint,
     NoEdgesError,
@@ -21,6 +22,7 @@ def brute_force_shortest(net, src, dst):
     if src == dst:
         return 0.0
     best = [math.inf]
+    arcs = adjacency(net)
 
     def walk(node, seen, total):
         if total >= best[0]:
@@ -28,7 +30,7 @@ def brute_force_shortest(net, src, dst):
         if node == dst:
             best[0] = total
             return
-        for eid in net.adjacency[node]:
+        for eid in arcs[node]:
             edge = net.edges[eid]
             if edge.to_node not in seen:
                 walk(edge.to_node, seen | {edge.to_node}, total + edge.length)

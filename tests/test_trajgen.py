@@ -87,16 +87,24 @@ def test_clean_discards_short_segments():
 
 # --- KDE ---
 
+def kde_density(m, p):
+    """Estimated density (1/m^2) of KDE model m at a query point."""
+    h = m.bandwidth
+    d2 = (m.samples[:, 0] - p.x) ** 2 + (m.samples[:, 1] - p.y) ** 2
+    kern = np.exp(-d2 / (2.0 * h * h)) / (2.0 * math.pi * h * h)
+    return float(kern.mean())
+
+
 def test_kde_single_sample_at_origin():
     m = KdeModel(np.array([[0.0, 0.0]]), 0.05)
     # 1 / (2 pi h^2) with h = 0.05
-    assert m.density(GeoPoint(0, 0)) == pytest.approx(1.0 / (2.0 * math.pi * 0.0025))
-    assert m.density(GeoPoint(0, 0)) == pytest.approx(63.66197723675813)
+    assert kde_density(m, GeoPoint(0, 0)) == pytest.approx(1.0 / (2.0 * math.pi * 0.0025))
+    assert kde_density(m, GeoPoint(0, 0)) == pytest.approx(63.66197723675813)
 
 
 def test_kde_far_query_decays():
     m = KdeModel(np.array([[0.0, 0.0]]), 0.05)
-    assert m.density(GeoPoint(1e6, 0)) < 1e-12
+    assert kde_density(m, GeoPoint(1e6, 0)) < 1e-12
 
 
 def naive_density(samples, h, x, y):
@@ -115,7 +123,7 @@ def test_kde_matches_naive_loop():
         m = KdeModel(samples, h)
         qx, qy = rng.uniform(-120, 120, size=2)
         expected = naive_density(samples, h, qx, qy)
-        got = m.density(GeoPoint(qx, qy))
+        got = kde_density(m, GeoPoint(qx, qy))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -172,7 +180,7 @@ def test_profile_fallback_hours_use_all_day_models():
     profile = build_profile([seg], CFG)
     # hour 3 saw no endpoints: falls back to the all-day model
     assert profile.entry_kde[3] is profile.entry_kde[3]
-    assert profile.entry_kde[3].n == 1
+    assert len(profile.entry_kde[3].samples) == 1
     assert profile.speed_bins[3].tolist() == [10.0]
 
 
