@@ -122,18 +122,25 @@ def cmd_trajgen(args) -> int:
 # --- shared env/bundle assembly ---
 
 def _build_env(
-    scenario: dict[str, str], kind: str, train_kv: dict[str, str], sweep_key: Optional[str] = None
+    scenario: dict[str, str], kind: str, train_kv: dict[str, str],
+    sweep: Optional[tuple[str, str]] = None,
 ) -> envsim.PremigrationEnv:
     """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`.
 
-    A `sweep_key` that `build_env` does not read is a config error."""
-    cfg = ReadLog(scenario)
+    `sweep` = (key, value) goes through `apply_sweep`. A swept key that `build_env` does not
+    read is a config error, also when the sweep left the env short of a key."""
+    cfg = ReadLog(scenario if sweep is None else apply_sweep(scenario, *sweep))
     if "train.reward_mode" in train_kv:
         cfg["env.reward_mode"] = train_kv["train.reward_mode"]
     cfg.update(policies.env_overrides(kind))
-    env = envsim.build_env(cfg)
-    if sweep_key is not None and sweep_key not in cfg.read:
-        raise ConfigError(f"--sweep-param {sweep_key!r} is not a scenario key that the env reads")
+    try:
+        env = envsim.build_env(cfg)
+    except ConfigError:
+        if sweep is None or sweep[0] in cfg.read:
+            raise
+        _build_env(scenario, kind, train_kv)  # raises the scenario's own error, if any
+    if sweep is not None and sweep[0] not in cfg.read:
+        raise ConfigError(f"--sweep-param {sweep[0]!r} is not a scenario key that the env reads")
     return env
 
 
@@ -315,9 +322,8 @@ def cmd_compare(args) -> int:
     results: list[list] = []
     tensors = _read_checkpoint(args, kinds)
     for vi, (text, value) in enumerate(zip(texts, values)):
-        swept = apply_sweep(scenario, args.sweep_param, text)
         for kind in kinds:
-            env = _build_env(swept, kind, train_kv, args.sweep_param)
+            env = _build_env(scenario, kind, train_kv, (args.sweep_param, text))
             bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
             rng = np.random.default_rng([args.seed, 13, vi])
             act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
@@ -392,10 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "episodes", None) is not None and args.episodes < 1:
             raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except msrl.TrainAbort as exc:

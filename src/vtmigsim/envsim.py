@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,17 @@ class ActionError(ValueError):
     """An action was outside 0..E-1."""
 
 
+def _elementwise(kernel, nin: int):
+    """Python's scalar `math` kernel applied element-wise to broadcast arrays, as float64."""
+    ufunc = np.frompyfunc(kernel, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+_hypot, _pow, _log2, _exp = (
+    _elementwise(f, n) for f, n in ((math.hypot, 2), (math.pow, 2), (math.log2, 1), (math.exp, 1))
+)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Deterministic distance-law channel: h = A * (c / (4 pi f d))^2."""
@@ -36,6 +47,11 @@ class ChannelParams:
     gain_coeff: float = field(default=1.0, metadata={KEY: "channel.gain"})  # A
     carrier: float = 2.4e9         # f, Hz
     light_speed: float = 3.0e8     # c, m/s
+
+    def __post_init__(self) -> None:
+        for name, value in zip(("gain", "carrier", "light_speed"), astuple(self)):
+            if not value > 0:
+                raise ValueError(f"channel.{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +150,11 @@ class PremigrationEnv:
     trailing x/y axis), `serving` (nearest RSU), `task_bits`, `t_up` (uplink
     request latency) and `t_down_serving` (downlink result latency from the
     serving RSU). `step` reads them and evaluates only what depends on the
-    actions. Channel values and error rates go through Python's scalar
-    `math` kernels, because numpy's vectorized hypot, square, log2 and exp
-    round differently on some inputs, and the outputs are kept identical to
-    the bit to the scalar model in tests/scalar_env.py.
+    actions. The channel helpers and `transmission_latencies` broadcast their
+    arguments, one link per element. Their hypot, pow, log2 and the error
+    rate's exp apply Python's scalar `math` kernels element-wise, because
+    numpy's own round differently on some inputs, and the outputs are kept
+    identical to the bit to the scalar model in tests/scalar_env.py.
     """
 
     def __init__(
@@ -164,9 +181,11 @@ class PremigrationEnv:
             if not v.trajectory.is_monotone():
                 raise ValueError(f"vehicle {v.id} trajectory timestamps not strictly increasing")
         self._rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
-        self._max_load = np.array([r.max_load for r in self.rsus])
-        self._compute = np.array([r.compute for r in self.rsus])
-        self._cycles_per_bit = np.array([v.cycles_per_bit for v in self.vehicles])
+        rsu = np.array([[r.max_load, r.compute, r.bw_up, r.bw_down, r.noise_power] for r in rsus])
+        self._max_load, self._compute, self._bw_up, self._bw_down, self._noise = rsu.T.astype(float)
+        veh = np.array([[v.cycles_per_bit, v.tx_power, v.request_bits] for v in vehicles])
+        self._cycles_per_bit, self._tx_power, self._request_bits = veh.T.astype(float)
+        self._result_bits = np.array([v.result_bits for v in vehicles], dtype=float)
         # Backhaul bits/s by (from, to); 0 where no link is configured.
         self._backhaul = np.array(
             [[r.backhaul.get(j, 0.0) for j in range(self.E)] for r in self.rsus], dtype=float
@@ -177,18 +196,14 @@ class PremigrationEnv:
 
         slots = np.arange(cfg.horizon)
         self.xy = self.position(slots)
-        self.serving = np.array([self.nearest_rsu(xy) for xy in self.xy])
+        self.serving = self.nearest_rsu(self.xy)
         self.task_bits = np.stack(
             [np.asarray(v.task_bits, dtype=float)[slots % len(v.task_bits)] for v in self.vehicles],
             axis=1,
         )
-        self.t_up = np.zeros((cfg.horizon, self.V))
-        self.t_down_serving = np.zeros((cfg.horizon, self.V))
-        every = np.arange(self.V)
-        for t in slots:
-            self.t_up[t], self.t_down_serving[t] = self.transmission_latencies(
-                t, every, self.serving[t]
-            )
+        self.t_up, self.t_down_serving = self.transmission_latencies(
+            slots[:, None], np.arange(self.V), self.serving
+        )
 
     # --- position / channel ---
 
@@ -210,54 +225,44 @@ class PremigrationEnv:
         return out
 
     def nearest_rsu(self, xy: np.ndarray) -> np.ndarray:
-        """Nearest RSU to each (x, y) row of `xy`; ties resolve to the lowest id."""
-        d = np.hypot(self._rsu_xy[:, 0] - xy[:, :1], self._rsu_xy[:, 1] - xy[:, 1:])
-        return np.argmin(d, axis=1)
+        """Nearest RSU to each (x, y) on the last axis of `xy`; ties resolve to the lowest id."""
+        d = np.hypot(self._rsu_xy[:, 0] - xy[..., :1], self._rsu_xy[:, 1] - xy[..., 1:])
+        return np.argmin(d, axis=-1)
 
-    def distance(self, e: int, x: float, y: float) -> float:
+    def distance(self, e, x, y) -> np.ndarray:
         """Distance from (x, y) to RSU e, clamped to 1 m for co-located pairs."""
-        r = self.rsus[e].pos
-        return max(1.0, math.hypot(x - r.x, y - r.y))
+        return np.maximum(1.0, _hypot(x - self._rsu_xy[e, 0], y - self._rsu_xy[e, 1]))
 
-    def channel_gain(self, e: int, x: float, y: float) -> float:
+    def channel_gain(self, e, x, y) -> np.ndarray:
         """Distance-law gain h = A * (c / (4 pi f d))^2."""
         d = self.distance(e, x, y)
         c = self.channel
-        return c.gain_coeff * (c.light_speed / (4.0 * math.pi * c.carrier * d)) ** 2
+        return c.gain_coeff * _pow(c.light_speed / (4.0 * math.pi * c.carrier * d), 2.0)
 
-    def spectral_efficiency(self, v: int, e: int, x: float, y: float) -> float:
+    def spectral_efficiency(self, v, e, x, y) -> np.ndarray:
         """log2(1 + SNR) of vehicle v at (x, y) on a link with RSU e, bits/s/Hz.
 
         A link's Shannon-form rate is its bandwidth times this.
         """
-        snr = self.vehicles[v].tx_power * self.channel_gain(e, x, y) / self.rsus[e].noise_power
-        return math.log2(1.0 + snr)
+        return _log2(1.0 + self._tx_power[v] * self.channel_gain(e, x, y) / self._noise[e])
 
     # --- latency model pieces (exposed for direct testing) ---
 
-    def transmission_latencies(
-        self, slot: int, vs: np.ndarray, es: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(uplink request latency, downlink result latency) of each link vs[i]-es[i].
+    def transmission_latencies(self, slot, vs, es) -> tuple[np.ndarray, np.ndarray]:
+        """(uplink request latency, downlink result latency) of each link (slot, vs, es).
 
         The request goes to the serving RSU; results come back from each RSU
         that processed a share, so a vehicle's downlink latency is the sum
         over its distinct serving and target RSUs. Zero-size transfers take
-        no time.
+        no time; a link that carries bits at a rate that rounds to 0 is a ValueError.
         """
-        t_up = np.zeros(len(vs))
-        t_down = np.zeros(len(vs))
-        links = zip(vs.tolist(), es.tolist(), self.xy[slot, vs].tolist())
-        for i, (v, e, (x, y)) in enumerate(links):
-            spec = self.vehicles[v]
-            bits = float(spec.result_bits[e])
-            if not (spec.request_bits or bits):
-                continue
-            se = self.spectral_efficiency(v, e, x, y)
-            if spec.request_bits:
-                t_up[i] = spec.request_bits / (self.rsus[e].bw_up * se)
-            if bits:
-                t_down[i] = bits / (self.rsus[e].bw_down * se)
+        xy = self.xy[slot, vs]
+        se = self.spectral_efficiency(vs, es, xy[..., 0], xy[..., 1])
+        request, result = self._request_bits[vs], self._result_bits[vs, es]
+        if np.any((se == 0) & ((request != 0) | (result != 0))):
+            raise ValueError("a link's 1 + SNR rounds to 1, so it cannot carry its bits")
+        t_up = np.divide(request, self._bw_up[es] * se, out=np.zeros(se.shape), where=request != 0)
+        t_down = np.divide(result, self._bw_down[es] * se, out=np.zeros(se.shape), where=result != 0)
         return t_up, t_down
 
     def migration_latency(self, v, slot: int, from_e, to_e) -> np.ndarray:
@@ -308,8 +313,7 @@ class PremigrationEnv:
     @staticmethod
     def error_rate(contending_mig_bits, tau: float):
         """1 - exp(-tau * D), D the migrated bits summed over axis 0 (co-targeting vehicles)."""
-        exp = np.vectorize(math.exp, otypes=[float])
-        return 1.0 - exp(-tau * np.sum(contending_mig_bits, axis=0))
+        return 1.0 - _exp(-tau * np.sum(contending_mig_bits, axis=0))
 
     def qoe(self, err, t_total):
         return -self.cfg.lambda1 * err - self.cfg.lambda2 * t_total
@@ -340,8 +344,7 @@ class PremigrationEnv:
         warm_rng = np.random.default_rng([seed, 0xCA11])
         samples: list[float] = []
         for _ in range(self.cfg.warmup_slots):
-            actions = warm_rng.integers(0, self.E, size=self.V)
-            result = warm.step(list(actions))
+            result = warm.step(warm_rng.integers(0, self.E, size=self.V))
             samples.extend(m.t_total for m in result.metrics)
             if result.done:
                 break
@@ -370,15 +373,15 @@ class PremigrationEnv:
             raise RuntimeError("episode finished; call reset()")
         if len(joint_actions) != self.V:
             raise ActionError(f"expected {self.V} actions, got {len(joint_actions)}")
-        for a in joint_actions:
-            if not (0 <= int(a) < self.E):
-                raise ActionError(f"action {a} outside 0..{self.E - 1}")
+        requested = np.asarray(joint_actions).astype(int)
+        bad = (requested < 0) | (requested >= self.E)
+        if bad.any():
+            raise ActionError(f"action {joint_actions[bad.argmax()]} outside 0..{self.E - 1}")
 
         t = self.t
         cfg = self.cfg
         serving = self.serving[t]
         d_task = self.task_bits[t]
-        requested = np.array([int(a) for a in joint_actions])
         # Rendering sizes for the requested target and for a remap to the
         # serving RSU; the local share does not depend on the target. At
         # slot 0 the previous choices are -1, so nothing is reused.
@@ -481,10 +484,15 @@ def metrics_row(episode: int, slot: int, vehicle: int, m: SlotMetrics) -> list:
 
 # --- scenario config interface ---
 
-def _indexed_float(cfg: dict[str, str], section: str, i: int, name: str, default=None) -> float:
-    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>."""
+def _indexed_float(cfg, section: str, i: int, name: str, default=None, positive=False) -> float:
+    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>; with
+    `positive`, a value <= 0 is a config error that names the key read."""
     specific = f"{section}.{i}.{name}"
-    return get_float(cfg, specific if specific in cfg else f"{section}.{name}", default)
+    key = specific if specific in cfg else f"{section}.{name}"
+    value = get_float(cfg, key, default)
+    if positive and not value > 0:
+        raise ConfigError(f"key {key!r} must be > 0, got {cfg[key]!r}")
+    return value
 
 
 def build_env(cfg: dict[str, str]) -> PremigrationEnv:
@@ -502,25 +510,19 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     for i in range(n_rsu):
         backhaul: dict[int, float] = {}
         for j in range(n_rsu):
-            if i == j:
-                continue
-            key = f"backhaul.{i}.{j}"
-            alt = f"backhaul.{j}.{i}"
-            if key in cfg:
+            keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
+            key = next((k for k in keys if k in cfg), None)  # first set, in this order
+            if i != j and key is not None:
                 backhaul[j] = get_float(cfg, key)
-            elif alt in cfg:
-                backhaul[j] = get_float(cfg, alt)
-            elif "backhaul.default" in cfg:
-                backhaul[j] = get_float(cfg, "backhaul.default")
         rsus.append(
             RsuSpec(
                 id=i,
                 pos=GeoPoint(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")),
                 compute=_indexed_float(cfg, "rsu", i, "compute"),
                 max_load=_indexed_float(cfg, "rsu", i, "max_load"),
-                bw_up=_indexed_float(cfg, "rsu", i, "bw_up"),
-                bw_down=_indexed_float(cfg, "rsu", i, "bw_down"),
-                noise_power=_indexed_float(cfg, "rsu", i, "noise"),
+                bw_up=_indexed_float(cfg, "rsu", i, "bw_up", positive=True),
+                bw_down=_indexed_float(cfg, "rsu", i, "bw_down", positive=True),
+                noise_power=_indexed_float(cfg, "rsu", i, "noise", positive=True),
                 backhaul=backhaul,
             )
         )
@@ -539,7 +541,7 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
         vehicles.append(
             VehicleSpec(
                 id=i,
-                tx_power=_indexed_float(cfg, "veh", i, "power"),
+                tx_power=_indexed_float(cfg, "veh", i, "power", positive=True),
                 cycles_per_bit=_indexed_float(cfg, "veh", i, "cycles_per_bit"),
                 task_bits=np.array([_indexed_float(cfg, "veh", i, "task_bits")]),
                 request_bits=_indexed_float(cfg, "veh", i, "request_bits", 0.0),

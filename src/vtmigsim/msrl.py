@@ -81,7 +81,8 @@ class SwitchController:
             self.hold_remaining -= 1
             choice, dual = SERVER, True
         else:
-            choice = SERVER if self._mean_entropy() > self.thr else CLIENT
+            mean_entropy = sum(self.entropy_window) / len(self.entropy_window)
+            choice = SERVER if mean_entropy > self.thr else CLIENT
             dual = False
             recent = list(self.switch_log)[-(self.window - 1):] + [choice]
             alternations = sum(1 for a, b in zip(recent, recent[1:]) if a != b)
@@ -96,9 +97,6 @@ class SwitchController:
     @property
     def thr(self) -> float:
         return self.thr0 + self.server_calls * self.change
-
-    def _mean_entropy(self) -> float:
-        return sum(self.entropy_window) / len(self.entropy_window)
 
 
 @dataclass
@@ -151,8 +149,10 @@ class PolicyBundle:
     controllers: Optional[list[SwitchController]]
 
 
-def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig) -> PolicyBundle:
-    rng = np.random.default_rng([cfg.seed, 1])
+def make_bundle(obs_dim: int, n_actions: int, n_agents: int, cfg: TrainConfig,
+                draw: bool = True) -> PolicyBundle:
+    """A fresh bundle; its weights drawn from `cfg.seed`, or zeros without `draw`."""
+    rng = np.random.default_rng([cfg.seed, 1]) if draw else None
     actor = SplitActor(obs_dim, n_actions, cfg.hidden_dims, cfg.split_index, rng, n_agents)
     critic_in = n_agents * obs_dim + n_agents * n_actions
     n_critics = 1 if cfg.shared_critic else n_agents
@@ -562,7 +562,7 @@ def run_episodes(
         while not done:
             actions, n_active = act_fn(obs, slot)
             active.append(n_active)
-            result = env.step(actions.tolist())
+            result = env.step(actions)
             rewards.extend(result.rewards.tolist())
             for v, m in enumerate(result.metrics):
                 qoes.append(m.qoe)
@@ -661,7 +661,7 @@ def load_bundle(
     agents, obs_dim, actions = (
         int(tensors[f"meta/{key}"][0, 0]) for key in ("agents", "obs_dim", "actions")
     )
-    bundle = make_bundle(obs_dim, actions, agents, cfg)
+    bundle = make_bundle(obs_dim, actions, agents, cfg, draw=False)
     layout = bundle_tensors(bundle, episode)
     for name, param in layout:
         saved = tensors.get(name)

@@ -123,13 +123,12 @@ class SplitActor:
     and client-head logits. The server consumes the client features and emits
     its own logits. `split_index` is how many hidden widths belong to the
     client; hidden_dims[split_index:] belong to the server. With `agents`,
-    every component is stacked over V agents, drawn agent by agent, component
-    by component, and every input has a leading agent axis.
-    """
+    every component is stacked over V agents, drawn (zeros without `rng`) agent
+    by agent, component by component; every input has a leading agent axis."""
 
     def __init__(
         self, obs_dim: int, n_actions: int, hidden_dims: Sequence[int], split_index: int,
-        rng: np.random.Generator, agents: Optional[int] = None,
+        rng: Optional[np.random.Generator], agents: Optional[int] = None,
     ):
         if not (1 <= split_index < len(hidden_dims)):
             raise ValueError("split_index must leave at least one layer on each side")
@@ -142,9 +141,10 @@ class SplitActor:
         self.client_head = DenseNet([client_dims[-1], n_actions], agents=agents)
         self.server_trunk = DenseNet(server_dims, out_tanh=True, agents=agents)
         self.server_head = DenseNet([server_dims[-1], n_actions], agents=agents)
-        for v in [None] if agents is None else range(agents):
-            for net in self.components().values():
-                net.draw(rng, v)
+        if rng is not None:
+            for v in [None] if agents is None else range(agents):
+                for net in self.components().values():
+                    net.draw(rng, v)
 
     # --- rollout inference: one observation per agent ---
 
@@ -232,7 +232,7 @@ class SplitActor:
 class Critic:
     """Centralized action-value network over joint observation + one-hot joint action."""
 
-    def __init__(self, input_dim: int, hidden_dims: Sequence[int], rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden_dims: Sequence[int], rng=None):
         self.net = DenseNet([input_dim] + list(hidden_dims) + [1], rng)
 
     def value(self, x: np.ndarray) -> np.ndarray:

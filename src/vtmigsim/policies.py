@@ -43,12 +43,9 @@ def nearby_radius(env: PremigrationEnv) -> float:
     xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
     if len(xy) < 2:
         return float("inf")
-    spacings = []
-    for i in range(len(xy)):
-        d = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])
-        d[i] = np.inf
-        spacings.append(d.min())
-    return 2.0 * float(np.mean(spacings))
+    d = np.hypot(xy[:, 0] - xy[:, :1], xy[:, 1] - xy[:, 1:])  # d[i, j]: RSU i to RSU j
+    np.fill_diagonal(d, np.inf)
+    return 2.0 * float(np.mean(d.min(axis=1)))
 
 
 def make_act_fn(
@@ -78,10 +75,8 @@ def make_act_fn(
         radius = nearby_radius(env)
         rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
         # (horizon, V, E): the RSUs within the radius of each vehicle per slot.
-        nearby = np.array([
-            np.hypot(rsu_xy[:, 0] - xy[:, :1], rsu_xy[:, 1] - xy[:, 1:]) <= radius
-            for xy in env.xy
-        ])
+        xy = env.xy
+        nearby = np.hypot(rsu_xy[:, 0] - xy[..., :1], rsu_xy[:, 1] - xy[..., 1:]) <= radius
         # A vehicle with no RSU nearby draws among all of them.
         pool = nearby | ~nearby.any(axis=2, keepdims=True)
         counts = pool.sum(axis=2)

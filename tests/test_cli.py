@@ -150,9 +150,19 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("env.background_unit = -1e8", "", "background_unit > 0"),
     ("rsu.max_load = 0", "", "rsu max_load must be > 0"),
     ("rsu.2.max_load = -1e9", "", "rsu max_load must be > 0"),
+    ("veh.power = 0", "", "key 'veh.power' must be > 0"),
+    ("veh.1.power = -0.2", "", "key 'veh.1.power' must be > 0"),
+    ("rsu.bw_up = 0", "", "key 'rsu.bw_up' must be > 0"),
+    ("rsu.bw_down = 0", "", "key 'rsu.bw_down' must be > 0"),
+    ("rsu.noise = 0", "", "key 'rsu.noise' must be > 0"),
+    ("rsu.1.noise = -1e-11", "", "key 'rsu.1.noise' must be > 0"),
+    ("channel.gain = 0", "", "channel.gain must be > 0"),
+    ("channel.carrier = -2.4e9", "", "channel.carrier must be > 0"),
+    ("channel.light_speed = 0", "", "channel.light_speed must be > 0"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
-        "one_max_load_negative"])
+        "one_max_load_negative", "power_0", "one_power_negative", "bw_up_0", "bw_down_0",
+        "noise_0", "one_noise_negative", "gain_0", "carrier_negative", "light_speed_0"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)
@@ -262,13 +272,22 @@ def test_sweep_over_an_indexed_or_section_key(tmp_path, param):
 
 
 @pytest.mark.parametrize("param", ["train.thr0", "gen.total_count", "env.horizn", "rsu.computee",
-                                   "channel.gian", "backhaul.x.y", "rsu.3.compute"])
+                                   "channel.gian", "backhaul.x.y", "rsu.3.compute", "rsu.x"])
 def test_sweep_over_a_key_outside_the_scenario_exits_2(tmp_path, capsys, param):
     scenario = write_cli_scenario(tmp_path)
     assert _compare(tmp_path, scenario, param, "0.1,5") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{param!r} is not a scenario key" in err
     assert not (tmp_path / "c").exists()
+
+
+def test_sweep_reports_the_scenario_error_it_did_not_cause(tmp_path, capsys):
+    scenario = Path(write_cli_scenario(tmp_path))
+    lines = scenario.read_text(encoding="utf-8").splitlines(keepends=True)
+    scenario.write_text("".join(x for x in lines if not x.startswith("veh.traj_csv")),
+                        encoding="utf-8")
+    assert _compare(tmp_path, str(scenario), "veh.power", "0.1,5") == cli.EXIT_CONFIG
+    assert "missing required key 'veh.traj_csv'" in capsys.readouterr().err
 
 
 def _write_gen_cfg(tmp_path, extra=""):

@@ -76,6 +76,15 @@ def test_downlink_single_term_when_target_is_serving():
     assert t_down_two > t_down_same  # second RSU adds a term
 
 
+def test_link_whose_rate_rounds_to_zero_is_rejected():
+    # 1e11 m from the RSUs, 1 + SNR rounds to 1: a request could never arrive.
+    far = [line_trajectory(0, 1e11, 0.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="rounds to 1"):
+        make_env(request_bits=1e5, trajectories=far)
+    env = make_env(trajectories=far)  # nothing to send, so nothing to reject
+    assert env.t_up[0, 0] == env.t_down_serving[0, 0] == 0.0
+
+
 # --- migration latency ---
 
 def test_migration_zero_alpha():
