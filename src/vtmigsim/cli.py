@@ -85,9 +85,9 @@ def cmd_trajgen(args) -> int:
     segments = []
     for traj in raw:
         segments.extend(trajgen.clean_and_segment(traj, gen_cfg))
-    matched = [trajgen.map_to_roads(seg, net) for seg in segments]
-    if not matched:
+    if not segments:
         raise ConfigError("input produced no usable segments")
+    matched = trajgen.map_to_roads(segments, net)
     profile = trajgen.build_profile(matched, gen_cfg)
     generated, skipped = trajgen.generate_dataset(profile, net, gen_cfg, total, rng)
     try:

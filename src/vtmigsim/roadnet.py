@@ -4,11 +4,12 @@ Coordinates are planar meters (x east, y north). Undirected road segments are
 stored as two directed arcs. The network is immutable after construction and
 safe to share across workers; its two query indexes are built eagerly. Dijkstra
 runs on dense node indices in sorted-id order, so heap ties break exactly as
-on node ids. `map_match` reads a uniform grid of arc buckets: it projects onto
-the arcs of the 3x3 cell block around the query and keeps the best one only if
-it is nearer than one cell by a margin that covers rounding, as every other arc
-is at least one cell away. Other queries scan every arc with the same per-arc
-arithmetic.
+on node ids. `map_match` takes a batch of points and reads a uniform grid of
+arc buckets with array ops, one pass per block of queries: it keeps the best
+arc of the 3x3 cell block around a query only if it is nearer than one cell by
+a margin that covers rounding, as every other arc is a cell away. The other
+queries (off the grid, far from roads, not finite) scan every arc with the
+same per-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +43,7 @@ class UnreachableError(RoadNetworkError):
     """No path exists between the requested nodes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """Planar position in meters."""
 
@@ -70,18 +70,19 @@ class RoadEdge:
     speed_limit: float   # meters/second, > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
-    """Nearest point of a query on some arc.
+    """Nearest points of N queries on the arcs, one row per query.
 
-    offset is the fraction along the arc (0 at from_node, 1 at to_node),
-    clamped to the segment; distance is from the query to the projected point.
+    edge_id (N,) is the arc and point (N, 2) the projected position. offset
+    (N,) is the fraction along the arc (0 at from_node, 1 at to_node), clamped
+    to the segment; distance (N,) is from the query to the projected point.
     """
 
-    edge_id: int
-    point: GeoPoint
-    offset: float
-    distance: float
+    edge_id: np.ndarray
+    point: np.ndarray
+    offset: np.ndarray
+    distance: np.ndarray
 
 
 class RoadNetwork:
@@ -114,7 +115,7 @@ class RoadNetwork:
         xy = np.array([(self.nodes[nid].pos.x, self.nodes[nid].pos.y) for nid in self._ids])
         a, b = xy.reshape(-1, 2)[np.array(ends, dtype=np.intp).reshape(-1, 2).T]
         d = b - a  # rows of _seg: ax, ay, dx, dy, len2 of each arc
-        self._seg = np.vstack([a.T, d.T, np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)])
+        self._seg = np.array([*a.T, *d.T, np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)])
         self._build_bucket_index(a, b)
 
     @classmethod
@@ -144,6 +145,8 @@ class RoadNetwork:
     def _build_bucket_index(self, a: np.ndarray, b: np.ndarray) -> None:
         """Row-major CSR of the arcs whose bbox meets each cell, ids ascending.
 
+        The CSR covers the nx x ny grid framed by one empty cell on each side,
+        so the 3x3 block around any grid cell lies inside it.
         ``_grid = None`` disables the index: no arcs, a degenerate extent, or
         coordinates so large that projections could overflow.
         """
@@ -174,10 +177,10 @@ class RoadNetwork:
         k = np.arange(len(arc), dtype=np.int32)
         k -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
         row, col = np.divmod(k, span[arc, 0])
-        cid = (first[arc, 1] + row) * nx + first[arc, 0] + col
-        start = np.concatenate(([0], np.cumsum(np.bincount(cid, minlength=nx * ny))))
-        self._cell_start = array("q", start.tobytes())  # fast scalar reads
-        del k, row, col, start  # lower the peak memory of the sort below
+        cid = (first[arc, 1] + row + 1) * (nx + 2) + first[arc, 0] + col + 1
+        self._cell_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(cid, minlength=(nx + 2) * (ny + 2)))))
+        del k, row, col  # lower the peak memory of the sort below
         self._cell_arcs = arc[np.argsort(cid, kind="stable")]
         self._grid = (x0, y0, cell, nx, ny)
         self._slack = 1e-9 * (scale + cell)  # covers rounding in cell indices and projections
@@ -230,46 +233,67 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
     return RoadNetwork.from_undirected(nodes, edges)
 
 
-def _match_in_block(net: RoadNetwork, x: float, y: float) -> Optional[Projection]:
-    """Nearest arc of the 3x3 cell block around (x, y), or None when not certain."""
+_BLOCK = 512           # queries per in-block pass: bounds the candidate arrays
+_SCAN_PAIRS = 1 << 13  # query-arc pairs per full-scan pass
+
+
+def _project(q: np.ndarray, seg: np.ndarray):
+    """(t, point, d2): clamped projection of points q (2, ...) onto arcs seg (5, ...)."""
+    a, d, len2 = seg[:2], seg[2:4], seg[4]
+    r = (q - a) * d
+    t = ((r[0] + r[1]) / len2).clip(0.0, 1.0)
+    point = a + t * d
+    e = (q - point) ** 2
+    return t, point, e[0] + e[1]
+
+
+def _match_in_blocks(net: RoadNetwork, q: np.ndarray):
+    """(rows, arc ids) of the queries q (2, B) whose 3x3 cell block certainly
+    holds their nearest arc; the other rows need a full scan."""
     x0, y0, cell, nx, ny = net._grid
-    fx, fy = (x - x0) / cell, (y - y0) / cell
-    if not (0.0 <= fx < nx and 0.0 <= fy < ny):  # also false for NaN
-        return None
-    ix, iy = int(fx), int(fy)
-    c0, c1 = max(ix - 1, 0), min(ix + 2, nx)
-    start, cand = net._cell_start, []
-    for r in range(max(iy - 1, 0), min(iy + 2, ny)):
-        cand += net._cell_arcs[start[r * nx + c0]:start[r * nx + c1]].tolist()
-    best_d2 = math.inf
-    for eid, ax, ay, dx, dy, len2 in zip(cand, *net._seg[:, cand].tolist()):
-        t = ((x - ax) * dx + (y - ay) * dy) / len2
-        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # as np.clip: keeps -0.0
-        qx, qy = ax + t * dx, ay + t * dy
-        d2 = (x - qx) * (x - qx) + (y - qy) * (y - qy)
-        if d2 < best_d2 or (d2 == best_d2 and eid < best[0]):
-            best_d2, best = d2, (eid, qx, qy, t)
-    # (x, y) is in the centre cell: other arcs (none past the border) are a cell away.
-    distance = math.sqrt(best_d2)
-    if not distance * (1.0 + 1e-9) + net._slack < cell:
-        return None
-    return Projection(best[0], GeoPoint(best[1], best[2]), best[3], distance)
+    f = (q.T - (x0, y0)) / cell
+    rows = ((f >= 0.0) & (f < (nx, ny))).all(axis=1).nonzero()[0]  # not NaN
+    # Framed cell (ix, iy) + (1, 1) holds the query; row k of its block is the
+    # CSR range from framed cell (ix, iy + k) to (ix + 3, iy + k).
+    width = nx + 2
+    ix, iy = f[rows].astype(np.intp).T
+    first = (iy * width + ix)[:, None] + (0, width, 2 * width)
+    lo = net._cell_start[first].ravel()
+    counts = net._cell_start[first + 3].ravel() - lo
+    ends = counts.cumsum()
+    begin = ends - counts
+    seg, seg_end = begin[::3], ends[2::3]  # each query's candidates
+    some = seg_end > seg  # the queries with an arc in their block
+    rows, seg, per_query = rows[some], seg[some], (seg_end - seg)[some]
+    eid = net._cell_arcs[np.arange(counts.sum()) + (lo - begin).repeat(counts)]
+    query = np.arange(len(rows)).repeat(per_query)
+    d2 = _project(q.take(rows[query], axis=1), net._seg.take(eid, axis=1))[2]
+    # Segmented min of d2, the lowest arc id among equal distances.
+    best_d2 = np.minimum.reduceat(d2, seg)
+    best = np.minimum.reduceat(np.where(d2 == best_d2[query], eid, len(net.edges)), seg)
+    # The query is in the centre cell: other arcs (none past the border) are a cell away.
+    sure = np.sqrt(best_d2) * (1.0 + 1e-9) + net._slack < cell
+    return rows[sure], best[sure]
 
 
-def map_match(net: RoadNetwork, p: GeoPoint) -> Projection:
-    """Project a point onto the nearest arc segment (ties: lowest arc id)."""
+def map_match(net: RoadNetwork, xy) -> Projection:
+    """Project each row of `xy` (N, 2) onto its nearest arc segment (ties: lowest arc id)."""
     if not net.edges:
         raise NoEdgesError("cannot map-match on a network with no edges")
-    proj = _match_in_block(net, p.x, p.y) if net._grid else None
-    if proj is not None:
-        return proj
-    ax, ay, dx, dy, len2 = net._seg
-    t = np.clip(((p.x - ax) * dx + (p.y - ay) * dy) / len2, 0.0, 1.0)
-    qx, qy = ax + t * dx, ay + t * dy
-    d2 = (p.x - qx) ** 2 + (p.y - qy) ** 2
-    best = int(np.argmin(d2))  # argmin keeps the first (lowest-id) minimum
-    point = GeoPoint(float(qx[best]), float(qy[best]))
-    return Projection(best, point, float(t[best]), math.sqrt(d2[best]))
+    q = np.ascontiguousarray(np.asarray(xy, dtype=float).reshape(-1, 2).T)
+    edge_id = np.full(q.shape[1], -1)
+    for lo in range(0, q.shape[1] if net._grid else 0, _BLOCK):
+        rows, best = _match_in_blocks(net, q[:, lo:lo + _BLOCK])
+        edge_id[rows + lo] = best
+    rest = (edge_id < 0).nonzero()[0]
+    step = max(1, _SCAN_PAIRS // len(net.edges))
+    for lo in range(0, len(rest), step):
+        rows = rest[lo:lo + step]
+        d2 = _project(q[:, rows, None], net._seg[:, None])[2]
+        edge_id[rows] = d2.argmin(axis=1)  # argmin keeps the first (lowest-id) minimum
+    # The same arithmetic on the same operands as above: the same bits.
+    t, point, d2 = _project(q, net._seg.take(edge_id, axis=1))
+    return Projection(edge_id, point.T, t, np.sqrt(d2))
 
 
 def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], float]:

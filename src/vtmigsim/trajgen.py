@@ -33,7 +33,7 @@ class RouteError(ValueError):
     """Raised when no road route connects a sampled entry/exit pair."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
     t: float                      # seconds since epoch
     pos: GeoPoint
@@ -99,10 +99,11 @@ class GenConfig:
     gap_split: float = 300.0         # segmentation gap, seconds
 
     def __post_init__(self) -> None:
-        if not self.delta_t > 0:
-            raise ValueError("delta_t must be positive")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        for name in ("delta_t", "bandwidth", "max_speed", "gap_split"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"gen.{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.per_hour_count_scale >= 0:
+            raise ValueError(f"gen.count_scale must be >= 0, got {self.per_hour_count_scale!r}")
 
 
 @dataclass
@@ -154,12 +155,14 @@ def clean_and_segment(raw: Trajectory, cfg: GenConfig) -> list[Trajectory]:
     return segments
 
 
-def map_to_roads(traj: Trajectory, net: RoadNetwork) -> Trajectory:
-    """Replace every point with its nearest-segment projection."""
-    points = [
-        TrajectoryPoint(p.t, map_match(net, p.pos).point) for p in traj.points
-    ]
-    return Trajectory(traj.vehicle_id, points)
+def map_to_roads(trajs: Sequence[Trajectory], net: RoadNetwork) -> list[Trajectory]:
+    """Replace every point of every trajectory with its nearest-segment projection."""
+    x = [p.pos.x for traj in trajs for p in traj.points]
+    y = [p.pos.y for traj in trajs for p in traj.points]
+    point = map_match(net, np.array((x, y)).T).point
+    snapped = map(GeoPoint, point[:, 0].tolist(), point[:, 1].tolist())
+    return [Trajectory(traj.vehicle_id, [TrajectoryPoint(p.t, next(snapped)) for p in traj.points])
+            for traj in trajs]
 
 
 def build_profile(segments: Sequence[Trajectory], cfg: GenConfig) -> MobilityProfile:
@@ -188,22 +191,14 @@ def build_profile(segments: Sequence[Trajectory], cfg: GenConfig) -> MobilityPro
     all_speeds = np.array([v for bucket in speeds for v in bucket])
     if all_speeds.size == 0:
         raise ValueError("no positive-speed legs in any segment")
-    speed_bins = [
-        np.array(bucket) if bucket else all_speeds.copy() for bucket in speeds
-    ]
+    speed_bins = [np.array(bucket) if bucket else all_speeds.copy() for bucket in speeds]
 
     all_entries = np.array([p for bucket in entries for p in bucket])
     all_exits = np.array([p for bucket in exits for p in bucket])
     entry_all_day = KdeModel(all_entries, cfg.bandwidth)
     exit_all_day = KdeModel(all_exits, cfg.bandwidth)
-    entry_kde = [
-        KdeModel(np.array(bucket), cfg.bandwidth) if bucket else entry_all_day
-        for bucket in entries
-    ]
-    exit_kde = [
-        KdeModel(np.array(bucket), cfg.bandwidth) if bucket else exit_all_day
-        for bucket in exits
-    ]
+    entry_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else entry_all_day for b in entries]
+    exit_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else exit_all_day for b in exits]
     return MobilityProfile(histogram, speed_bins, entry_kde, exit_kde)
 
 
@@ -229,13 +224,10 @@ def generate_entry_exit(
     return entries, exits
 
 
-def _nearest_node(net: RoadNetwork, p: GeoPoint) -> int:
+def _nearest_node(net: RoadNetwork, p: GeoPoint, edge_id: int) -> int:
     """Nearest node reached through the nearest arc's closer endpoint."""
-    proj = map_match(net, p)
-    edge = net.edges[proj.edge_id]
-    a = net.nodes[edge.from_node].pos
-    b = net.nodes[edge.to_node].pos
-    da, db = p.dist_to(a), p.dist_to(b)
+    edge = net.edges[edge_id]
+    da, db = (p.dist_to(net.nodes[n].pos) for n in (edge.from_node, edge.to_node))
     if da < db:
         return edge.from_node
     if db < da:
@@ -245,8 +237,8 @@ def _nearest_node(net: RoadNetwork, p: GeoPoint) -> int:
 
 def generate_route(entry: GeoPoint, exit: GeoPoint, net: RoadNetwork) -> list[int]:
     """Route between the network nodes nearest to the two endpoints."""
-    src = _nearest_node(net, entry)
-    dst = _nearest_node(net, exit)
+    arcs = map_match(net, [(entry.x, entry.y), (exit.x, exit.y)]).edge_id.tolist()
+    src, dst = (_nearest_node(net, p, e) for p, e in zip((entry, exit), arcs))
     try:
         path, _ = shortest_path(net, src, dst)
     except UnreachableError as exc:
@@ -298,22 +290,15 @@ def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
         raise ValueError("need at least 2 points to interpolate")
     if not delta_t > 0:
         raise ValueError("delta_t must be positive")
-    ts = np.array([p.t for p in traj.points])
+    ts, xs, ys = np.array([(p.t, p.pos.x, p.pos.y) for p in traj.points]).T
     t0, t_end = ts[0], ts[-1]
     n_steps = int(math.floor((t_end - t0) / delta_t + 1e-9))
-    out: list[TrajectoryPoint] = []
-    for j in range(n_steps + 1):
-        t = t0 + j * delta_t
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(i, len(ts) - 2)
-        a, b = traj.points[i], traj.points[i + 1]
-        u = (t - a.t) / (b.t - a.t)
-        out.append(
-            TrajectoryPoint(
-                t,
-                GeoPoint(a.pos.x + u * (b.pos.x - a.pos.x), a.pos.y + u * (b.pos.y - a.pos.y)),
-            )
-        )
+    t = t0 + np.arange(n_steps + 1) * delta_t
+    i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+    j = i + 1
+    u = (t - ts[i]) / (ts[j] - ts[i])
+    x, y = xs[i] + u * (xs[j] - xs[i]), ys[i] + u * (ys[j] - ys[i])
+    out = [TrajectoryPoint(*p) for p in zip(t.tolist(), map(GeoPoint, x.tolist(), y.tolist()))]
     if t_end - out[-1].t > 1e-9:
         out.append(TrajectoryPoint(float(t_end), traj.points[-1].pos))
     return Trajectory(traj.vehicle_id, out)
@@ -343,15 +328,10 @@ def generate_dataset(
     ]
     jobs = [hour for hour in range(HOURS) for _ in range(counts[hour])]
     streams = rng.spawn(len(jobs)) if jobs else []
-    out: list[Trajectory] = []
-    skipped = 0
-    for idx, (hour, stream) in enumerate(zip(jobs, streams)):
-        traj = _generate_one(profile, net, cfg, hour, idx, stream)
-        if traj is None:
-            skipped += 1
-        else:
-            out.append(traj)
-    return out, skipped
+    tracks = [_generate_one(profile, net, cfg, hour, idx, stream)
+              for idx, (hour, stream) in enumerate(zip(jobs, streams))]
+    tracks = [traj for traj in tracks if traj is not None]
+    return map_to_roads(tracks, net), len(jobs) - len(tracks)
 
 
 def _generate_one(
@@ -375,7 +355,7 @@ def _generate_one(
             continue
         points = [net.nodes[nid].pos for nid in route]
         timed = assign_times(points, start_t, profile, hour, rng, vehicle_id)
-        return map_to_roads(interpolate(timed, cfg.delta_t), net)
+        return interpolate(timed, cfg.delta_t)
     return None
 
 
@@ -475,16 +455,9 @@ def synthetic_truth(
             pts.append(TrajectoryPoint(t, pb))
         if len(pts) < 2:
             continue
-        dense = interpolate(Trajectory(len(out), pts), sample_interval)
-        noisy = [
-            TrajectoryPoint(
-                p.t,
-                GeoPoint(
-                    p.pos.x + float(rng.normal(0.0, gps_noise)),
-                    p.pos.y + float(rng.normal(0.0, gps_noise)),
-                ),
-            )
-            for p in dense.points
-        ]
+        dense = interpolate(Trajectory(len(out), pts), sample_interval).points
+        noise = rng.normal(0.0, gps_noise, (len(dense), 2)).tolist()  # x, y per point in turn
+        noisy = [TrajectoryPoint(p.t, GeoPoint(p.pos.x + dx, p.pos.y + dy))
+                 for p, (dx, dy) in zip(dense, noise)]
         out.append(Trajectory(len(out), noisy))
     return out

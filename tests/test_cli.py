@@ -325,6 +325,23 @@ def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("gen.count_scale = -1\n", "gen.count_scale must be >= 0, got -1.0"),
+    ("gen.max_speed = 0\n", "gen.max_speed must be > 0, got 0.0"),
+    ("gen.max_speed = -5\n", "gen.max_speed must be > 0, got -5.0"),
+    ("gen.gap_split = 0\n", "gen.gap_split must be > 0, got 0.0"),
+    ("gen.gap_split = -30\n", "gen.gap_split must be > 0, got -30.0"),
+], ids=["count_scale_negative", "max_speed_0", "max_speed_negative", "gap_split_0",
+        "gap_split_negative"])
+def test_bad_gen_setting_exits_2_before_output(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_trajgen_with_count_0_writes_empty_tables(tmp_path):
     out = tmp_path / "out"
     argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path), "--out", str(out), "--count", "0"]

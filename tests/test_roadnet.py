@@ -100,35 +100,37 @@ def test_load_reports_line_numbers():
 
 def test_map_match_identity_on_edge():
     net = load_network(NODES_CSV, EDGES_CSV)
-    proj = map_match(net, GeoPoint(50.0, 0.0))
-    assert proj.distance == pytest.approx(0.0, abs=1e-9)
-    assert proj.point.x == pytest.approx(50.0)
-    assert proj.point.y == pytest.approx(0.0)
+    proj = map_match(net, [(50.0, 0.0)])
+    assert proj.distance[0] == pytest.approx(0.0, abs=1e-9)
+    assert proj.point[0, 0] == pytest.approx(50.0)
+    assert proj.point[0, 1] == pytest.approx(0.0)
 
 
 def test_map_match_perpendicular():
     net = RoadNetwork.from_undirected([(0, 0, 0), (1, 2, 0)], [(0, 1, None, 10)])
-    proj = map_match(net, GeoPoint(1.0, 1.0))
-    assert proj.point.x == pytest.approx(1.0)
-    assert proj.point.y == pytest.approx(0.0)
-    assert proj.distance == pytest.approx(1.0)
-    assert proj.offset == pytest.approx(0.5)
-    assert proj.edge_id == 0  # tie with the reversed arc resolves to lowest id
+    proj = map_match(net, [(1.0, 1.0)])
+    assert proj.point[0, 0] == pytest.approx(1.0)
+    assert proj.point[0, 1] == pytest.approx(0.0)
+    assert proj.distance[0] == pytest.approx(1.0)
+    assert proj.offset[0] == pytest.approx(0.5)
+    assert proj.edge_id[0] == 0  # tie with the reversed arc resolves to lowest id
 
 
 def test_map_match_clamps_to_endpoint():
     net = RoadNetwork.from_undirected([(0, 0, 0), (1, 2, 0)], [(0, 1, None, 10)])
-    proj = map_match(net, GeoPoint(3.0, 1.0))
-    assert proj.point.x == pytest.approx(2.0)
-    assert proj.point.y == pytest.approx(0.0)
-    assert proj.offset == pytest.approx(1.0)
-    assert proj.distance == pytest.approx(math.sqrt(2.0))
+    proj = map_match(net, [(3.0, 1.0)])
+    assert proj.point[0, 0] == pytest.approx(2.0)
+    assert proj.point[0, 1] == pytest.approx(0.0)
+    assert proj.offset[0] == pytest.approx(1.0)
+    assert proj.distance[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_map_match_empty_network():
     net = RoadNetwork.from_undirected([(0, 0, 0)], [])
     with pytest.raises(NoEdgesError):
-        map_match(net, GeoPoint(0, 0))
+        map_match(net, [(0.0, 0.0)])
+    with pytest.raises(NoEdgesError):
+        map_match(net, np.empty((0, 2)))
 
 
 def test_map_match_invariants_random():
@@ -138,18 +140,19 @@ def test_map_match_invariants_random():
         if not net.edges:
             continue
         p = GeoPoint(float(rng.uniform(-20, 120)), float(rng.uniform(-20, 120)))
-        proj = map_match(net, p)
-        assert 0.0 <= proj.offset <= 1.0
+        proj = map_match(net, [(p.x, p.y)])
+        offset, distance = float(proj.offset[0]), float(proj.distance[0])
+        assert 0.0 <= offset <= 1.0
         # never farther than any edge endpoint
         endpoints = {e.from_node for e in net.edges} | {e.to_node for e in net.edges}
         for nid in endpoints:
-            assert proj.distance <= p.dist_to(net.nodes[nid].pos) + 1e-9
+            assert distance <= p.dist_to(net.nodes[nid].pos) + 1e-9
         # projected point lies on the segment within 1e-6 m
-        e = net.edges[proj.edge_id]
+        e = net.edges[proj.edge_id[0]]
         a, b = net.nodes[e.from_node].pos, net.nodes[e.to_node].pos
-        ox = a.x + proj.offset * (b.x - a.x)
-        oy = a.y + proj.offset * (b.y - a.y)
-        assert math.hypot(ox - proj.point.x, oy - proj.point.y) < 1e-6
+        ox = a.x + offset * (b.x - a.x)
+        oy = a.y + offset * (b.y - a.y)
+        assert math.hypot(ox - proj.point[0, 0], oy - proj.point[0, 1]) < 1e-6
 
 
 def test_shortest_path_src_equals_dst():

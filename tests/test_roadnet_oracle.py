@@ -1,9 +1,10 @@
 """Fast road queries against the reference implementations, bit for bit.
 
 `shortest_path` (dense-index Dijkstra) must return the same path and length
-as the dict-based search, ties included. `map_match` (bucket index with a
-full-scan fall-back) must return the same arc and the same bits in every
-`Projection` field as the full scan. Networks cover random graphs, lattices
+as the dict-based search, ties included. The array `map_match` (bucket index
+with a full-scan fall-back) must return, in every row of a batch, the same arc
+and the same bits in every `Projection` field as the full scan of that point
+alone. Networks cover random graphs, lattices
 full of equal-length ties, non-contiguous, negative and unsorted node ids,
 multi-arcs, one-way arcs, a single arc and collinear arcs.
 """
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 import reference_roadnet as ref
 
+from vtmigsim import roadnet
 from vtmigsim.roadnet import (
     GeoPoint,
+    NoEdgesError,
     RoadEdge,
     RoadNetwork,
     RoadNode,
@@ -126,6 +129,21 @@ def _bits(proj):
             proj.offset.hex(), proj.distance.hex())
 
 
+def _row_bits(proj, k):
+    return (int(proj.edge_id[k]), float(proj.point[k, 0]).hex(), float(proj.point[k, 1]).hex(),
+            float(proj.offset[k]).hex(), float(proj.distance[k]).hex())
+
+
+def _assert_rows_match_reference(net, pts):
+    """Match `pts` in one batch; each row must equal the full scan of its point alone."""
+    proj = map_match(net, [(p.x, p.y) for p in pts])
+    assert proj.edge_id.shape == proj.offset.shape == proj.distance.shape == (len(pts),)
+    assert proj.point.shape == (len(pts), 2)
+    arrays = ref.segment_arrays(net)
+    for k, p in enumerate(pts):
+        assert _row_bits(proj, k) == _bits(ref.map_match(net, p, arrays)), (k, p)
+
+
 def _queries(net, rng):
     """Nodes, arc midpoints, cell boundaries, outside the bbox, far away, random."""
     pts = [n.pos for n in net.nodes.values()]
@@ -159,10 +177,31 @@ def _queries(net, rng):
 @given(networks(), st.integers(0, 2**32 - 1))
 def test_map_match_matches_full_scan(case, seed):
     net, _ = case
+    _assert_rows_match_reference(net, _queries(net, np.random.default_rng(seed)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the inf query
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_map_match_batches_longer_than_a_block(case, seed, blocks):
+    """In-block hits, fall-backs and duplicates in one batch of several blocks."""
+    net, _ = case
     rng = np.random.default_rng(seed)
-    arrays = ref.segment_arrays(net)
-    for p in _queries(net, rng):
-        assert _bits(map_match(net, p)) == _bits(ref.map_match(net, p, arrays)), p
+    pool = _queries(net, rng)
+    n = blocks * roadnet._BLOCK + int(rng.integers(1, roadnet._BLOCK))
+    pts = [pool[i] for i in rng.integers(0, len(pool), n)]  # many rows repeat a point
+    _assert_rows_match_reference(net, pts)
+
+
+def test_map_match_empty_batch_and_network():
+    net = RoadNetwork.from_undirected([(0, 0.0, 0.0), (1, 3.0, 4.0)], [(0, 1, None, 10.0)])
+    proj = map_match(net, np.empty((0, 2)))
+    assert proj.edge_id.shape == proj.offset.shape == proj.distance.shape == (0,)
+    assert proj.point.shape == (0, 2)
+    empty = RoadNetwork.from_undirected([(0, 0.0, 0.0)], [])
+    for xy in ([(0.0, 0.0)], np.empty((0, 2))):
+        with pytest.raises(NoEdgesError):
+            map_match(empty, xy)
 
 
 @SETTINGS
@@ -203,11 +242,11 @@ def test_map_match_far_points_on_a_large_grid():
     segs = [(k, k + 1, None, 10.0) for k in range(n * n - 1) if (k + 1) % n]
     segs += [(k, k + n, None, 10.0) for k in range(n * n - n)]
     net = RoadNetwork.from_undirected(nodes, segs)
-    arrays = ref.segment_arrays(net)
     rng = np.random.default_rng(4)
-    for x, y in rng.uniform(-400.0, n * spacing + 400.0, (400, 2)):
-        p = GeoPoint(float(x), float(y))
-        assert _bits(map_match(net, p)) == _bits(ref.map_match(net, p, arrays))
+    pts = [GeoPoint(float(x), float(y))
+           for x, y in rng.uniform(-400.0, n * spacing + 400.0, (400, 2))]
     # cell centres of a 200 m block are 100 m from every road
-    for p in (GeoPoint(100.0, 100.0), GeoPoint(2900.0, 3100.0)):
-        assert _bits(map_match(net, p)) == _bits(ref.map_match(net, p, arrays))
+    pts += [GeoPoint(100.0, 100.0), GeoPoint(2900.0, 3100.0)]
+    _assert_rows_match_reference(net, pts)
+    for p in pts[-2:]:
+        _assert_rows_match_reference(net, [p])

@@ -45,6 +45,10 @@ def traj(points, vid=0):
     return Trajectory(vid, [TrajectoryPoint(t, GeoPoint(x, y)) for t, x, y in points])
 
 
+def _xy(t):
+    return [(p.pos.x, p.pos.y) for p in t.points]
+
+
 CFG = GenConfig(delta_t=30.0, bandwidth=50.0, max_speed=60.0, gap_split=300.0)
 
 
@@ -299,10 +303,9 @@ def test_interpolate_collinearity():
 def test_map_to_roads_and_correct():
     net = grid_network()
     t = traj([(0, 3, -4), (30, 203, 6)])
-    matched = map_to_roads(t, net)
-    for p in matched.points:
-        assert map_match(net, p.pos).distance < 1e-6
-    assert map_to_roads(matched, net).points[0].pos == matched.points[0].pos
+    [matched] = map_to_roads([t], net)
+    assert (map_match(net, _xy(matched)).distance < 1e-6).all()
+    assert map_to_roads([matched], net)[0].points[0].pos == matched.points[0].pos
 
 
 # --- full pipeline ---
@@ -320,7 +323,7 @@ def test_generate_dataset_hour_concentration():
     segs = []
     for t in truth:
         segs.extend(clean_and_segment(t, CFG))
-    profile = build_profile([map_to_roads(s, net) for s in segs], CFG)
+    profile = build_profile(map_to_roads(segs, net), CFG)
     out, _ = generate_dataset(profile, net, CFG, 10, np.random.default_rng(1))
     assert len(out) > 0
     assert all(t.start_hour() == 8 for t in out)
@@ -333,7 +336,7 @@ def test_generate_dataset_deterministic():
     segs = []
     for t in truth:
         segs.extend(clean_and_segment(t, CFG))
-    profile = build_profile([map_to_roads(s, net) for s in segs], CFG)
+    profile = build_profile(map_to_roads(segs, net), CFG)
     a, _ = generate_dataset(profile, net, CFG, 20, np.random.default_rng(99))
     b, _ = generate_dataset(profile, net, CFG, 20, np.random.default_rng(99))
     assert len(a) == len(b)
@@ -350,7 +353,7 @@ def test_generated_points_on_roads_and_grid_spaced():
     segs = []
     for t in truth:
         segs.extend(clean_and_segment(t, CFG))
-    profile = build_profile([map_to_roads(s, net) for s in segs], CFG)
+    profile = build_profile(map_to_roads(segs, net), CFG)
     out, _ = generate_dataset(profile, net, CFG, 15, np.random.default_rng(3))
     assert out
     for t in out:
@@ -358,8 +361,7 @@ def test_generated_points_on_roads_and_grid_spaced():
         assert all(b > a for a, b in zip(ts, ts[1:]))
         for a, b in zip(ts[:-1], ts[1:-1] or []):
             assert b - a == pytest.approx(CFG.delta_t)
-        for p in t.points:
-            assert map_match(net, p.pos).distance < 1e-6
+        assert (map_match(net, _xy(t)).distance < 1e-6).all()
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
