@@ -263,8 +263,8 @@ def cmd_eval(args) -> int:
 
     rows: list[list] = []
 
-    def on_slot(ep, slot, v, m):
-        rows.append(envsim.metrics_row(ep, slot, v, m))
+    def on_slot(ep, slot, metrics):
+        rows.extend(envsim.metrics_rows(ep, slot, metrics))
 
     summary = msrl.run_episodes(env, act, args.episodes, args.seed * 1000, on_slot=on_slot)
 

@@ -105,6 +105,8 @@ class EnvConfig:
             raise ValueError("horizon must be >= 1")
         if self.tau < 0 or self.background_mean < 0 or not self.background_unit > 0:
             raise ValueError("tau and background_mean must be >= 0, background_unit > 0")
+        if not self.init_load >= 0:
+            raise ValueError("init_load must be >= 0")
 
 
 # Observation layout per vehicle: [prev action, E RSU loads, error rate,
@@ -112,32 +114,33 @@ class EnvConfig:
 OBS_EXTRA = 5
 
 
-@dataclass
-class SlotMetrics:
-    """Per-vehicle outcome of one slot."""
-
-    action: int
-    serving: int
-    t_up: float
-    t_mig: float
-    t_proc: float
-    t_down: float
-    t_total: float
-    err_rate: float
-    qoe: float
-    reward: float
-    remapped: bool
-    stability: float               # 1.0 when the target RSU was kept
-    contention: float              # 1.0 when another vehicle shares the target
-    t_proc_serving: float = 0.0    # processing branch at the serving RSU
-    t_proc_target: float = 0.0     # processing branch at the pre-migration RSU
+# Per-vehicle outcome of one slot: one record per vehicle, one field per column.
+SLOT_METRICS = np.dtype([
+    ("action", int),
+    ("serving", int),
+    ("t_up", float),
+    ("t_mig", float),
+    ("t_proc", float),
+    ("t_down", float),
+    ("t_total", float),
+    ("err_rate", float),
+    ("qoe", float),
+    ("reward", float),
+    ("remapped", bool),
+    ("stability", float),          # 1.0 when the target RSU was kept
+    ("contention", float),         # 1.0 when another vehicle shares the target
+    ("t_proc_serving", float),     # processing branch at the serving RSU
+    ("t_proc_target", float),      # processing branch at the pre-migration RSU
+])
 
 
 @dataclass
 class StepResult:
+    """One slot's outcome. The metrics' fields read as (V,) columns
+    (`metrics.t_total`), their elements as per-vehicle records (`metrics[v].t_total`)."""
+
     observations: np.ndarray       # (V, obs_dim), one row per vehicle
-    rewards: np.ndarray
-    metrics: list[SlotMetrics]
+    metrics: np.recarray           # (V,) SLOT_METRICS records, one per vehicle
     done: bool
 
 
@@ -180,7 +183,7 @@ class PremigrationEnv:
                 raise ValueError(f"vehicle {v.id} has an empty trajectory")
             if not v.trajectory.is_monotone():
                 raise ValueError(f"vehicle {v.id} trajectory timestamps not strictly increasing")
-        self._rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
+        self.rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
         rsu = np.array([[r.max_load, r.compute, r.bw_up, r.bw_down, r.noise_power] for r in rsus])
         self._max_load, self._compute, self._bw_up, self._bw_down, self._noise = rsu.T.astype(float)
         veh = np.array([[v.cycles_per_bit, v.tx_power, v.request_bits] for v in vehicles])
@@ -224,14 +227,17 @@ class PremigrationEnv:
             out[inside, v] = xy[i] + u[:, None] * (xy[i + 1] - xy[i])
         return out
 
+    def rsu_distances(self, xy: np.ndarray) -> np.ndarray:
+        """(..., E) distances from each (x, y) on the last axis of `xy` to every RSU."""
+        return np.hypot(self.rsu_xy[:, 0] - xy[..., :1], self.rsu_xy[:, 1] - xy[..., 1:])
+
     def nearest_rsu(self, xy: np.ndarray) -> np.ndarray:
         """Nearest RSU to each (x, y) on the last axis of `xy`; ties resolve to the lowest id."""
-        d = np.hypot(self._rsu_xy[:, 0] - xy[..., :1], self._rsu_xy[:, 1] - xy[..., 1:])
-        return np.argmin(d, axis=-1)
+        return np.argmin(self.rsu_distances(xy), axis=-1)
 
     def distance(self, e, x, y) -> np.ndarray:
         """Distance from (x, y) to RSU e, clamped to 1 m for co-located pairs."""
-        return np.maximum(1.0, _hypot(x - self._rsu_xy[e, 0], y - self._rsu_xy[e, 1]))
+        return np.maximum(1.0, _hypot(x - self.rsu_xy[e, 0], y - self.rsu_xy[e, 1]))
 
     def channel_gain(self, e, x, y) -> np.ndarray:
         """Distance-law gain h = A * (c / (4 pi f d))^2."""
@@ -342,13 +348,13 @@ class PremigrationEnv:
         warm = copy.copy(self)
         warm._rng = copy.deepcopy(self._rng)
         warm_rng = np.random.default_rng([seed, 0xCA11])
-        samples: list[float] = []
+        samples = []
         for _ in range(self.cfg.warmup_slots):
             result = warm.step(warm_rng.integers(0, self.E, size=self.V))
-            samples.extend(m.t_total for m in result.metrics)
+            samples.append(result.metrics.t_total)
             if result.done:
                 break
-        scale = float(np.percentile(samples, 99.0)) if samples else 1.0
+        scale = float(np.percentile(np.concatenate(samples), 99.0))
         return scale if scale > 0 else 1.0
 
     def _observations(self, last: Optional[tuple]) -> np.ndarray:
@@ -444,8 +450,10 @@ class PremigrationEnv:
         columns = (
             final_action, serving, t_up, t_mig, t_proc, t_down, t_total, err, q, rewards,
             remapped, stability, contention, t_proc_s, t_proc_t,
-        )  # SlotMetrics field order
-        metrics = list(map(SlotMetrics, *(c.tolist() for c in columns)))
+        )  # SLOT_METRICS field order
+        metrics = np.empty(self.V, SLOT_METRICS)
+        for name, column in zip(SLOT_METRICS.names, columns):
+            metrics[name] = column
 
         # Queue dynamics: drain at capacity, add this slot's work and random
         # background arrivals, clamp into [0, max_load].
@@ -464,7 +472,7 @@ class PremigrationEnv:
         self.t = t + 1
         done = self.t >= cfg.horizon
         observations = self._observations((final_action, err, stability, contention, t_total))
-        return StepResult(observations, rewards, metrics, done)
+        return StepResult(observations, metrics.view(np.recarray), done)
 
 
 METRICS_HEADER = [
@@ -473,25 +481,26 @@ METRICS_HEADER = [
 ]
 
 
-def metrics_row(episode: int, slot: int, vehicle: int, m: SlotMetrics) -> list:
+def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
+    """A slot's METRICS_HEADER rows, one per vehicle in id order: the metrics
+    fields from `action` to `remapped`."""
     return [
-        episode, slot, vehicle, m.action, m.serving,
-        f"{m.t_up:.9g}", f"{m.t_mig:.9g}", f"{m.t_proc:.9g}", f"{m.t_down:.9g}",
-        f"{m.t_total:.9g}", f"{m.err_rate:.9g}", f"{m.qoe:.9g}", f"{m.reward:.9g}",
-        int(m.remapped),
+        [episode, slot, v, action, serving, *(f"{x:.9g}" for x in floats), int(remapped)]
+        for v, (action, serving, *floats, remapped, _, _, _, _) in enumerate(metrics.tolist())
     ]
 
 
 # --- scenario config interface ---
 
-def _indexed_float(cfg, section: str, i: int, name: str, default=None, positive=False) -> float:
-    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>; with
-    `positive`, a value <= 0 is a config error that names the key read."""
+def _indexed_float(cfg, section: str, i: int, name: str, default=None, bound="") -> float:
+    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>. With
+    `bound` ">" or ">=", a value that fails `value <bound> 0` is a config error
+    that names the key read."""
     specific = f"{section}.{i}.{name}"
     key = specific if specific in cfg else f"{section}.{name}"
     value = get_float(cfg, key, default)
-    if positive and not value > 0:
-        raise ConfigError(f"key {key!r} must be > 0, got {cfg[key]!r}")
+    if bound and not (value > 0 if bound == ">" else value >= 0):
+        raise ConfigError(f"key {key!r} must be {bound} 0, got {cfg[key]!r}")
     return value
 
 
@@ -518,11 +527,11 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
             RsuSpec(
                 id=i,
                 pos=GeoPoint(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")),
-                compute=_indexed_float(cfg, "rsu", i, "compute"),
+                compute=_indexed_float(cfg, "rsu", i, "compute", bound=">"),
                 max_load=_indexed_float(cfg, "rsu", i, "max_load"),
-                bw_up=_indexed_float(cfg, "rsu", i, "bw_up", positive=True),
-                bw_down=_indexed_float(cfg, "rsu", i, "bw_down", positive=True),
-                noise_power=_indexed_float(cfg, "rsu", i, "noise", positive=True),
+                bw_up=_indexed_float(cfg, "rsu", i, "bw_up", bound=">"),
+                bw_down=_indexed_float(cfg, "rsu", i, "bw_down", bound=">"),
+                noise_power=_indexed_float(cfg, "rsu", i, "noise", bound=">"),
                 backhaul=backhaul,
             )
         )
@@ -537,14 +546,14 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
 
     vehicles = []
     for i in range(n_veh):
-        result_bits = _indexed_float(cfg, "veh", i, "result_bits", 0.0)
+        result_bits = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">=")
         vehicles.append(
             VehicleSpec(
                 id=i,
-                tx_power=_indexed_float(cfg, "veh", i, "power", positive=True),
-                cycles_per_bit=_indexed_float(cfg, "veh", i, "cycles_per_bit"),
-                task_bits=np.array([_indexed_float(cfg, "veh", i, "task_bits")]),
-                request_bits=_indexed_float(cfg, "veh", i, "request_bits", 0.0),
+                tx_power=_indexed_float(cfg, "veh", i, "power", bound=">"),
+                cycles_per_bit=_indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">="),
+                task_bits=np.array([_indexed_float(cfg, "veh", i, "task_bits", bound=">=")]),
+                request_bits=_indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">="),
                 result_bits=np.full(n_rsu, result_bits),
                 trajectory=trajectories[i % len(trajectories)],
             )

@@ -179,7 +179,9 @@ class RolloutBuffer:
     entropies: np.ndarray         # (T, V) client-path entropies
     model_used: np.ndarray        # (T, V) 0 client / 1 server
     dual: np.ndarray              # (T, V) bool
-    metrics: list                 # per-slot list of per-agent SlotMetrics
+    qoe: np.ndarray               # (T, V)
+    t_total: np.ndarray           # (T, V) total latency
+    err_rate: np.ndarray          # (T, V)
     qhat: Optional[np.ndarray] = None
     adv: Optional[np.ndarray] = None
 
@@ -337,13 +339,13 @@ def collect_episode(
         )
         actions = sample_actions(probs, action_rng.random(len(obs)))
         result = env.step(actions)
+        m = result.metrics
         records.append((
             obs, actions, log_prob(probs, actions), log_prob(client_probs, actions), probs,
-            result.rewards, entropy, model, dual, result.metrics,
+            m.reward, entropy, model, dual, m.qoe, m.t_total, m.err_rate,
         ))
         obs, done = result.observations, result.done
-    *arrays, metrics = zip(*records)
-    return RolloutBuffer(*map(np.array, arrays), list(metrics))
+    return RolloutBuffer(*map(np.array, zip(*records)))
 
 
 # --- update phase ---
@@ -442,7 +444,6 @@ def report_row(s: EpisodeStats) -> list:
 
 
 def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) -> EpisodeStats:
-    flat = [m for slot in buffer.metrics for m in slot]
     active = bundle.actor.path_params[buffer.model_used]
     switches = int(np.count_nonzero(buffer.model_used[1:] != buffer.model_used[:-1]))
     thr = (
@@ -453,9 +454,9 @@ def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) ->
     return EpisodeStats(
         episode=episode,
         mean_reward=float(buffer.rewards.mean()),
-        mean_qoe=float(np.mean([m.qoe for m in flat])),
-        mean_latency=float(np.mean([m.t_total for m in flat])),
-        mean_err=float(np.mean([m.err_rate for m in flat])),
+        mean_qoe=float(buffer.qoe.mean()),
+        mean_latency=float(buffer.t_total.mean()),
+        mean_err=float(buffer.err_rate.mean()),
         active_params=float(active.mean()),
         server_ratio=float(buffer.model_used.mean()),
         switches=switches,
@@ -552,33 +553,24 @@ def run_episodes(
     on_slot: Optional[Callable] = None,
 ) -> EvalSummary:
     """Greedy/no-learning rollouts. Once per slot, act_fn(obs (V, O), slot)
-    returns every vehicle's (actions (V,) int, active params (V,));
-    on_slot(episode, slot, vehicle, metrics) runs per vehicle in id order."""
-    rewards, qoes, lats, errs, active = [], [], [], [], []
+    returns every vehicle's (actions (V,) int, active params (V,)), and
+    on_slot(episode, slot, metrics) receives the slot's (V,) metrics records.
+    Each mean runs over its column's slots in order, vehicles in id order."""
+    columns = []  # per slot (reward, qoe, t_total, err_rate, active params): EvalSummary order
     for ep in range(episodes):
         obs = env.reset(seed_base + ep)
         done = False
         slot = 0
         while not done:
             actions, n_active = act_fn(obs, slot)
-            active.append(n_active)
             result = env.step(actions)
-            rewards.extend(result.rewards.tolist())
-            for v, m in enumerate(result.metrics):
-                qoes.append(m.qoe)
-                lats.append(m.t_total)
-                errs.append(m.err_rate)
-                if on_slot is not None:
-                    on_slot(ep, slot, v, m)
+            m = result.metrics
+            columns.append((m.reward, m.qoe, m.t_total, m.err_rate, n_active))
+            if on_slot is not None:
+                on_slot(ep, slot, m)
             obs, done = result.observations, result.done
             slot += 1
-    return EvalSummary(
-        mean_reward=float(np.mean(rewards)),
-        mean_qoe=float(np.mean(qoes)),
-        mean_latency=float(np.mean(lats)),
-        mean_err=float(np.mean(errs)),
-        mean_active_params=float(np.mean(np.concatenate(active))),
-    )
+    return EvalSummary(*(float(np.concatenate(c).mean()) for c in zip(*columns)))
 
 
 def greedy_act_fn(

@@ -40,10 +40,9 @@ def env_overrides(kind: str) -> dict[str, str]:
 
 def nearby_radius(env: PremigrationEnv) -> float:
     """Twice the mean nearest-neighbour spacing between RSUs."""
-    xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
-    if len(xy) < 2:
+    if env.E < 2:
         return float("inf")
-    d = np.hypot(xy[:, 0] - xy[:, :1], xy[:, 1] - xy[:, 1:])  # d[i, j]: RSU i to RSU j
+    d = env.rsu_distances(env.rsu_xy)  # d[i, j]: RSU i to RSU j
     np.fill_diagonal(d, np.inf)
     return 2.0 * float(np.mean(d.min(axis=1)))
 
@@ -72,11 +71,8 @@ def make_act_fn(
     if kind == RANDOM_MIGRATION:
         if rng is None:
             raise ValueError("random migration needs an RNG")
-        radius = nearby_radius(env)
-        rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
         # (horizon, V, E): the RSUs within the radius of each vehicle per slot.
-        xy = env.xy
-        nearby = np.hypot(rsu_xy[:, 0] - xy[..., :1], rsu_xy[:, 1] - xy[..., 1:]) <= radius
+        nearby = env.rsu_distances(env.xy) <= nearby_radius(env)
         # A vehicle with no RSU nearby draws among all of them.
         pool = nearby | ~nearby.any(axis=2, keepdims=True)
         counts = pool.sum(axis=2)

@@ -4,7 +4,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv, RsuSpec, VehicleSpec
+from vtmigsim.configio import load_kv
+from vtmigsim.envsim import (
+    ChannelParams,
+    EnvConfig,
+    PremigrationEnv,
+    RsuSpec,
+    VehicleSpec,
+    build_env,
+)
 from vtmigsim.roadnet import GeoPoint, RoadNetwork
 from vtmigsim.trajgen import Trajectory, TrajectoryPoint
 
@@ -129,6 +137,24 @@ def write_cli_scenario(directory, n_vehicles=len(CLI_TRACKS)):
     path = directory / f"scenario_v{n_vehicles}.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()), encoding="utf-8")
     return str(path)
+
+
+def corner_env():
+    """Four RSUs on a 1 km square (nearby radius 2 km) and four vehicles with
+    4, 1, 0 and 2 RSUs nearby at the start; the one with none picks among all."""
+    tracks = [
+        line_trajectory(0, 400.0, 300.0, 3.0, 2.0),
+        line_trajectory(1, -1200.0, -1200.0, 0.5, 0.0),
+        line_trajectory(2, 5000.0, 5000.0, 1.0, 1.0),
+        line_trajectory(3, -1000.0, 500.0, 0.0, 1.0),
+    ]
+    return make_env(n_rsu=4, n_veh=4, horizon=20, trajectories=tracks, max_load=2e9,
+                    warmup_slots=3, background_mean=0.3)
+
+
+def cli_env(tmp_path):
+    """The CLI scenario of `write_cli_scenario`, built in place."""
+    return build_env(load_kv(write_cli_scenario(tmp_path)))
 
 
 def write_train_cfg(directory, shared_critic, minibatch=4):

@@ -184,7 +184,7 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
     V = bundle.actor.agents
     store = {k: [] for k in (
         "obs", "actions", "logp", "logp_client", "probs", "rewards",
-        "entropy", "model", "dual", "metrics",
+        "entropy", "model", "dual", "qoe", "t_total", "err_rate",
     )}
     done = False
     while not done:
@@ -219,11 +219,12 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
         store["logp"].append(logp)
         store["logp_client"].append(logp_client)
         store["probs"].append(probs)
-        store["rewards"].append(result.rewards.copy())
+        store["rewards"].append(result.metrics.reward.copy())
         store["entropy"].append(entropy)
         store["model"].append(model)
         store["dual"].append(dual)
-        store["metrics"].append(result.metrics)
+        for name in ("qoe", "t_total", "err_rate"):
+            store[name].append(result.metrics[name].copy())
         obs_list = result.observations
         done = result.done
     return RolloutBuffer(
@@ -236,7 +237,9 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
         entropies=np.array(store["entropy"]),
         model_used=np.array(store["model"]),
         dual=np.array(store["dual"]),
-        metrics=store["metrics"],
+        qoe=np.array(store["qoe"]),
+        t_total=np.array(store["t_total"]),
+        err_rate=np.array(store["err_rate"]),
     )
 
 

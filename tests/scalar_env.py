@@ -4,15 +4,39 @@ This is the per-vehicle, per-slot implementation that `PremigrationEnv.step`
 replaced with per-slot tables and array expressions. It is kept, unchanged in
 its arithmetic, as the oracle the array-native env must match bit for bit:
 same operations on the same doubles in the same order, with Python's `math`
-kernels for every transcendental.
+kernels for every transcendental. Its step returns a `StepResult` whose
+metrics are a list of per-vehicle `SlotMetrics` objects, where the env's are
+one record array.
 """
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from vtmigsim.envsim import OBS_EXTRA, SlotMetrics, StepResult
+from vtmigsim.envsim import OBS_EXTRA, StepResult
+
+
+@dataclass
+class SlotMetrics:
+    """Per-vehicle outcome of one slot, in `envsim.SLOT_METRICS` field order."""
+
+    action: int
+    serving: int
+    t_up: float
+    t_mig: float
+    t_proc: float
+    t_down: float
+    t_total: float
+    err_rate: float
+    qoe: float
+    reward: float
+    remapped: bool
+    stability: float               # 1.0 when the target RSU was kept
+    contention: float              # 1.0 when another vehicle shares the target
+    t_proc_serving: float = 0.0    # processing branch at the serving RSU
+    t_proc_target: float = 0.0     # processing branch at the pre-migration RSU
 
 
 class ScalarEnv:
@@ -197,7 +221,6 @@ class ScalarEnv:
             err[v] = 1.0 - math.exp(-self.cfg.tau * float(sum(others)))
 
         metrics = []
-        rewards = np.zeros(self.V)
         for v in range(self.V):
             e_s, e_t = int(serving[v]), int(final_action[v])
             f_v = self.vehicles[v].cycles_per_bit
@@ -209,7 +232,6 @@ class ScalarEnv:
             t_total = t_up + t_proc + t_down
             q = -self.cfg.lambda1 * err[v] - self.cfg.lambda2 * t_total
             reward = q if self.cfg.reward_mode == "qoe" else -t_total
-            rewards[v] = reward
             metrics.append(SlotMetrics(
                 action=e_t, serving=e_s, t_up=t_up, t_mig=t_mig, t_proc=t_proc,
                 t_down=t_down, t_total=t_total, err_rate=err[v], qoe=q, reward=reward,
@@ -233,4 +255,4 @@ class ScalarEnv:
         self.t = t + 1
         done = self.t >= self.cfg.horizon
         observations = [self._observation(v) for v in range(self.V)]
-        return StepResult(observations, rewards, metrics, done)
+        return StepResult(observations, metrics, done)

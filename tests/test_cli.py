@@ -156,13 +156,24 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("rsu.bw_down = 0", "", "key 'rsu.bw_down' must be > 0"),
     ("rsu.noise = 0", "", "key 'rsu.noise' must be > 0"),
     ("rsu.1.noise = -1e-11", "", "key 'rsu.1.noise' must be > 0"),
+    ("env.init_load = -1e10", "", "init_load must be >= 0"),
+    ("rsu.compute = 0", "", "key 'rsu.compute' must be > 0"),
+    ("rsu.compute = -1e10", "", "key 'rsu.compute' must be > 0"),
+    ("rsu.2.compute = 0", "", "key 'rsu.2.compute' must be > 0"),
+    ("veh.cycles_per_bit = -100", "", "key 'veh.cycles_per_bit' must be >= 0"),
+    ("veh.request_bits = -1e5", "", "key 'veh.request_bits' must be >= 0"),
+    ("veh.result_bits = -2e5", "", "key 'veh.result_bits' must be >= 0"),
+    ("veh.task_bits = -2e6", "", "key 'veh.task_bits' must be >= 0"),
+    ("veh.1.task_bits = -2e6", "", "key 'veh.1.task_bits' must be >= 0"),
     ("channel.gain = 0", "", "channel.gain must be > 0"),
     ("channel.carrier = -2.4e9", "", "channel.carrier must be > 0"),
     ("channel.light_speed = 0", "", "channel.light_speed must be > 0"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
         "one_max_load_negative", "power_0", "one_power_negative", "bw_up_0", "bw_down_0",
-        "noise_0", "one_noise_negative", "gain_0", "carrier_negative", "light_speed_0"])
+        "noise_0", "one_noise_negative", "init_load_negative", "compute_0", "compute_negative",
+        "one_compute_0", "cycles_per_bit_negative", "request_bits_negative",
+        "result_bits_negative", "task_bits_negative", "one_task_bits_negative", "gain_0", "carrier_negative", "light_speed_0"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)

@@ -316,7 +316,7 @@ def test_infeasible_action_remapped_to_serving():
     env.reset(0)
     result = env.step([1])
     m = result.metrics[0]
-    assert m.remapped is True
+    assert bool(m.remapped) is True
     assert m.action == m.serving == 0
 
 

@@ -80,7 +80,9 @@ def random_buffer(T, V, model, dual, seed, n_actions=A):
         entropies=np.zeros((T, V)),
         model_used=model,
         dual=dual,
-        metrics=[],
+        qoe=np.zeros((T, V)),
+        t_total=np.zeros((T, V)),
+        err_rate=np.zeros((T, V)),
     )
     buffer.qhat = rng.normal(size=(T, V))
     buffer.adv = rng.normal(size=(T, V))
@@ -184,10 +186,9 @@ def test_collect_episode_matches_reference_field_by_field(mode, seed):
             env, ref_bundle, mode, np.random.default_rng([seed, 2, episode]), episode
         )
         for field in ("obs", "actions", "logp_old", "logp_old_client", "probs_old", "rewards",
-                      "entropies", "model_used", "dual"):
+                      "entropies", "model_used", "dual", "qoe", "t_total", "err_rate"):
             g, w = getattr(got, field), getattr(want, field)
             assert g.dtype == w.dtype and np.array_equal(g, w), field
-        assert got.metrics == want.metrics
         assert controller_state(bundle) == controller_state(ref_bundle)
     if mode == "split":
         assert 0 < got.model_used.mean() < 1

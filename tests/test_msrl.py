@@ -38,7 +38,9 @@ def random_buffer(seed=0):
         entropies=zeros,
         model_used=zeros.astype(int),
         dual=zeros.astype(bool),
-        metrics=[],
+        qoe=zeros,
+        t_total=zeros,
+        err_rate=zeros,
     )
 
 

@@ -7,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_policies as ref
-from helpers import line_trajectory, make_env, write_cli_scenario
+from helpers import cli_env, corner_env, make_env
 from vtmigsim import envsim, msrl
-from vtmigsim.configio import load_kv
 from vtmigsim.policies import (
     FULL_MIGRATION,
     KINDS,
@@ -38,23 +37,6 @@ def test_heuristics_read_serving_and_radius_per_slot():
             assert d[rand_actions[v]] <= radius or np.all(d > radius)
 
 
-def corner_env():
-    """Four RSUs on a 1 km square (nearby radius 2 km) and four vehicles with
-    4, 1, 0 and 2 RSUs nearby at the start; the one with none picks among all."""
-    tracks = [
-        line_trajectory(0, 400.0, 300.0, 3.0, 2.0),
-        line_trajectory(1, -1200.0, -1200.0, 0.5, 0.0),
-        line_trajectory(2, 5000.0, 5000.0, 1.0, 1.0),
-        line_trajectory(3, -1000.0, 500.0, 0.0, 1.0),
-    ]
-    return make_env(n_rsu=4, n_veh=4, horizon=20, trajectories=tracks, max_load=2e9,
-                    warmup_slots=3, background_mean=0.3)
-
-
-def cli_env(tmp_path):
-    return envsim.build_env(load_kv(write_cli_scenario(tmp_path)))
-
-
 def nearby_counts(env):
     rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
     d = np.hypot(rsu_xy[:, 0] - env.xy[..., :1], rsu_xy[:, 1] - env.xy[..., 1:])
@@ -70,8 +52,8 @@ def run_recorded(env, act, episodes, seed_base):
         slots.append((np.array(actions), np.array(params)))
         return actions, params
 
-    def on_slot(ep, slot, v, m):
-        rows.append(envsim.metrics_row(ep, slot, v, m))
+    def on_slot(ep, slot, metrics):
+        rows.extend(envsim.metrics_rows(ep, slot, metrics))
 
     return msrl.run_episodes(env, recording, episodes, seed_base, on_slot), slots, rows
 
