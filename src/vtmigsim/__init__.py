@@ -16,7 +16,6 @@ from .trajgen import (
     KdeModel,
     MobilityProfile,
     Trajectory,
-    TrajectoryPoint,
     build_profile,
     clean_and_segment,
     generate_dataset,
@@ -37,7 +36,7 @@ from .msrl import PolicyBundle, SwitchController, TrainConfig, train
 __all__ = [
     "GeoPoint", "Projection", "RoadEdge", "RoadNetwork", "RoadNode",
     "load_network", "map_match", "shortest_path",
-    "GenConfig", "KdeModel", "MobilityProfile", "Trajectory", "TrajectoryPoint",
+    "GenConfig", "KdeModel", "MobilityProfile", "Trajectory",
     "build_profile", "clean_and_segment", "generate_dataset", "interpolate",
     "ChannelParams", "EnvConfig", "PremigrationEnv", "RsuSpec", "StepResult",
     "VehicleSpec", "build_env",

@@ -104,9 +104,8 @@ def cmd_trajgen(args) -> int:
         ([cx, cy, count] for (cx, cy), count in sorted(grid.items())),
     )
 
-    hours = np.zeros(trajgen.HOURS, dtype=int)
-    for traj in generated:
-        hours[traj.start_hour()] += 1
+    starts = [traj.t[0] for traj in generated]
+    hours = np.bincount(trajgen.hour_of(starts), minlength=trajgen.HOURS)
     write_table(
         os.path.join(args.out, "hourly_histogram.csv"), ["hour", "count", "profile_weight"],
         ([h, int(hours[h]), f"{profile.hour_histogram[h]:.9g}"] for h in range(trajgen.HOURS)),
@@ -114,7 +113,7 @@ def cmd_trajgen(args) -> int:
 
     print(
         f"trajgen: {len(generated)} trajectories "
-        f"({sum(len(t.points) for t in generated)} points), {skipped} skipped"
+        f"({sum(len(t.t) for t in generated)} points), {skipped} skipped"
     )
     return EXIT_OK
 

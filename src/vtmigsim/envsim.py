@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .configio import KEY, ConfigError, get_float, get_int, get_str, read_config
-from .roadnet import GeoPoint
+from .roadnet import GeoPoint, elementwise, hypot
 from .trajgen import Trajectory, read_trajectories_csv
 
 
@@ -29,15 +29,7 @@ class ActionError(ValueError):
     """An action was outside 0..E-1."""
 
 
-def _elementwise(kernel, nin: int):
-    """Python's scalar `math` kernel applied element-wise to broadcast arrays, as float64."""
-    ufunc = np.frompyfunc(kernel, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-_hypot, _pow, _log2, _exp = (
-    _elementwise(f, n) for f, n in ((math.hypot, 2), (math.pow, 2), (math.log2, 1), (math.exp, 1))
-)
+_pow, _log2, _exp = (elementwise(f, n) for f, n in ((math.pow, 2), (math.log2, 1), (math.exp, 1)))
 
 
 @dataclass(frozen=True)
@@ -107,6 +99,10 @@ class EnvConfig:
             raise ValueError("tau and background_mean must be >= 0, background_unit > 0")
         if not self.init_load >= 0:
             raise ValueError("init_load must be >= 0")
+        if not self.slot_seconds > 0:
+            raise ValueError(f"env.slot_seconds must be > 0, got {self.slot_seconds!r}")
+        if self.warmup_slots < 0:
+            raise ValueError(f"env.warmup_slots must be >= 0, got {self.warmup_slots!r}")
 
 
 # Observation layout per vehicle: [prev action, E RSU loads, error rate,
@@ -178,11 +174,12 @@ class PremigrationEnv:
         self.E = len(self.rsus)
         self.V = len(self.vehicles)
         self.obs_dim = self.E + OBS_EXTRA
-        for v in self.vehicles:
-            if not v.trajectory.points:
-                raise ValueError(f"vehicle {v.id} has an empty trajectory")
-            if not v.trajectory.is_monotone():
-                raise ValueError(f"vehicle {v.id} trajectory timestamps not strictly increasing")
+        for traj in (v.trajectory for v in self.vehicles):
+            if not len(traj.t):
+                raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} is empty")
+            if not (np.diff(traj.t) > 0).all():
+                raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} has timestamps "
+                                 "that are not strictly increasing")
         self.rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
         rsu = np.array([[r.max_load, r.compute, r.bw_up, r.bw_down, r.noise_power] for r in rsus])
         self._max_load, self._compute, self._bw_up, self._bw_down, self._noise = rsu.T.astype(float)
@@ -217,8 +214,7 @@ class PremigrationEnv:
         """
         out = np.empty((len(slots), self.V, 2))
         for v, spec in enumerate(self.vehicles):
-            ts = np.array([p.t for p in spec.trajectory.points])
-            xy = np.array([[p.pos.x, p.pos.y] for p in spec.trajectory.points])
+            ts, xy = spec.trajectory.t, spec.trajectory.xy
             t = ts[0] + slots * self.cfg.slot_seconds
             out[:, v] = np.where(t[:, None] <= ts[0], xy[0], xy[-1])
             inside = (t > ts[0]) & (t < ts[-1])
@@ -237,7 +233,7 @@ class PremigrationEnv:
 
     def distance(self, e, x, y) -> np.ndarray:
         """Distance from (x, y) to RSU e, clamped to 1 m for co-located pairs."""
-        return np.maximum(1.0, _hypot(x - self.rsu_xy[e, 0], y - self.rsu_xy[e, 1]))
+        return np.maximum(1.0, hypot(x - self.rsu_xy[e, 0], y - self.rsu_xy[e, 1]))
 
     def channel_gain(self, e, x, y) -> np.ndarray:
         """Distance-law gain h = A * (c / (4 pi f d))^2."""
@@ -492,16 +488,20 @@ def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
 
 # --- scenario config interface ---
 
-def _indexed_float(cfg, section: str, i: int, name: str, default=None, bound="") -> float:
-    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>. With
-    `bound` ">" or ">=", a value that fails `value <bound> 0` is a config error
-    that names the key read."""
-    specific = f"{section}.{i}.{name}"
-    key = specific if specific in cfg else f"{section}.{name}"
+def _bounded_float(cfg, key: str, default=None, bound="") -> float:
+    """Float `key`. With `bound` ">" or ">=", a value that fails `value <bound> 0`
+    is a config error that names the key."""
     value = get_float(cfg, key, default)
     if bound and not (value > 0 if bound == ">" else value >= 0):
         raise ConfigError(f"key {key!r} must be {bound} 0, got {cfg[key]!r}")
     return value
+
+
+def _indexed_float(cfg, section: str, i: int, name: str, default=None, bound="") -> float:
+    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>,
+    checked as `_bounded_float` checks it."""
+    specific = f"{section}.{i}.{name}"
+    return _bounded_float(cfg, specific if specific in cfg else f"{section}.{name}", default, bound)
 
 
 def build_env(cfg: dict[str, str]) -> PremigrationEnv:
@@ -522,7 +522,7 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
             keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
             key = next((k for k in keys if k in cfg), None)  # first set, in this order
             if i != j and key is not None:
-                backhaul[j] = get_float(cfg, key)
+                backhaul[j] = _bounded_float(cfg, key, bound=">")
         rsus.append(
             RsuSpec(
                 id=i,

@@ -43,6 +43,17 @@ class UnreachableError(RoadNetworkError):
     """No path exists between the requested nodes."""
 
 
+def elementwise(kernel, nin: int):
+    """Python's scalar `math` kernel applied element-wise to broadcast arrays, as float64."""
+    ufunc = np.frompyfunc(kernel, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+# Planar distances over arrays with GeoPoint.dist_to's bits: np.hypot rounds
+# differently on some inputs.
+hypot = elementwise(math.hypot, 2)
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """Planar position in meters."""

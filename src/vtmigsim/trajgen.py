@@ -5,7 +5,8 @@ profile (hour-of-day weights, per-hour speeds, per-hour entry/exit density
 models), then generate new trajectories by sampling entry/exit points,
 routing them through the network, timing the path from empirical speeds,
 densifying with fixed-interval linear interpolation, and snapping the result
-back onto the roads.
+back onto the roads. Every stage reads and writes whole trajectory columns;
+a distance between track points is `math.hypot`'s, as `GeoPoint.dist_to` gives.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .configio import KEY
-from .roadnet import GeoPoint, RoadNetwork, UnreachableError, map_match, shortest_path
-from .roadnet import csv_rows, parse_num
+from .roadnet import RoadNetwork, UnreachableError, csv_rows, hypot, map_match, parse_num
+from .roadnet import shortest_path
 
 HOURS = 24
 _SECONDS_PER_HOUR = 3600.0
@@ -33,33 +34,30 @@ class RouteError(ValueError):
     """Raised when no road route connects a sampled entry/exit pair."""
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
-    t: float                      # seconds since epoch
-    pos: GeoPoint
-
-
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Timestamped position sequence for one vehicle.
+    """Timestamped positions of one vehicle as columns, one row per point:
+    `t` (N,) seconds since epoch and `xy` (N, 2) planar meters, both float64.
 
     Valid trajectories have strictly increasing timestamps; raw GPS input may
     violate that until it passes through clean_and_segment.
     """
 
     vehicle_id: int
-    points: list[TrajectoryPoint]
+    t: np.ndarray
+    xy: np.ndarray
 
-    def is_monotone(self) -> bool:
-        return all(b.t > a.t for a, b in zip(self.points, self.points[1:]))
+    def __post_init__(self) -> None:
+        self.t = np.asarray(self.t, dtype=float)
+        self.xy = np.asarray(self.xy, dtype=float).reshape(-1, 2)
+        if self.t.shape != (len(self.xy),):
+            raise ValueError(f"{self.t.shape} times for {len(self.xy)} positions")
 
-    def start_hour(self) -> int:
-        return hour_of(self.points[0].t)
 
-
-def hour_of(t: float) -> int:
-    """Local hour-of-day bucket of an epoch timestamp."""
-    return int(t // _SECONDS_PER_HOUR) % HOURS
+def hour_of(t) -> np.ndarray:
+    """Local hour-of-day buckets of epoch timestamps, int(t // 3600) % 24 each:
+    numpy's float // and % round as Python's do."""
+    return (np.asarray(t, dtype=float) // _SECONDS_PER_HOUR % HOURS).astype(int)
 
 
 class KdeModel:
@@ -130,76 +128,72 @@ def clean_and_segment(raw: Trajectory, cfg: GenConfig) -> list[Trajectory]:
     cfg.max_speed. Segments split where the gap between kept points exceeds
     cfg.gap_split; segments with fewer than 2 points are discarded.
     """
-    if not raw.points:
+    if not len(raw.t):
         raise ValueError("raw trajectory is empty")
-    kept: list[TrajectoryPoint] = []
-    for p in raw.points:
-        if kept:
-            dt = p.t - kept[-1].t
-            if dt <= 0:
-                continue
-            if kept[-1].pos.dist_to(p.pos) / dt > cfg.max_speed:
-                continue
-        kept.append(p)
-
-    segments: list[Trajectory] = []
-    current: list[TrajectoryPoint] = []
-    for p in kept:
-        if current and p.t - current[-1].t > cfg.gap_split:
-            if len(current) >= 2:
-                segments.append(Trajectory(raw.vehicle_id, current))
-            current = []
-        current.append(p)
-    if len(current) >= 2:
-        segments.append(Trajectory(raw.vehicle_id, current))
-    return segments
+    # Sequential by definition: each point is judged against the last kept one.
+    ts, pos = raw.t.tolist(), raw.xy.tolist()
+    keep = [0]
+    for i in range(1, len(ts)):
+        k = keep[-1]
+        dt = ts[i] - ts[k]
+        (xk, yk), (xi, yi) = pos[k], pos[i]
+        if dt <= 0 or math.hypot(xk - xi, yk - yi) / dt > cfg.max_speed:
+            continue
+        keep.append(i)
+    t, xy = raw.t[keep], raw.xy[keep]
+    cuts = np.flatnonzero(np.diff(t) > cfg.gap_split) + 1
+    return [Trajectory(raw.vehicle_id, seg_t, seg_xy)
+            for seg_t, seg_xy in zip(np.split(t, cuts), np.split(xy, cuts)) if len(seg_t) >= 2]
 
 
 def map_to_roads(trajs: Sequence[Trajectory], net: RoadNetwork) -> list[Trajectory]:
-    """Replace every point of every trajectory with its nearest-segment projection."""
-    x = [p.pos.x for traj in trajs for p in traj.points]
-    y = [p.pos.y for traj in trajs for p in traj.points]
-    point = map_match(net, np.array((x, y)).T).point
-    snapped = map(GeoPoint, point[:, 0].tolist(), point[:, 1].tolist())
-    return [Trajectory(traj.vehicle_id, [TrajectoryPoint(p.t, next(snapped)) for p in traj.points])
-            for traj in trajs]
+    """Replace every point of every trajectory with its nearest-segment projection,
+    matching all points in one batch."""
+    point = map_match(net, np.concatenate([np.empty((0, 2)), *(traj.xy for traj in trajs)])).point
+    ends = np.cumsum([len(traj.t) for traj in trajs], dtype=int)
+    return [Trajectory(traj.vehicle_id, traj.t, xy)
+            for traj, xy in zip(trajs, np.split(point, ends[:-1]))]
+
+
+def _by_hour(values: np.ndarray, hours: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(values ordered by hour, its 24 per-hour groups); a group keeps the input order."""
+    ordered = values[np.argsort(hours, kind="stable")]
+    return ordered, np.split(ordered, np.cumsum(np.bincount(hours, minlength=HOURS))[:-1])
 
 
 def build_profile(segments: Sequence[Trajectory], cfg: GenConfig) -> MobilityProfile:
-    """Fit the mobility profile from cleaned road-matched segments."""
+    """Fit the mobility profile from cleaned road-matched segments.
+
+    A leg's speed is filed under the hour of its first point, an entry (exit)
+    under the hour of its segment's first (last) point; within an hour they
+    keep segment order, then leg order.
+    """
     if not segments:
         raise ValueError("need at least one segment to build a profile")
+    t = np.concatenate([seg.t for seg in segments])
+    xy = np.concatenate([seg.xy for seg in segments])
+    last = np.cumsum([len(seg.t) for seg in segments]) - 1
+    first = np.concatenate(([0], last[:-1] + 1))
+    hour = hour_of(t)
+    histogram = np.bincount(hour, minlength=HOURS) / len(t)
 
-    hour_counts = np.zeros(HOURS)
-    speeds: list[list[float]] = [[] for _ in range(HOURS)]
-    entries: list[list[tuple[float, float]]] = [[] for _ in range(HOURS)]
-    exits: list[list[tuple[float, float]]] = [[] for _ in range(HOURS)]
-
-    for seg in segments:
-        for p in seg.points:
-            hour_counts[hour_of(p.t)] += 1
-        for a, b in zip(seg.points, seg.points[1:]):
-            v = a.pos.dist_to(b.pos) / (b.t - a.t)
-            if v > 0:
-                speeds[hour_of(a.t)].append(v)
-        first, last = seg.points[0], seg.points[-1]
-        entries[hour_of(first.t)].append((first.pos.x, first.pos.y))
-        exits[hour_of(last.t)].append((last.pos.x, last.pos.y))
-
-    histogram = hour_counts / hour_counts.sum()
-
-    all_speeds = np.array([v for bucket in speeds for v in bucket])
+    a = np.delete(np.arange(len(t)), last)  # leg a -> a + 1
+    dt = t[a + 1] - t[a]
+    if not (dt > 0).all():
+        raise ValueError("segment timestamps must be strictly increasing")
+    v = hypot(*(xy[a] - xy[a + 1]).T) / dt
+    moving = v > 0
+    all_speeds, speeds = _by_hour(v[moving], hour[a][moving])
     if all_speeds.size == 0:
         raise ValueError("no positive-speed legs in any segment")
-    speed_bins = [np.array(bucket) if bucket else all_speeds.copy() for bucket in speeds]
+    speed_bins = [bucket if bucket.size else all_speeds.copy() for bucket in speeds]
 
-    all_entries = np.array([p for bucket in entries for p in bucket])
-    all_exits = np.array([p for bucket in exits for p in bucket])
-    entry_all_day = KdeModel(all_entries, cfg.bandwidth)
-    exit_all_day = KdeModel(all_exits, cfg.bandwidth)
-    entry_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else entry_all_day for b in entries]
-    exit_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else exit_all_day for b in exits]
-    return MobilityProfile(histogram, speed_bins, entry_kde, exit_kde)
+    kdes = []
+    for ends in (first, last):
+        all_day, by_hour = _by_hour(xy[ends], hour[ends])
+        all_day_kde = KdeModel(all_day, cfg.bandwidth)
+        kdes.append([KdeModel(b, cfg.bandwidth) if len(b) else all_day_kde for b in by_hour])
+    return MobilityProfile(histogram, speed_bins, *kdes)
 
 
 _MIN_ENDPOINT_SEPARATION = 10.0  # meters
@@ -224,10 +218,11 @@ def generate_entry_exit(
     return entries, exits
 
 
-def _nearest_node(net: RoadNetwork, p: GeoPoint, edge_id: int) -> int:
-    """Nearest node reached through the nearest arc's closer endpoint."""
+def _nearest_node(net: RoadNetwork, x: float, y: float, edge_id: int) -> int:
+    """Nearest node to (x, y) reached through the nearest arc's closer endpoint."""
     edge = net.edges[edge_id]
-    da, db = (p.dist_to(net.nodes[n].pos) for n in (edge.from_node, edge.to_node))
+    pos = (net.nodes[n].pos for n in (edge.from_node, edge.to_node))
+    da, db = (math.hypot(x - p.x, y - p.y) for p in pos)
     if da < db:
         return edge.from_node
     if db < da:
@@ -235,10 +230,11 @@ def _nearest_node(net: RoadNetwork, p: GeoPoint, edge_id: int) -> int:
     return min(edge.from_node, edge.to_node)
 
 
-def generate_route(entry: GeoPoint, exit: GeoPoint, net: RoadNetwork) -> list[int]:
-    """Route between the network nodes nearest to the two endpoints."""
-    arcs = map_match(net, [(entry.x, entry.y), (exit.x, exit.y)]).edge_id.tolist()
-    src, dst = (_nearest_node(net, p, e) for p, e in zip((entry, exit), arcs))
+def generate_route(entry: np.ndarray, exit: np.ndarray, net: RoadNetwork) -> list[int]:
+    """Route between the network nodes nearest to the two (x, y) endpoints."""
+    ends = np.array([entry, exit], dtype=float)
+    arcs = map_match(net, ends).edge_id.tolist()
+    src, dst = (_nearest_node(net, *p, e) for p, e in zip(ends.tolist(), arcs))
     try:
         path, _ = shortest_path(net, src, dst)
     except UnreachableError as exc:
@@ -247,35 +243,30 @@ def generate_route(entry: GeoPoint, exit: GeoPoint, net: RoadNetwork) -> list[in
 
 
 def assign_times(
-    path_points: Sequence[GeoPoint],
+    path_xy: np.ndarray,
     start_t: float,
     profile: MobilityProfile,
     hour: int,
     rng: np.random.Generator,
     vehicle_id: int = 0,
 ) -> Trajectory:
-    """Attach timestamps to a point path: t[i+1] = t[i] + d(p[i], p[i+1]) / v[i].
+    """Attach timestamps to a (K, 2) point path: t[i+1] = t[i] + d(p[i], p[i+1]) / v[i].
 
-    Leg speeds v[i] are drawn from the hour's empirical speed samples.
-    Consecutive duplicate points are collapsed before timing.
+    Leg speeds v[i] are drawn from the hour's empirical speed samples, one
+    index draw per leg in leg order. Consecutive duplicate points are
+    collapsed before timing; the times accumulate leg by leg from start_t.
     """
-    pts: list[GeoPoint] = []
-    for p in path_points:
-        if pts and pts[-1].dist_to(p) == 0.0:
-            continue
-        pts.append(p)
-    if len(pts) < 2:
+    xy = np.asarray(path_xy, dtype=float).reshape(-1, 2)
+    d = hypot(*(xy[:-1] - xy[1:]).T)
+    moved = d != 0.0
+    if not moved.any():
         raise ValueError("need at least 2 distinct points to assign times")
     pool = profile.speed_bins[hour]
     if pool.size == 0:
         raise ValueError(f"hour {hour} has no speed samples")
-    out = [TrajectoryPoint(float(start_t), pts[0])]
-    t = float(start_t)
-    for a, b in zip(pts, pts[1:]):
-        v = float(pool[rng.integers(0, pool.size)])
-        t += a.dist_to(b) / v
-        out.append(TrajectoryPoint(t, b))
-    return Trajectory(vehicle_id, out)
+    v = pool[rng.integers(0, pool.size, size=np.count_nonzero(moved))]
+    t = np.add.accumulate(np.concatenate(([float(start_t)], d[moved] / v)))
+    return Trajectory(vehicle_id, t, xy[np.concatenate(([True], moved))])
 
 
 def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
@@ -286,22 +277,20 @@ def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
     and likewise for y. The final original point is appended when the grid
     does not land on it.
     """
-    if len(traj.points) < 2:
+    ts, xy = traj.t, traj.xy
+    if len(ts) < 2:
         raise ValueError("need at least 2 points to interpolate")
     if not delta_t > 0:
         raise ValueError("delta_t must be positive")
-    ts, xs, ys = np.array([(p.t, p.pos.x, p.pos.y) for p in traj.points]).T
     t0, t_end = ts[0], ts[-1]
     n_steps = int(math.floor((t_end - t0) / delta_t + 1e-9))
     t = t0 + np.arange(n_steps + 1) * delta_t
     i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-    j = i + 1
-    u = (t - ts[i]) / (ts[j] - ts[i])
-    x, y = xs[i] + u * (xs[j] - xs[i]), ys[i] + u * (ys[j] - ys[i])
-    out = [TrajectoryPoint(*p) for p in zip(t.tolist(), map(GeoPoint, x.tolist(), y.tolist()))]
-    if t_end - out[-1].t > 1e-9:
-        out.append(TrajectoryPoint(float(t_end), traj.points[-1].pos))
-    return Trajectory(traj.vehicle_id, out)
+    u = (t - ts[i]) / (ts[i + 1] - ts[i])
+    out = xy[i] + u[:, None] * (xy[i + 1] - xy[i])
+    if t_end - t[-1] > 1e-9:
+        t, out = np.append(t, t_end), np.concatenate((out, xy[-1:]))
+    return Trajectory(traj.vehicle_id, t, out)
 
 
 _ROUTE_RETRIES = 20
@@ -345,16 +334,14 @@ def _generate_one(
     start_t = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
     for _ in range(_ROUTE_RETRIES):
         entries, exits = generate_entry_exit(profile, hour, 1, rng)
-        entry = GeoPoint(float(entries[0, 0]), float(entries[0, 1]))
-        exit_ = GeoPoint(float(exits[0, 0]), float(exits[0, 1]))
         try:
-            route = generate_route(entry, exit_, net)
+            route = generate_route(entries[0], exits[0], net)
         except RouteError:
             continue
         if len(route) < 2:
             continue
-        points = [net.nodes[nid].pos for nid in route]
-        timed = assign_times(points, start_t, profile, hour, rng, vehicle_id)
+        path = np.array([(net.nodes[nid].pos.x, net.nodes[nid].pos.y) for nid in route])
+        timed = assign_times(path, start_t, profile, hour, rng, vehicle_id)
         return interpolate(timed, cfg.delta_t)
     return None
 
@@ -367,21 +354,25 @@ def write_trajectories_csv(trajs: Iterable[Trajectory], fh) -> int:
     writer.writerow(["vehicle_id", "t", "x", "y"])
     rows = 0
     for traj in trajs:
-        for p in traj.points:
-            writer.writerow([traj.vehicle_id, f"{p.t:.6f}", f"{p.pos.x:.6f}", f"{p.pos.y:.6f}"])
-            rows += 1
+        vid = traj.vehicle_id
+        writer.writerows([vid, f"{t:.6f}", f"{x:.6f}", f"{y:.6f}"]
+                         for t, (x, y) in zip(traj.t.tolist(), traj.xy.tolist()))
+        rows += len(traj.t)
     return rows
 
 
 def read_trajectories_csv(fh) -> list[Trajectory]:
-    """Trajectories by vehicle id; a non-finite time or coordinate is a ParseError."""
-    by_vehicle: dict[int, list[TrajectoryPoint]] = {}
+    """Trajectories by vehicle id, each with its rows in file order; a
+    non-finite time or coordinate is a ParseError."""
+    by_vehicle: dict[int, list[float]] = {}  # t, x, y of each row in turn
     for n, row in csv_rows(fh, ["vehicle_id", "t", "x", "y"], "trajectory"):
-        t, x, y = (parse_num(f, float, what, n) for f, what in zip(row[1:], "txy"))
-        by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).append(
-            TrajectoryPoint(t, GeoPoint(x, y))
-        )
-    return [Trajectory(vid, pts) for vid, pts in sorted(by_vehicle.items())]
+        txy = [parse_num(f, float, what, n) for f, what in zip(row[1:], "txy")]
+        by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).extend(txy)
+    tracks = []
+    for vid, txy in sorted(by_vehicle.items()):
+        rows = np.array(txy).reshape(-1, 3)
+        tracks.append(Trajectory(vid, rows[:, 0], rows[:, 1:]))
+    return tracks
 
 
 def density_grid(trajs: Sequence[Trajectory], cell: float) -> dict[tuple[int, int], int]:
@@ -389,12 +380,9 @@ def density_grid(trajs: Sequence[Trajectory], cell: float) -> dict[tuple[int, in
 
     Raises OverflowError when a cell index is not finite (a cell too small
     for the coordinates)."""
-    counts: dict[tuple[int, int], int] = {}
-    for traj in trajs:
-        for p in traj.points:
-            key = (int(math.floor(p.pos.x / cell)), int(math.floor(p.pos.y / cell)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    xy = np.concatenate([np.empty((0, 2)), *(traj.xy for traj in trajs)])
+    cells, counts = np.unique(np.floor(xy / cell), axis=0, return_counts=True)
+    return {(int(cx), int(cy)): n for (cx, cy), n in zip(cells.tolist(), counts.tolist())}
 
 
 # --- synthetic ground truth for self-consistency checks and demos ---
@@ -447,17 +435,11 @@ def synthetic_truth(
             route, _ = shortest_path(net, src, dst)
         except UnreachableError:
             continue
-        t = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
-        pts = [TrajectoryPoint(t, net.nodes[route[0]].pos)]
-        for a, b in zip(route, route[1:]):
-            pa, pb = net.nodes[a].pos, net.nodes[b].pos
-            t += pa.dist_to(pb) / float(rng.uniform(6.0, 14.0))
-            pts.append(TrajectoryPoint(t, pb))
-        if len(pts) < 2:
-            continue
-        dense = interpolate(Trajectory(len(out), pts), sample_interval).points
-        noise = rng.normal(0.0, gps_noise, (len(dense), 2)).tolist()  # x, y per point in turn
-        noisy = [TrajectoryPoint(p.t, GeoPoint(p.pos.x + dx, p.pos.y + dy))
-                 for p, (dx, dy) in zip(dense, noise)]
-        out.append(Trajectory(len(out), noisy))
+        t0 = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
+        path = positions[np.searchsorted(node_ids, route)]  # src != dst: two nodes or more
+        legs = hypot(*(path[:-1] - path[1:]).T) / rng.uniform(6.0, 14.0, size=len(route) - 1)
+        timed = Trajectory(len(out), np.add.accumulate(np.concatenate(([t0], legs))), path)
+        dense = interpolate(timed, sample_interval)
+        noise = rng.normal(0.0, gps_noise, dense.xy.shape)  # x, y per point in turn
+        out.append(Trajectory(len(out), dense.t, dense.xy + noise))
     return out

@@ -14,18 +14,19 @@ from vtmigsim.envsim import (
     build_env,
 )
 from vtmigsim.roadnet import GeoPoint, RoadNetwork
-from vtmigsim.trajgen import Trajectory, TrajectoryPoint
+from vtmigsim.trajgen import Trajectory
 
 RSU_POSITIONS = [(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0)]
 
 
 def line_trajectory(vid, x0, y0, vx, vy, duration=600.0, dt=10.0, t0=0.0):
-    points = []
+    ts, xy = [], []
     t = t0
     while t <= t0 + duration:
-        points.append(TrajectoryPoint(t, GeoPoint(x0 + vx * (t - t0), y0 + vy * (t - t0))))
+        ts.append(t)
+        xy.append((x0 + vx * (t - t0), y0 + vy * (t - t0)))
         t += dt
-    return Trajectory(vid, points)
+    return Trajectory(vid, ts, xy)
 
 
 def make_env(

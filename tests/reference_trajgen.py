@@ -1,25 +1,137 @@
-"""Reference trajectory interpolation: one grid point at a time.
+"""Reference trajectory stages, one point at a time.
 
-This is the per-point loop that the array `interpolate` replaced, kept
-unchanged in its arithmetic as the oracle the array pass must match bit for
-bit.
+These are the per-point loops that the column stages of `vtmigsim.trajgen`
+replaced: cleaning and segmentation, the mobility profile, timing a path,
+interpolation and the density grid. Their arithmetic is kept unchanged, as
+the oracles the array code must match bit for bit. They take and return
+`Trajectory` columns, and walk them as `TrajectoryPoint`s in between.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from vtmigsim.roadnet import GeoPoint
-from vtmigsim.trajgen import Trajectory, TrajectoryPoint
+from vtmigsim.trajgen import HOURS, KdeModel, MobilityProfile, Trajectory
+
+
+@dataclass(frozen=True)
+class TrajectoryPoint:
+    t: float                      # seconds since epoch
+    pos: GeoPoint
+
+
+def points(traj):
+    """The trajectory's points in order, as Python floats."""
+    return [TrajectoryPoint(t, GeoPoint(x, y))
+            for t, (x, y) in zip(traj.t.tolist(), traj.xy.tolist())]
+
+
+def track(vehicle_id, pts):
+    """A Trajectory of the points `pts`."""
+    return Trajectory(vehicle_id, [p.t for p in pts], [(p.pos.x, p.pos.y) for p in pts])
+
+
+def hour_of(t):
+    """Local hour-of-day bucket of an epoch timestamp."""
+    return int(t // 3600.0) % HOURS
+
+
+def clean_and_segment(raw, cfg):
+    """Drop anomalous points and split on large time gaps."""
+    raw_points = points(raw)
+    if not raw_points:
+        raise ValueError("raw trajectory is empty")
+    kept = []
+    for p in raw_points:
+        if kept:
+            dt = p.t - kept[-1].t
+            if dt <= 0:
+                continue
+            if kept[-1].pos.dist_to(p.pos) / dt > cfg.max_speed:
+                continue
+        kept.append(p)
+
+    segments = []
+    current = []
+    for p in kept:
+        if current and p.t - current[-1].t > cfg.gap_split:
+            if len(current) >= 2:
+                segments.append(track(raw.vehicle_id, current))
+            current = []
+        current.append(p)
+    if len(current) >= 2:
+        segments.append(track(raw.vehicle_id, current))
+    return segments
+
+
+def build_profile(segments, cfg):
+    """Fit the mobility profile from cleaned road-matched segments."""
+    if not segments:
+        raise ValueError("need at least one segment to build a profile")
+
+    hour_counts = np.zeros(HOURS)
+    speeds = [[] for _ in range(HOURS)]
+    entries = [[] for _ in range(HOURS)]
+    exits = [[] for _ in range(HOURS)]
+
+    for seg in map(points, segments):
+        for p in seg:
+            hour_counts[hour_of(p.t)] += 1
+        for a, b in zip(seg, seg[1:]):
+            v = a.pos.dist_to(b.pos) / (b.t - a.t)
+            if v > 0:
+                speeds[hour_of(a.t)].append(v)
+        first, last = seg[0], seg[-1]
+        entries[hour_of(first.t)].append((first.pos.x, first.pos.y))
+        exits[hour_of(last.t)].append((last.pos.x, last.pos.y))
+
+    histogram = hour_counts / hour_counts.sum()
+
+    all_speeds = np.array([v for bucket in speeds for v in bucket])
+    if all_speeds.size == 0:
+        raise ValueError("no positive-speed legs in any segment")
+    speed_bins = [np.array(bucket) if bucket else all_speeds.copy() for bucket in speeds]
+
+    all_entries = np.array([p for bucket in entries for p in bucket])
+    all_exits = np.array([p for bucket in exits for p in bucket])
+    entry_all_day = KdeModel(all_entries, cfg.bandwidth)
+    exit_all_day = KdeModel(all_exits, cfg.bandwidth)
+    entry_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else entry_all_day for b in entries]
+    exit_kde = [KdeModel(np.array(b), cfg.bandwidth) if b else exit_all_day for b in exits]
+    return MobilityProfile(histogram, speed_bins, entry_kde, exit_kde)
+
+
+def assign_times(path_points, start_t, profile, hour, rng, vehicle_id=0):
+    """Attach timestamps to a GeoPoint path: t[i+1] = t[i] + d(p[i], p[i+1]) / v[i]."""
+    pts = []
+    for p in path_points:
+        if pts and pts[-1].dist_to(p) == 0.0:
+            continue
+        pts.append(p)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 distinct points to assign times")
+    pool = profile.speed_bins[hour]
+    if pool.size == 0:
+        raise ValueError(f"hour {hour} has no speed samples")
+    out = [TrajectoryPoint(float(start_t), pts[0])]
+    t = float(start_t)
+    for a, b in zip(pts, pts[1:]):
+        v = float(pool[rng.integers(0, pool.size)])
+        t += a.dist_to(b) / v
+        out.append(TrajectoryPoint(t, b))
+    return track(vehicle_id, out)
 
 
 def interpolate(traj, delta_t):
     """Resample onto the uniform grid t1, t1+dt, ... via linear interpolation."""
-    if len(traj.points) < 2:
+    pts = points(traj)
+    if len(pts) < 2:
         raise ValueError("need at least 2 points to interpolate")
     if not delta_t > 0:
         raise ValueError("delta_t must be positive")
-    ts = np.array([p.t for p in traj.points])
+    ts = np.array([p.t for p in pts])
     t0, t_end = ts[0], ts[-1]
     n_steps = int(math.floor((t_end - t0) / delta_t + 1e-9))
     out = []
@@ -27,7 +139,7 @@ def interpolate(traj, delta_t):
         t = t0 + j * delta_t
         i = int(np.searchsorted(ts, t, side="right")) - 1
         i = min(i, len(ts) - 2)
-        a, b = traj.points[i], traj.points[i + 1]
+        a, b = pts[i], pts[i + 1]
         u = (t - a.t) / (b.t - a.t)
         out.append(
             TrajectoryPoint(
@@ -36,5 +148,15 @@ def interpolate(traj, delta_t):
             )
         )
     if t_end - out[-1].t > 1e-9:
-        out.append(TrajectoryPoint(float(t_end), traj.points[-1].pos))
-    return Trajectory(traj.vehicle_id, out)
+        out.append(TrajectoryPoint(float(t_end), pts[-1].pos))
+    return track(traj.vehicle_id, out)
+
+
+def density_grid(trajs, cell):
+    """Count trajectory points per square grid cell of side `cell` meters."""
+    counts = {}
+    for traj in trajs:
+        for p in points(traj):
+            key = (int(math.floor(p.pos.x / cell)), int(math.floor(p.pos.y / cell)))
+            counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -51,10 +51,8 @@ class ScalarEnv:
         self._rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
         self._max_load = np.array([r.max_load for r in self.rsus])
         self._compute = np.array([r.compute for r in self.rsus])
-        self._traj_t = [np.array([p.t for p in v.trajectory.points]) for v in self.vehicles]
-        self._traj_xy = [
-            np.array([[p.pos.x, p.pos.y] for p in v.trajectory.points]) for v in self.vehicles
-        ]
+        self._traj_t = [v.trajectory.t for v in self.vehicles]
+        self._traj_xy = [v.trajectory.xy for v in self.vehicles]
         self._action_scale = float(max(self.E - 1, 1))
         self._latency_scale = 1.0
         self._rng = None

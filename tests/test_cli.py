@@ -168,12 +168,19 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("channel.gain = 0", "", "channel.gain must be > 0"),
     ("channel.carrier = -2.4e9", "", "channel.carrier must be > 0"),
     ("channel.light_speed = 0", "", "channel.light_speed must be > 0"),
+    ("env.slot_seconds = -1", "", "env.slot_seconds must be > 0, got -1.0"),
+    ("env.slot_seconds = 0", "", "env.slot_seconds must be > 0, got 0.0"),
+    ("env.warmup_slots = -3", "", "env.warmup_slots must be >= 0, got -3"),
+    ("backhaul.default = 0", "", "key 'backhaul.default' must be > 0, got '0'"),
+    ("backhaul.0.2 = -1e9", "", "key 'backhaul.0.2' must be > 0, got '-1e9'"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
         "one_max_load_negative", "power_0", "one_power_negative", "bw_up_0", "bw_down_0",
         "noise_0", "one_noise_negative", "init_load_negative", "compute_0", "compute_negative",
         "one_compute_0", "cycles_per_bit_negative", "request_bits_negative",
-        "result_bits_negative", "task_bits_negative", "one_task_bits_negative", "gain_0", "carrier_negative", "light_speed_0"])
+        "result_bits_negative", "task_bits_negative", "one_task_bits_negative", "gain_0",
+        "carrier_negative", "light_speed_0", "slot_seconds_negative", "slot_seconds_0",
+        "warmup_slots_negative", "backhaul_default_0", "one_backhaul_negative"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)
@@ -377,4 +384,21 @@ def test_non_finite_trajectory_value_exits_2_with_its_line(tmp_path, capsys, com
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "line 3: non-finite x" in err
+    assert not out.exists()
+
+
+def test_repeated_timestamp_exits_2_naming_the_csv_vehicle_id(tmp_path, capsys):
+    scenario = write_cli_scenario(tmp_path)
+    tracks = tmp_path / "vehicles.csv"
+    rows = [line.split(",") for line in _lines(tracks)]
+    seven = [row for row in rows if row[0] == "2"]  # the third vehicle's track, as vehicle_id 7
+    for row in seven:
+        row[0] = "7"
+    seven[1][1] = seven[0][1]
+    tracks.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["train", "--scenario", scenario, "--out", str(out), "--episodes", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "vehicle_id 7 " in err and "not strictly" in err
     assert not out.exists()

@@ -21,7 +21,7 @@ from scalar_env import ScalarEnv, SlotMetrics
 
 from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv, RsuSpec, VehicleSpec
 from vtmigsim.roadnet import GeoPoint
-from vtmigsim.trajgen import Trajectory, TrajectoryPoint
+from vtmigsim.trajgen import Trajectory
 
 
 @st.composite
@@ -57,17 +57,18 @@ def scenarios(draw):
         return values if n else float(values[0])
 
     def point():
-        """A random position, or now and then exactly an RSU's."""
+        """A random (x, y), or now and then exactly an RSU's."""
         if draw(st.integers(0, 3)) == 0:
-            return rsus[draw(st.integers(0, n_rsu - 1))].pos
-        return GeoPoint(*rng.uniform(0.0, 2000.0, 2))
+            pos = rsus[draw(st.integers(0, n_rsu - 1))].pos
+            return pos.x, pos.y
+        return rng.uniform(0.0, 2000.0, 2)
 
     def trajectory(vid):
         n = draw(st.integers(1, 5))  # one point: the vehicle never moves
         # Spans from 0.5 s to ~80 s, so some end inside the horizon.
         gaps = np.concatenate([[0.0], rng.uniform(0.5, 20.0, n - 1)])
         times = rng.uniform(0.0, 100.0) + gaps.cumsum()
-        return Trajectory(vid, [TrajectoryPoint(float(t), point()) for t in times])
+        return Trajectory(vid, times, [point() for _ in times])
 
     vehicles = [
         VehicleSpec(

@@ -9,7 +9,6 @@ from vtmigsim.trajgen import (
     GenConfig,
     KdeModel,
     Trajectory,
-    TrajectoryPoint,
     assign_times,
     build_profile,
     clean_and_segment,
@@ -17,6 +16,7 @@ from vtmigsim.trajgen import (
     generate_dataset,
     generate_entry_exit,
     generate_route,
+    hour_of,
     interpolate,
     map_to_roads,
     read_trajectories_csv,
@@ -42,11 +42,7 @@ def grid_network(n=4, spacing=200.0):
 
 
 def traj(points, vid=0):
-    return Trajectory(vid, [TrajectoryPoint(t, GeoPoint(x, y)) for t, x, y in points])
-
-
-def _xy(t):
-    return [(p.pos.x, p.pos.y) for p in t.points]
+    return Trajectory(vid, [t for t, _, _ in points], [(x, y) for _, x, y in points])
 
 
 CFG = GenConfig(delta_t=30.0, bandwidth=50.0, max_speed=60.0, gap_split=300.0)
@@ -58,7 +54,7 @@ def test_clean_identity():
     raw = traj([(0, 0, 0), (10, 50, 0), (20, 100, 0)])
     segs = clean_and_segment(raw, CFG)
     assert len(segs) == 1
-    assert [p.t for p in segs[0].points] == [0, 10, 20]
+    assert segs[0].t.tolist() == [0, 10, 20]
 
 
 def test_clean_removes_teleport():
@@ -67,21 +63,21 @@ def test_clean_removes_teleport():
     raw = traj([(0, 0, 0), (10, 5000, 0), (20, 100, 0)])
     segs = clean_and_segment(raw, CFG)
     assert len(segs) == 1
-    assert [(p.t, p.pos.x) for p in segs[0].points] == [(0, 0.0), (20, 100.0)]
+    assert list(zip(segs[0].t.tolist(), segs[0].xy[:, 0].tolist())) == [(0, 0.0), (20, 100.0)]
 
 
 def test_clean_drops_duplicate_timestamps():
     raw = traj([(0, 0, 0), (0, 5, 0), (10, 50, 0)])
     segs = clean_and_segment(raw, CFG)
-    assert [p.t for p in segs[0].points] == [0, 10]
+    assert segs[0].t.tolist() == [0, 10]
 
 
 def test_clean_splits_on_gap():
     raw = traj([(0, 0, 0), (60, 100, 0), (660, 200, 0), (720, 300, 0)])
     segs = clean_and_segment(raw, CFG)  # 600 s gap > 300 s
     assert len(segs) == 2
-    assert [p.t for p in segs[0].points] == [0, 60]
-    assert [p.t for p in segs[1].points] == [660, 720]
+    assert segs[0].t.tolist() == [0, 60]
+    assert segs[1].t.tolist() == [660, 720]
 
 
 def test_clean_discards_short_segments():
@@ -228,58 +224,57 @@ def test_generate_route_triangle():
         [(0, 0, 0), (1, 100, 0), (2, 200, 0)],
         [(0, 1, 1.0, 10), (1, 2, 1.0, 10), (0, 2, 3.0, 10)],
     )
-    route = generate_route(GeoPoint(-5, 2), GeoPoint(205, 2), net)
+    route = generate_route((-5, 2), (205, 2), net)
     assert route == [0, 1, 2]
 
 
 def test_generate_route_same_node():
     net = grid_network()
-    route = generate_route(GeoPoint(1, 1), GeoPoint(2, 2), net)
+    route = generate_route((1, 1), (2, 2), net)
     assert len(route) == 1
 
 
 def test_assign_times_arithmetic():
     profile = make_profile()
     profile.speed_bins[8] = np.array([10.0])
-    out = assign_times([GeoPoint(0, 0), GeoPoint(100, 0)], 1000.0, profile, 8, np.random.default_rng(0))
-    assert out.points[1].t - out.points[0].t == pytest.approx(10.0)
+    out = assign_times([(0, 0), (100, 0)], 1000.0, profile, 8, np.random.default_rng(0))
+    assert out.t[1] - out.t[0] == pytest.approx(10.0)
 
 
 def test_assign_times_single_speed():
     profile = make_profile()
     profile.speed_bins[8] = np.array([5.0])
-    out = assign_times([GeoPoint(0, 0), GeoPoint(5, 0)], 0.0, profile, 8, np.random.default_rng(0))
-    assert out.points[1].t == pytest.approx(1.0)
+    out = assign_times([(0, 0), (5, 0)], 0.0, profile, 8, np.random.default_rng(0))
+    assert out.t[1] == pytest.approx(1.0)
 
 
 def test_assign_times_strictly_increasing():
     profile = make_profile()
     rng = np.random.default_rng(2)
-    pts = [GeoPoint(float(i * 50), 0) for i in range(20)]
+    pts = [(float(i * 50), 0) for i in range(20)]
     out = assign_times(pts, 0.0, profile, 8, rng)
-    ts = [p.t for p in out.points]
+    ts = out.t.tolist()
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
 def test_interpolate_midpoint():
     t = traj([(0, 0, 0), (10, 10, 0)])
     out = interpolate(t, 5.0)
-    assert (out.points[1].t, out.points[1].pos.x) == (5.0, pytest.approx(5.0))
+    assert (out.t[1], out.xy[1, 0]) == (5.0, pytest.approx(5.0))
 
 
 def test_interpolate_linear_formula():
     t = traj([(0, 0, 0), (4, 4, 8)])
     out = interpolate(t, 1.0)
-    p1 = out.points[1]
-    assert p1.t == 1.0
-    assert p1.pos.x == pytest.approx(1.0)
-    assert p1.pos.y == pytest.approx(2.0)
+    assert out.t[1] == 1.0
+    assert out.xy[1, 0] == pytest.approx(1.0)
+    assert out.xy[1, 1] == pytest.approx(2.0)
 
 
 def test_interpolate_degenerate_interval():
     t = traj([(0, 0, 0), (10, 10, 0)])
     out = interpolate(t, 100.0)
-    assert [(p.t, p.pos.x) for p in out.points] == [(0.0, 0.0), (10.0, 10.0)]
+    assert list(zip(out.t.tolist(), out.xy[:, 0].tolist())) == [(0.0, 0.0), (10.0, 10.0)]
 
 
 def test_interpolate_collinearity():
@@ -291,12 +286,12 @@ def test_interpolate_collinearity():
         pts.append((t, float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100))))
     source = traj(pts)
     out = interpolate(source, 7.0)
-    ts = np.array([p.t for p in source.points])
-    for p in out.points:
-        i = min(int(np.searchsorted(ts, p.t, side="right")) - 1, len(ts) - 2)
-        a, b = source.points[i], source.points[i + 1]
-        cross = (b.pos.x - a.pos.x) * (p.pos.y - a.pos.y) - (b.pos.y - a.pos.y) * (p.pos.x - a.pos.x)
-        scale = max(a.pos.dist_to(b.pos), 1.0)
+    ts = source.t
+    for t, (px, py) in zip(out.t.tolist(), out.xy.tolist()):
+        i = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+        (ax, ay), (bx, by) = source.xy[i].tolist(), source.xy[i + 1].tolist()
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        scale = max(math.hypot(ax - bx, ay - by), 1.0)
         assert abs(cross) / (scale * scale) < 1e-9
 
 
@@ -304,8 +299,8 @@ def test_map_to_roads_and_correct():
     net = grid_network()
     t = traj([(0, 3, -4), (30, 203, 6)])
     [matched] = map_to_roads([t], net)
-    assert (map_match(net, _xy(matched)).distance < 1e-6).all()
-    assert map_to_roads([matched], net)[0].points[0].pos == matched.points[0].pos
+    assert (map_match(net, matched.xy).distance < 1e-6).all()
+    assert map_to_roads([matched], net)[0].xy[0].tolist() == matched.xy[0].tolist()
 
 
 # --- full pipeline ---
@@ -326,7 +321,7 @@ def test_generate_dataset_hour_concentration():
     profile = build_profile(map_to_roads(segs, net), CFG)
     out, _ = generate_dataset(profile, net, CFG, 10, np.random.default_rng(1))
     assert len(out) > 0
-    assert all(t.start_hour() == 8 for t in out)
+    assert all(hour_of(t.t[0]) == 8 for t in out)
 
 
 def test_generate_dataset_deterministic():
@@ -341,9 +336,7 @@ def test_generate_dataset_deterministic():
     b, _ = generate_dataset(profile, net, CFG, 20, np.random.default_rng(99))
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
-        assert [(p.t, p.pos.x, p.pos.y) for p in ta.points] == [
-            (p.t, p.pos.x, p.pos.y) for p in tb.points
-        ]
+        assert (ta.t.tolist(), ta.xy.tolist()) == (tb.t.tolist(), tb.xy.tolist())
 
 
 def test_generated_points_on_roads_and_grid_spaced():
@@ -357,11 +350,11 @@ def test_generated_points_on_roads_and_grid_spaced():
     out, _ = generate_dataset(profile, net, CFG, 15, np.random.default_rng(3))
     assert out
     for t in out:
-        ts = [p.t for p in t.points]
+        ts = t.t.tolist()
         assert all(b > a for a, b in zip(ts, ts[1:]))
         for a, b in zip(ts[:-1], ts[1:-1] or []):
             assert b - a == pytest.approx(CFG.delta_t)
-        assert (map_match(net, _xy(t)).distance < 1e-6).all()
+        assert (map_match(net, t.xy).distance < 1e-6).all()
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -375,10 +368,11 @@ def test_trajectory_csv_roundtrip(tmp_path):
         back = read_trajectories_csv(fh)
     assert len(back) == len(trajs)
     for a, b in zip(trajs, back):
-        assert len(a.points) == len(b.points)
-        for pa, pb in zip(a.points, b.points):
-            assert pa.t == pytest.approx(pb.t, abs=1e-6)
-            assert pa.pos.x == pytest.approx(pb.pos.x, abs=1e-6)
+        assert len(a.t) == len(b.t)
+        xs = zip(a.xy[:, 0].tolist(), b.xy[:, 0].tolist())
+        for ta, tb, (xa, xb) in zip(a.t.tolist(), b.t.tolist(), xs):
+            assert ta == pytest.approx(tb, abs=1e-6)
+            assert xa == pytest.approx(xb, abs=1e-6)
 
 
 def test_density_grid_counts():
