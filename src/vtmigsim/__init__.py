@@ -4,9 +4,7 @@ edge task pre-migration."""
 from .roadnet import (
     GeoPoint,
     Projection,
-    RoadEdge,
     RoadNetwork,
-    RoadNode,
     load_network,
     map_match,
     shortest_path,
@@ -34,7 +32,7 @@ from .neuralcore import Adam, Critic, DenseNet, SplitActor
 from .msrl import PolicyBundle, SwitchController, TrainConfig, train
 
 __all__ = [
-    "GeoPoint", "Projection", "RoadEdge", "RoadNetwork", "RoadNode",
+    "GeoPoint", "Projection", "RoadNetwork",
     "load_network", "map_match", "shortest_path",
     "GenConfig", "KdeModel", "MobilityProfile", "Trajectory",
     "build_profile", "clean_and_segment", "generate_dataset", "interpolate",

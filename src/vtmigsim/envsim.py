@@ -519,10 +519,14 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     for i in range(n_rsu):
         backhaul: dict[int, float] = {}
         for j in range(n_rsu):
+            if j == i:
+                continue
             keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
             key = next((k for k in keys if k in cfg), None)  # first set, in this order
-            if i != j and key is not None:
-                backhaul[j] = _bounded_float(cfg, key, bound=">")
+            if key is None:
+                raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
+                                  f"set one of {', '.join(keys)}")
+            backhaul[j] = _bounded_float(cfg, key, bound=">")
         rsus.append(
             RsuSpec(
                 id=i,

@@ -1,15 +1,17 @@
 """Planar road network: CSV loading, nearest-segment projection, shortest paths.
 
-Coordinates are planar meters (x east, y north). Undirected road segments are
-stored as two directed arcs. The network is immutable after construction and
-safe to share across workers; its two query indexes are built eagerly. Dijkstra
-runs on dense node indices in sorted-id order, so heap ties break exactly as
-on node ids. `map_match` takes a batch of points and reads a uniform grid of
-arc buckets with array ops, one pass per block of queries: it keeps the best
-arc of the 3x3 cell block around a query only if it is nearer than one cell by
-a margin that covers rounding, as every other arc is a cell away. The other
-queries (off the grid, far from roads, not finite) scan every arc with the
-same per-arc arithmetic.
+Coordinates are planar meters (x east, y north). A network is four columns:
+node ids in ascending order, their positions, the arcs as pairs of dense node
+indices, and the arc lengths. Undirected road segments are stored as two
+directed arcs. The network is immutable after construction and safe to share
+across workers; its two query indexes are built eagerly. Dijkstra runs on
+dense node indices, so heap ties break exactly as on node ids. `map_match`
+takes a batch of points and reads a uniform grid of arc buckets with array
+ops, one pass per block of queries: it keeps the best arc of the 3x3 cell
+block around a query only if it is nearer than one cell by a margin that
+covers rounding, as every other arc is a cell away. The other queries (off the
+grid, far from roads, not finite) scan every arc with the same per-arc
+arithmetic.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def elementwise(kernel, nin: int):
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-# Planar distances over arrays with GeoPoint.dist_to's bits: np.hypot rounds
-# differently on some inputs.
+# Planar distances over arrays with GeoPoint.dist_to's bits, for missing arc
+# lengths and track legs: np.hypot rounds differently on some inputs.
 hypot = elementwise(math.hypot, 2)
 
 
@@ -63,22 +65,6 @@ class GeoPoint:
 
     def dist_to(self, other: "GeoPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-@dataclass(frozen=True)
-class RoadNode:
-    id: int
-    pos: GeoPoint
-
-
-@dataclass(frozen=True)
-class RoadEdge:
-    """Directed arc; an undirected input segment becomes two arcs."""
-
-    from_node: int
-    to_node: int
-    length: float        # meters, > 0
-    speed_limit: float   # meters/second, > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,34 +83,46 @@ class Projection:
 
 
 class RoadNetwork:
-    """Immutable graph of RoadNodes and directed arcs."""
+    """Immutable directed road graph held as columns.
 
-    def __init__(self, nodes: Sequence[RoadNode], arcs: Sequence[RoadEdge]):
-        self.nodes: dict[int, RoadNode] = {}
-        for node in nodes:
-            if node.id in self.nodes:
-                raise ValidationError(f"duplicate node id {node.id}")
-            if not (math.isfinite(node.pos.x) and math.isfinite(node.pos.y)):
-                raise ValidationError(f"node {node.id} has non-finite coordinates")
-            self.nodes[node.id] = node
-        self.edges: list[RoadEdge] = list(arcs)
-        self._ids = sorted(self.nodes)
-        self._index = index = {nid: i for i, nid in enumerate(self._ids)}
-        self._out = out = [[] for _ in self._ids]  # (to index, length) per node
+    `ids` lists the node ids ascending (a list: ids may exceed int64) and `xy`
+    (n, 2) their positions in that order. Arc k runs from node `arcs[k, 0]` to
+    node `arcs[k, 1]`, dense indices into `ids`, and is `length[k]` meters long.
+    """
+
+    def __init__(self, ids: Sequence[int], xy, arcs: Sequence[tuple[int, int]], length, speed):
+        """Nodes ids[k] at xy[k], in any order; arc k joins the node ids arcs[k]
+        with length[k] meters and speed limit speed[k] m/s, both > 0."""
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        finite = np.isfinite(xy).all(axis=1).tolist()
+        row: dict[int, int] = {}
+        for k, nid in enumerate(ids):
+            if nid in row:
+                raise ValidationError(f"duplicate node id {nid}")
+            if not finite[k]:
+                raise ValidationError(f"node {nid} has non-finite coordinates")
+            row[nid] = k
+        self.ids = sorted(row)
+        self.xy = xy[[row[nid] for nid in self.ids]]
+        self._index = index = {nid: i for i, nid in enumerate(self.ids)}
+        self._out = out = [[] for _ in self.ids]  # (to index, length) per node
+        self.length = np.array(length, dtype=float).reshape(-1)
+        speed = np.asarray(speed, dtype=float).tolist()
         ends = []
-        for eid, edge in enumerate(self.edges):
-            u, v = index.get(edge.from_node), index.get(edge.to_node)
-            if u is None or v is None:
-                missing = edge.from_node if u is None else edge.to_node
-                raise ValidationError(f"edge {eid} references unknown node {missing}")
-            if not edge.length > 0:
+        for eid, ((u, v), w, s) in enumerate(zip(arcs, self.length.tolist(), speed, strict=True)):
+            a, b = index.get(u), index.get(v)
+            if a is None or b is None:
+                raise ValidationError(f"edge {eid} references unknown node {u if a is None else v}")
+            if not w > 0:
                 raise ValidationError(f"edge {eid} has non-positive length")
-            if not edge.speed_limit > 0:
+            if not s > 0:
                 raise ValidationError(f"edge {eid} has non-positive speed limit")
-            out[u].append((v, edge.length))
-            ends += (u, v)
-        xy = np.array([(self.nodes[nid].pos.x, self.nodes[nid].pos.y) for nid in self._ids])
-        a, b = xy.reshape(-1, 2)[np.array(ends, dtype=np.intp).reshape(-1, 2).T]
+            out[a].append((b, w))
+            ends += (a, b)
+        self.arcs = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        for column in (self.xy, self.arcs, self.length):
+            column.flags.writeable = False
+        a, b = self.xy[self.arcs.T]
         d = b - a  # rows of _seg: ax, ay, dx, dy, len2 of each arc
         self._seg = np.array([*a.T, *d.T, np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)])
         self._build_bucket_index(a, b)
@@ -137,21 +135,24 @@ class RoadNetwork:
     ) -> "RoadNetwork":
         """Build from (id, x, y) nodes and (u, v, length|None, speed) segments.
 
-        A None length is filled in with the endpoint Euclidean distance.
-        Every segment is doubled into arcs u->v and v->u.
+        Segment k becomes arcs 2k (u->v) and 2k+1 (v->u). A None length is
+        filled in with the endpoint Euclidean distance.
         """
-        node_objs = [RoadNode(nid, GeoPoint(float(x), float(y))) for nid, x, y in nodes]
-        pos = {n.id: n.pos for n in node_objs}
-        arcs: list[RoadEdge] = []
-        for u, v, length, speed in edges:
-            if u not in pos or v not in pos:
-                missing = u if u not in pos else v
+        ids = [nid for nid, _, _ in nodes]
+        xy = np.array([(x, y) for _, x, y in nodes], dtype=float).reshape(-1, 2)
+        row = {nid: k for k, nid in enumerate(ids)}  # a repeated id (rejected later): its last row
+        for u, v, _, _ in edges:
+            if u not in row or v not in row:
+                missing = v if u in row else u
                 raise ValidationError(f"edge ({u},{v}) references unknown node {missing}")
-            if length is None:
-                length = pos[u].dist_to(pos[v])
-            arcs.append(RoadEdge(u, v, float(length), float(speed)))
-            arcs.append(RoadEdge(v, u, float(length), float(speed)))
-        return cls(node_objs, arcs)
+        ends = np.array([(row[u], row[v]) for u, v, _, _ in edges], dtype=np.intp).reshape(-1, 2)
+        gap = np.array([w is None for _, _, w, _ in edges], dtype=bool)
+        length = np.array([0.0 if w is None else w for _, _, w, _ in edges], dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf: the constructor rejects the node
+            length[gap] = hypot(*(xy[ends[gap, 0]] - xy[ends[gap, 1]]).T)
+        arcs = [arc for u, v, _, _ in edges for arc in ((u, v), (v, u))]
+        speed = np.array([s for _, _, _, s in edges], dtype=float)
+        return cls(ids, xy, arcs, length.repeat(2), speed.repeat(2))
 
     def _build_bucket_index(self, a: np.ndarray, b: np.ndarray) -> None:
         """Row-major CSR of the arcs whose bbox meets each cell, ids ascending.
@@ -281,7 +282,7 @@ def _match_in_blocks(net: RoadNetwork, q: np.ndarray):
     d2 = _project(q.take(rows[query], axis=1), net._seg.take(eid, axis=1))[2]
     # Segmented min of d2, the lowest arc id among equal distances.
     best_d2 = np.minimum.reduceat(d2, seg)
-    best = np.minimum.reduceat(np.where(d2 == best_d2[query], eid, len(net.edges)), seg)
+    best = np.minimum.reduceat(np.where(d2 == best_d2[query], eid, len(net.arcs)), seg)
     # The query is in the centre cell: other arcs (none past the border) are a cell away.
     sure = np.sqrt(best_d2) * (1.0 + 1e-9) + net._slack < cell
     return rows[sure], best[sure]
@@ -289,7 +290,7 @@ def _match_in_blocks(net: RoadNetwork, q: np.ndarray):
 
 def map_match(net: RoadNetwork, xy) -> Projection:
     """Project each row of `xy` (N, 2) onto its nearest arc segment (ties: lowest arc id)."""
-    if not net.edges:
+    if not len(net.arcs):
         raise NoEdgesError("cannot map-match on a network with no edges")
     q = np.ascontiguousarray(np.asarray(xy, dtype=float).reshape(-1, 2).T)
     edge_id = np.full(q.shape[1], -1)
@@ -297,7 +298,7 @@ def map_match(net: RoadNetwork, xy) -> Projection:
         rows, best = _match_in_blocks(net, q[:, lo:lo + _BLOCK])
         edge_id[rows + lo] = best
     rest = (edge_id < 0).nonzero()[0]
-    step = max(1, _SCAN_PAIRS // len(net.edges))
+    step = max(1, _SCAN_PAIRS // len(net.arcs))
     for lo in range(0, len(rest), step):
         rows = rest[lo:lo + step]
         d2 = _project(q[:, rows, None], net._seg[:, None])[2]
@@ -317,7 +318,7 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
     its node's distance is stale.
     """
     for nid in (src, dst):
-        if nid not in net.nodes:
+        if nid not in net._index:
             raise ValidationError(f"unknown node {nid}")
     if src == dst:
         return [src], 0.0
@@ -343,4 +344,4 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
     path = [target]
     while path[-1] != s:
         path.append(parent[path[-1]])
-    return [net._ids[i] for i in reversed(path)], dist[target]
+    return [net.ids[i] for i in reversed(path)], dist[target]

@@ -201,33 +201,29 @@ _COLLISION_RETRIES = 10
 
 
 def generate_entry_exit(
-    profile: MobilityProfile, hour: int, n: int, rng: np.random.Generator
+    profile: MobilityProfile, hour: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n entry and n exit points from the hour's density models.
+    """Sample one (x, y) entry and one exit from the hour's density models.
 
-    Exits that land within 10 m of their paired entry are resampled up to 10
-    times, then accepted as-is.
+    An exit that lands within 10 m of the entry is resampled up to 10 times,
+    then accepted as-is.
     """
-    entries = profile.entry_kde[hour].sample(n, rng)
-    exits = profile.exit_kde[hour].sample(n, rng)
-    for i in range(n):
-        for _ in range(_COLLISION_RETRIES):
-            if np.hypot(*(exits[i] - entries[i])) >= _MIN_ENDPOINT_SEPARATION:
-                break
-            exits[i] = profile.exit_kde[hour].sample(1, rng)[0]
-    return entries, exits
+    entry = profile.entry_kde[hour].sample(1, rng)[0]
+    exit = profile.exit_kde[hour].sample(1, rng)[0]
+    for _ in range(_COLLISION_RETRIES):
+        if np.hypot(*(exit - entry)) >= _MIN_ENDPOINT_SEPARATION:
+            break
+        exit = profile.exit_kde[hour].sample(1, rng)[0]
+    return entry, exit
 
 
 def _nearest_node(net: RoadNetwork, x: float, y: float, edge_id: int) -> int:
-    """Nearest node to (x, y) reached through the nearest arc's closer endpoint."""
-    edge = net.edges[edge_id]
-    pos = (net.nodes[n].pos for n in (edge.from_node, edge.to_node))
-    da, db = (math.hypot(x - p.x, y - p.y) for p in pos)
-    if da < db:
-        return edge.from_node
-    if db < da:
-        return edge.to_node
-    return min(edge.from_node, edge.to_node)
+    """Nearest node to (x, y) reached through the nearest arc's closer endpoint
+    (ties: the lower id)."""
+    ends = net.arcs[edge_id].tolist()
+    (ax, ay), (bx, by) = net.xy[ends].tolist()
+    da, db = math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by)
+    return net.ids[ends[0] if da < db else ends[1] if db < da else min(ends)]
 
 
 def generate_route(entry: np.ndarray, exit: np.ndarray, net: RoadNetwork) -> list[int]:
@@ -333,14 +329,14 @@ def _generate_one(
 ) -> Optional[Trajectory]:
     start_t = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
     for _ in range(_ROUTE_RETRIES):
-        entries, exits = generate_entry_exit(profile, hour, 1, rng)
+        entry, exit = generate_entry_exit(profile, hour, rng)
         try:
-            route = generate_route(entries[0], exits[0], net)
+            route = generate_route(entry, exit, net)
         except RouteError:
             continue
         if len(route) < 2:
             continue
-        path = np.array([(net.nodes[nid].pos.x, net.nodes[nid].pos.y) for nid in route])
+        path = net.xy[[net._index[nid] for nid in route]]
         timed = assign_times(path, start_t, profile, hour, rng, vehicle_id)
         return interpolate(timed, cfg.delta_t)
     return None
@@ -408,8 +404,7 @@ def synthetic_truth(
     weights = _DEFAULT_HOUR_SHAPE if hour_weights is None else hour_weights
     weights = np.asarray(weights, dtype=float)
     weights = weights / weights.sum()
-    node_ids = sorted(net.nodes)
-    positions = np.array([[net.nodes[n].pos.x, net.nodes[n].pos.y] for n in node_ids])
+    node_ids, positions = net.ids, net.xy
     anchors = positions[rng.choice(len(node_ids), size=2, replace=False)]
     span = max(positions.max(axis=0) - positions.min(axis=0))
     scale = max(span / 3.0, 1.0)
@@ -436,7 +431,7 @@ def synthetic_truth(
         except UnreachableError:
             continue
         t0 = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
-        path = positions[np.searchsorted(node_ids, route)]  # src != dst: two nodes or more
+        path = positions[[net._index[nid] for nid in route]]  # src != dst: two nodes or more
         legs = hypot(*(path[:-1] - path[1:]).T) / rng.uniform(6.0, 14.0, size=len(route) - 1)
         timed = Trajectory(len(out), np.add.accumulate(np.concatenate(([t0], legs))), path)
         dense = interpolate(timed, sample_interval)

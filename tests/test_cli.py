@@ -80,6 +80,20 @@ def test_build_env_key_fallbacks(tmp_path):
     assert env.rsus[2].backhaul == {0: 3e8, 1: 1e9}
 
 
+def test_backhaul_pair_with_no_key_exits_2_before_output(tmp_path, capsys):
+    scenario = Path(write_cli_scenario(tmp_path))
+    text = scenario.read_text(encoding="utf-8")
+    scenario.write_text(text.replace("backhaul.default = 1e9\n", "backhaul.0.1 = 1e9\n"),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["train", "--scenario", str(scenario), "--out", str(out), "--episodes", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: no backhaul bandwidth for RSU pair (0,2): "
+        "set one of backhaul.0.2, backhaul.2.0, backhaul.default\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "compare", "resume"])
 def test_checkpoint_for_other_vehicle_count_is_a_config_error(tmp_path, capsys, command):
     two = write_cli_scenario(tmp_path, n_vehicles=2)

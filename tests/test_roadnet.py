@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference_roadnet import adjacency
+from reference_roadnet import adjacency, arc_table
 from vtmigsim.roadnet import (
     GeoPoint,
     NoEdgesError,
@@ -22,7 +22,7 @@ def brute_force_shortest(net, src, dst):
     if src == dst:
         return 0.0
     best = [math.inf]
-    arcs = adjacency(net)
+    arcs, table = adjacency(net), arc_table(net)
 
     def walk(node, seen, total):
         if total >= best[0]:
@@ -31,9 +31,9 @@ def brute_force_shortest(net, src, dst):
             best[0] = total
             return
         for eid in arcs[node]:
-            edge = net.edges[eid]
-            if edge.to_node not in seen:
-                walk(edge.to_node, seen | {edge.to_node}, total + edge.length)
+            _, to, length = table[eid]
+            if to not in seen:
+                walk(to, seen | {to}, total + length)
 
     walk(src, {src}, 0.0)
     return best[0]
@@ -55,10 +55,14 @@ EDGES_CSV = ["from,to,length_m,speed_mps", "0,1,100,15", "1,2,,15"]
 
 def test_load_small_network():
     net = load_network(NODES_CSV, EDGES_CSV)
-    assert len(net.nodes) == 3
-    assert len(net.edges) == 4  # two segments doubled into arcs
+    assert net.ids == [0, 1, 2]
+    assert net.xy.tolist() == [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0]]
+    # two segments doubled into arcs 2k (u->v) and 2k+1 (v->u)
+    assert net.arcs.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
     # empty length field computed from endpoints
-    assert net.edges[2].length == pytest.approx(100.0)
+    assert net.length.tolist() == [100.0] * 4
+    with pytest.raises(ValueError, match="read-only"):  # the query indexes derive from them
+        net.xy[0, 0] = 1.0
 
 
 def test_load_rejects_unknown_endpoint():
@@ -73,8 +77,9 @@ def test_load_rejects_duplicate_node():
 
 def test_load_empty_edge_file():
     net = load_network(NODES_CSV, ["from,to,length_m,speed_mps"])
-    assert len(net.nodes) == 3
-    assert net.edges == []
+    assert net.ids == [0, 1, 2]
+    assert net.arcs.shape == (0, 2)
+    assert net.length.shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -137,19 +142,17 @@ def test_map_match_invariants_random():
     rng = np.random.default_rng(7)
     for _ in range(30):
         net = random_network(rng, int(rng.integers(2, 7)))
-        if not net.edges:
+        if not len(net.arcs):
             continue
         p = GeoPoint(float(rng.uniform(-20, 120)), float(rng.uniform(-20, 120)))
         proj = map_match(net, [(p.x, p.y)])
         offset, distance = float(proj.offset[0]), float(proj.distance[0])
         assert 0.0 <= offset <= 1.0
         # never farther than any edge endpoint
-        endpoints = {e.from_node for e in net.edges} | {e.to_node for e in net.edges}
-        for nid in endpoints:
-            assert distance <= p.dist_to(net.nodes[nid].pos) + 1e-9
+        for k in np.unique(net.arcs).tolist():
+            assert distance <= p.dist_to(GeoPoint(*net.xy[k])) + 1e-9
         # projected point lies on the segment within 1e-6 m
-        e = net.edges[proj.edge_id[0]]
-        a, b = net.nodes[e.from_node].pos, net.nodes[e.to_node].pos
+        a, b = (GeoPoint(*net.xy[k]) for k in net.arcs[proj.edge_id[0]])
         ox = a.x + offset * (b.x - a.x)
         oy = a.y + offset * (b.y - a.y)
         assert math.hypot(ox - proj.point[0, 0], oy - proj.point[0, 1]) < 1e-6
@@ -200,7 +203,7 @@ def test_shortest_path_matches_enumeration():
 def test_triangle_inequality():
     rng = np.random.default_rng(5)
     net = random_network(rng, 7, edge_prob=0.7)
-    nodes = list(net.nodes)
+    nodes = net.ids
     for a in nodes:
         for b in nodes:
             for c in nodes:

@@ -1,5 +1,8 @@
-"""Fast road queries against the reference implementations, bit for bit.
+"""Road networks and fast road queries against the reference implementations,
+bit for bit.
 
+The column `RoadNetwork` must hold the nodes, arcs and lengths that the
+object construction holds, and reject the same inputs with the same message.
 `shortest_path` (dense-index Dijkstra) must return the same path and length
 as the dict-based search, ties included. The array `map_match` (bucket index
 with a full-scan fall-back) must return, in every row of a batch, the same arc
@@ -10,10 +13,11 @@ multi-arcs, one-way arcs, a single arc and collinear arcs.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_roadnet as ref
@@ -22,10 +26,9 @@ from vtmigsim import roadnet
 from vtmigsim.roadnet import (
     GeoPoint,
     NoEdgesError,
-    RoadEdge,
     RoadNetwork,
-    RoadNode,
     UnreachableError,
+    ValidationError,
     map_match,
     shortest_path,
 )
@@ -114,13 +117,11 @@ def networks(draw):
     if not segs:
         segs.append((ids[0], ids[1], None, 10.0))
     if shape == "one_way":
-        nodes = [RoadNode(ids[i], GeoPoint(*xy[i])) for i in range(n)]
-        pos = {node.id: node.pos for node in nodes}
-        arcs = [
-            RoadEdge(u, v, length if length is not None else max(pos[u].dist_to(pos[v]), 1e-3), s)
-            for u, v, length, s in segs
-        ]
-        return RoadNetwork(nodes, arcs), ids
+        pos = {nid: GeoPoint(*p) for nid, p in zip(ids, xy.tolist())}
+        lengths = [length if length is not None else max(pos[u].dist_to(pos[v]), 1e-3)
+                   for u, v, length, _ in segs]
+        arcs = [(u, v) for u, v, _, _ in segs]
+        return RoadNetwork(ids, xy, arcs, lengths, [s for _, _, _, s in segs]), ids
     return RoadNetwork.from_undirected([(ids[i], *xy[i]) for i in range(n)], segs), ids
 
 
@@ -146,9 +147,9 @@ def _assert_rows_match_reference(net, pts):
 
 def _queries(net, rng):
     """Nodes, arc midpoints, cell boundaries, outside the bbox, far away, random."""
-    pts = [n.pos for n in net.nodes.values()]
-    for e in net.edges[:20]:
-        a, b = net.nodes[e.from_node].pos, net.nodes[e.to_node].pos
+    pts = [GeoPoint(x, y) for x, y in net.xy.tolist()]
+    for u, v in net.arcs[:20].tolist():
+        a, b = pts[u], pts[v]
         pts.append(GeoPoint((a.x + b.x) / 2, (a.y + b.y) / 2))
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
@@ -250,3 +251,97 @@ def test_map_match_far_points_on_a_large_grid():
     _assert_rows_match_reference(net, pts)
     for p in pts[-2:]:
         _assert_rows_match_reference(net, [p])
+
+
+_FAULTS = ["duplicate_id", "unknown_endpoint", "non_finite_xy", "bad_length", "bad_speed"]
+
+
+@st.composite
+def construction_inputs(draw):
+    """(nodes, segments, faults): (id, x, y) nodes and (u, v, length|None, speed)
+    segments, with each fault in `faults` planted once."""
+    ids = draw(st.lists(st.integers(-40, 40) | st.just(10**30), min_size=1, max_size=8,
+                        unique=True))
+    coord = st.floats(-1e4, 1e4)
+    nodes = [(nid, draw(coord), draw(coord)) for nid in ids]
+    node_id = st.sampled_from(ids)
+    segs = draw(st.lists(st.tuples(node_id, node_id, st.none() | st.floats(0.5, 1e3),
+                                   st.floats(0.1, 50.0)), max_size=12))
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    pick = st.integers(0, len(nodes) - 1)
+    if "duplicate_id" in faults:
+        nodes.insert(draw(pick), (draw(node_id), draw(coord), draw(coord)))
+    if "non_finite_xy" in faults:
+        k, bad = draw(pick), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        nodes[k] = (nodes[k][0], bad, nodes[k][2]) if draw(st.booleans()) else (*nodes[k][:2], bad)
+    faulty = {fault: draw(st.integers(0, len(segs) - 1)) for fault in faults if segs}
+    for fault, k in faulty.items():
+        u, v, length, speed = segs[k]
+        if fault == "unknown_endpoint":
+            u, v = (max(ids) + 1, v) if draw(st.booleans()) else (u, -10**31)
+            segs[k] = (u, v, length, speed)
+        elif fault == "bad_length":
+            segs[k] = (u, v, draw(st.sampled_from([0.0, -3.0, math.nan])), speed)
+        elif fault == "bad_speed":
+            segs[k] = (u, v, length, draw(st.sampled_from([0.0, -1.0, math.nan])))
+    return nodes, segs, faults
+
+
+def _columns(net):
+    return (net.ids, [(x.hex(), y.hex()) for x, y in net.xy.tolist()],
+            [(u, v, w.hex()) for u, v, w in ref.arc_table(net)])
+
+
+def _object_columns(net):
+    ids = sorted(net.nodes)
+    return (ids, [(net.nodes[i].pos.x.hex(), net.nodes[i].pos.y.hex()) for i in ids],
+            [(e.from_node, e.to_node, e.length.hex()) for e in net.edges])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_inputs(), st.booleans())
+# np.hypot and math.hypot round this missing length differently
+@example(([(0, -2905.436, -870.007), (1, 1986.141, -9434.281)], [(0, 1, None, 10.0)], set()),
+         False)
+def test_columns_match_object_construction(case, directed):
+    """Directed arcs through the constructor and segments through
+    `from_undirected` (None lengths filled in): the same ids, positions, arcs
+    and length bits as the object construction, or the same ValidationError."""
+    nodes, segs, faults = case
+    if directed:  # one arc per segment, each given a length
+        segs = [(u, v, 7.5 if w is None else w, s) for u, v, w, s in segs]
+        ids, xy = [n[0] for n in nodes], [n[1:] for n in nodes]
+        arcs, lengths, speeds = [s[:2] for s in segs], [s[2] for s in segs], [s[3] for s in segs]
+        build = partial(RoadNetwork, ids, xy, arcs, lengths, speeds)
+        build_ref = partial(ref.ObjectNetwork,
+                            [ref.RoadNode(nid, GeoPoint(x, y)) for nid, x, y in nodes],
+                            [ref.RoadEdge(*seg) for seg in segs])
+    else:
+        build = partial(RoadNetwork.from_undirected, nodes, segs)
+        build_ref = partial(ref.ObjectNetwork.from_undirected, nodes, segs)
+    try:
+        expected = build_ref()
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            build()
+        assert str(got.value) == str(exc)
+        return
+    # a planted fault raises, unless it is an arc fault and there is no arc to carry it
+    assert not faults or not segs and faults <= {"unknown_endpoint", "bad_length", "bad_speed"}
+    assert _columns(build()) == _object_columns(expected)
+
+
+def test_match_in_blocks_leaves_a_near_cell_distance_to_the_full_scan():
+    """A query whose nearest arc in its 3x3 block lies within the rounding
+    margin below one cell is not certified, so it takes the full scan."""
+    side = 1000.0
+    nodes = [(0, 0.0, 0.0), (1, side, 0.0), (2, 0.0, side), (3, side, side)]
+    net = RoadNetwork.from_undirected(
+        nodes, [(0, 1, None, 10.0), (0, 2, None, 10.0), (1, 3, None, 10.0), (2, 3, None, 10.0)])
+    x0, y0, cell, _, ny = net._grid
+    assert (x0, y0) == (0.0, 0.0) and ny > 1
+    near = cell - net._slack / 2  # above the bottom road: below one cell, inside the margin
+    q = np.array([[side / 2, side / 2], [1.0, near]])
+    rows, best = roadnet._match_in_blocks(net, q)
+    assert rows.tolist() == [0] and best.tolist() == [0]  # the well-inside query is certified
+    _assert_rows_match_reference(net, [GeoPoint(x, y) for x, y in q.T.tolist()])
