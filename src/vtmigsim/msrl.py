@@ -127,6 +127,8 @@ class TrainConfig:
             raise ValueError("clip must be in (0, 1)")
         if min(self.episodes, self.epochs, self.minibatch, self.window) < 1:
             raise ValueError("episodes, epochs, minibatch and window must be >= 1")
+        if min(self.hold, self.flutter_limit) < 0:
+            raise ValueError("train.hold and train.flutter_limit must be >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if self.mode not in MODES:

@@ -3,15 +3,15 @@
 Coordinates are planar meters (x east, y north). A network is four columns:
 node ids in ascending order, their positions, the arcs as pairs of dense node
 indices, and the arc lengths. Undirected road segments are stored as two
-directed arcs. The network is immutable after construction and safe to share
-across workers; its two query indexes are built eagerly. Dijkstra runs on
-dense node indices, so heap ties break exactly as on node ids. `map_match`
-takes a batch of points and reads a uniform grid of arc buckets with array
-ops, one pass per block of queries: it keeps the best arc of the 3x3 cell
-block around a query only if it is nearer than one cell by a margin that
-covers rounding, as every other arc is a cell away. The other queries (off the
-grid, far from roads, not finite) scan every arc with the same per-arc
-arithmetic.
+directed arcs. The columns are read-only; the query indexes are built eagerly,
+and `shortest_path` keeps paused route searches on the network (give each
+thread its own network). Dijkstra runs on dense node indices, so heap ties
+break exactly as on node ids. `map_match` takes a batch of points and reads a
+uniform grid of arc buckets with array ops, one pass per block of queries: it
+keeps the best arc of the 3x3 cell block around a query only if it is nearer
+than one cell by a margin that covers rounding, as every other arc is a cell
+away. The other queries (off the grid, far from roads, not finite) scan every
+arc with the same per-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
+from struct import pack
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,11 +85,12 @@ class Projection:
 
 
 class RoadNetwork:
-    """Immutable directed road graph held as columns.
+    """Directed road graph held as read-only columns.
 
     `ids` lists the node ids ascending (a list: ids may exceed int64) and `xy`
     (n, 2) their positions in that order. Arc k runs from node `arcs[k, 0]` to
     node `arcs[k, 1]`, dense indices into `ids`, and is `length[k]` meters long.
+    `_searches` holds the paused `shortest_path` searches of recent sources.
     """
 
     def __init__(self, ids: Sequence[int], xy, arcs: Sequence[tuple[int, int]], length, speed):
@@ -105,6 +108,7 @@ class RoadNetwork:
         self.ids = sorted(row)
         self.xy = xy[[row[nid] for nid in self.ids]]
         self._index = index = {nid: i for i, nid in enumerate(self.ids)}
+        self._searches = {}  # paused shortest_path searches by source index, oldest use first
         self._out = out = [[] for _ in self.ids]  # (to index, length) per node
         self.length = np.array(length, dtype=float).reshape(-1)
         speed = np.asarray(speed, dtype=float).tolist()
@@ -245,6 +249,7 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
     return RoadNetwork.from_undirected(nodes, edges)
 
 
+_KEPT_LABELS = 1 << 18  # node labels kept per network by paused route searches, 13 B each
 _BLOCK = 512           # queries per in-block pass: bounds the candidate arrays
 _SCAN_PAIRS = 1 << 13  # query-arc pairs per full-scan pass
 
@@ -315,31 +320,43 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
     relaxation step is dist[v] = min(dist[v], dist[u] + w(u, v)). Heap entries
     are (distance, dense index) with indices in node-id order, so results are
     deterministic. Pushes for a node strictly decrease, so a popped entry above
-    its node's distance is stale.
+    its node's distance is stale. The pop order does not depend on dst, so the
+    search pauses with dst settled and its arcs relaxed, and `net` keeps it (LRU,
+    `_KEPT_LABELS` labels in all): a later call from src resumes it exactly.
     """
     for nid in (src, dst):
         if nid not in net._index:
             raise ValidationError(f"unknown node {nid}")
     if src == dst:
         return [src], 0.0
-    s, target, out = net._index[src], net._index[dst], net._out
-    dist, parent = [math.inf] * len(out), [-1] * len(out)
-    dist[s] = 0.0
-    heap = [(0.0, s)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d_u, u = pop(heap)
-        if d_u > dist[u]:
-            continue
-        if u == target:
-            break
-        for v, w in out[u]:
-            cand = d_u + w
-            if cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                push(heap, (cand, v))
-    else:
+    s, target, out, kept = net._index[src], net._index[dst], net._out, net._searches
+    n = len(out)
+    # (dist, parent, settled flags, heap) of the paused search from s, or a fresh one
+    dist, parent, done, heap = state = kept.pop(s, None) or (None, None, bytearray(n), [(0.0, s)])
+    if not done[target] and heap:
+        dist, parent = (dist.tolist(), parent.tolist()) if dist else ([math.inf] * n, [-1] * n)
+        dist[s] = 0.0
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d_u, u = pop(heap)
+            if d_u > dist[u]:
+                continue
+            done[u] = 1
+            for v, w in out[u]:
+                cand = d_u + w
+                if cand < dist[v]:
+                    dist[v] = cand
+                    parent[v] = u
+                    push(heap, (cand, v))
+            if u == target:
+                break
+        state = None if n > _KEPT_LABELS else (  # struct reads a list faster than array()
+            array("d", pack(f"{n}d", *dist)), array("i", pack(f"{n}i", *parent)), done, heap)
+    if state is not None:
+        kept[s] = state  # most recently used last
+    while len(kept) * n > _KEPT_LABELS:
+        del kept[next(iter(kept))]
+    if not done[target]:
         raise UnreachableError(f"node {dst} is not reachable from {src}")
     path = [target]
     while path[-1] != s:

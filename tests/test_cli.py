@@ -159,6 +159,8 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("", "train.thr0 = -inf\n", "key 'train.thr0': '-inf' is not a finite"),
     ("", "train.window = 0\n", "window must be >= 1"),
     ("", "train.lr = -1\n", "lr must be positive"),
+    ("", "train.hold = -5\n", "train.hold and train.flutter_limit must be >= 0"),
+    ("", "train.flutter_limit = -1\n", "train.hold and train.flutter_limit must be >= 0"),
     ("env.tau = -1", "", "tau and background_mean must be >= 0"),
     ("env.background_mean = -0.5", "", "tau and background_mean must be >= 0"),
     ("env.background_unit = -1e8", "", "background_unit > 0"),
@@ -187,7 +189,8 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("env.warmup_slots = -3", "", "env.warmup_slots must be >= 0, got -3"),
     ("backhaul.default = 0", "", "key 'backhaul.default' must be > 0, got '0'"),
     ("backhaul.0.2 = -1e9", "", "key 'backhaul.0.2' must be > 0, got '-1e9'"),
-], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "tau_negative",
+], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "hold_negative",
+        "flutter_limit_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
         "one_max_load_negative", "power_0", "one_power_negative", "bw_up_0", "bw_down_0",
         "noise_0", "one_noise_negative", "init_load_negative", "compute_0", "compute_negative",

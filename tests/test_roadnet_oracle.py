@@ -4,10 +4,11 @@ bit for bit.
 The column `RoadNetwork` must hold the nodes, arcs and lengths that the
 object construction holds, and reject the same inputs with the same message.
 `shortest_path` (dense-index Dijkstra) must return the same path and length
-as the dict-based search, ties included. The array `map_match` (bucket index
-with a full-scan fall-back) must return, in every row of a batch, the same arc
-and the same bits in every `Projection` field as the full scan of that point
-alone. Networks cover random graphs, lattices
+as the dict-based search, ties included, also when a later call from the same
+source resumes a kept search, whatever the bound on kept searches. The array
+`map_match` (bucket index with a full-scan fall-back) must return, in every row
+of a batch, the same arc and the same bits in every `Projection` field as the
+full scan of that point alone. Networks cover random graphs, lattices
 full of equal-length ties, non-contiguous, negative and unsorted node ids,
 multi-arcs, one-way arcs, a single arc and collinear arcs.
 """
@@ -221,6 +222,86 @@ def test_shortest_path_matches_dict_dijkstra(case, seed):
             continue
         path, length = shortest_path(net, src, dst)
         assert (path, length.hex()) == (expected[0], expected[1].hex())
+
+
+def _reference_answer(net, src, dst):
+    """(path, length bits) of the dict-based search, or None if dst is unreachable."""
+    try:
+        path, length = ref.shortest_path(net, src, dst)
+    except UnreachableError:
+        return None
+    return path, length.hex()
+
+
+def _assert_answers(net, queries, expected):
+    for (src, dst), want in zip(queries, expected):
+        if want is None:
+            with pytest.raises(UnreachableError):
+                shortest_path(net, src, dst)
+        else:
+            path, length = shortest_path(net, src, dst)
+            assert (path, length.hex()) == want, (src, dst)
+        _assert_kept_under_their_source(net)
+
+
+def _assert_kept_under_their_source(net):
+    """A search kept under another node's index would resume from the wrong source."""
+    for s, (dist, parent, _, _) in net._searches.items():
+        assert (dist[s], parent[s]) == (0.0, -1), s
+
+
+def _kept_labels(net):
+    return sum(len(dist) for dist, _, _, _ in net._searches.values())
+
+
+@st.composite
+def query_sequences(draw):
+    """(RoadNetwork, queries): 20-60 (src, dst) pairs on one network, sources
+    from 2-3 nodes and targets from every node, with repeats and src == dst."""
+    net, ids = draw(networks())
+    sources = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3, unique=True))
+    queries = draw(st.lists(st.tuples(st.sampled_from(sources), st.sampled_from(ids)),
+                            min_size=17, max_size=57))
+    return net, queries + [(sources[0], sources[0])] + queries[:2]
+
+
+@SETTINGS
+@given(query_sequences())
+def test_resumed_searches_match_fresh_dict_dijkstra(case):
+    """Each answer of a sequence equals a fresh reference search, with kept
+    searches bounded by default, to one network's node count and to none."""
+    net, queries = case
+    expected = [_reference_answer(net, src, dst) for src, dst in queries]
+    for bound in (roadnet._KEPT_LABELS, len(net.ids), 0):
+        net._searches.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roadnet, "_KEPT_LABELS", bound)
+            _assert_answers(net, queries, expected)
+        assert _kept_labels(net) <= bound
+
+
+def test_kept_searches_stay_within_the_label_bound(monkeypatch):
+    """A 30x30 lattice queried from every node keeps the most recently used
+    searches up to the bound; a bound below one search keeps none."""
+    n = 30
+    nodes = [(k, (k % n) * 50.0, (k // n) * 50.0) for k in range(n * n)]
+    segs = [(k, k + 1, None, 10.0) for k in range(n * n - 1) if (k + 1) % n]
+    segs += [(k, k + n, None, 10.0) for k in range(n * n - n)]
+    net = RoadNetwork.from_undirected(nodes, segs)
+    rng = np.random.default_rng(11)
+    for src in range(n * n):
+        shortest_path(net, src, int(rng.integers(n * n)))
+        assert _kept_labels(net) <= roadnet._KEPT_LABELS
+        _assert_kept_under_their_source(net)
+    keep = roadnet._KEPT_LABELS // (n * n)
+    assert 0 < keep < n * n and list(net._searches) == list(range(n * n - keep, n * n))
+    queries = [tuple(q) for q in rng.integers(n * n, size=(40, 2)).tolist()]
+    queries += [(n * n - 1, k) for k in range(0, n * n, 97)]  # resumes a kept search
+    expected = [_reference_answer(net, src, dst) for src, dst in queries]
+    _assert_answers(net, queries, expected)
+    monkeypatch.setattr(roadnet, "_KEPT_LABELS", n * n - 1)
+    _assert_answers(net, queries, expected)
+    assert not net._searches
 
 
 def test_lattice_ties_pick_the_reference_route():
