@@ -76,7 +76,10 @@ def cmd_trajgen(args) -> int:
 
     synthetic = args.synthetic_profile or get_int(cfg, "gen.synthetic", 0) != 0
     if synthetic:
-        raw = trajgen.synthetic_truth(net, get_int(cfg, "gen.synthetic_count", 200), rng)
+        count = get_int(cfg, "gen.synthetic_count", 200)
+        if count < 1:
+            raise ConfigError(f"key 'gen.synthetic_count' must be >= 1, got {count}")
+        raw = trajgen.synthetic_truth(net, count, rng)
     else:
         input_path = get_str(cfg, "gen.input")
         with open(input_path, "r", encoding="utf-8") as fh:

@@ -197,6 +197,16 @@ class PremigrationEnv:
         slots = np.arange(cfg.horizon)
         self.xy = self.position(slots)
         self.serving = self.nearest_rsu(self.xy)
+        # Every link that `transmission_latencies` may be asked for must carry
+        # its bits. The rate falls with distance, so check each at its
+        # vehicle's farthest slot from the RSU.
+        v, e = np.nonzero((self._request_bits[:, None] != 0) | (self._result_bits != 0))
+        far = self.rsu_distances(self.xy).argmax(axis=0)[v, e]
+        dead = self.spectral_efficiency(v, e, *self.xy[far, v].T) == 0
+        if dead.any():
+            k = dead.argmax()
+            raise ValueError(f"a link's 1 + SNR rounds to 1, so it cannot carry its bits: "
+                             f"vehicle {v[k]} and RSU {e[k]} at slot {far[k]}")
         self.task_bits = np.stack(
             [np.asarray(v.task_bits, dtype=float)[slots % len(v.task_bits)] for v in self.vehicles],
             axis=1,

@@ -30,10 +30,6 @@ class FitError(ValueError):
     """Raised when a density model is fit on no data."""
 
 
-class RouteError(ValueError):
-    """Raised when no road route connects a sampled entry/exit pair."""
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Timestamped positions of one vehicle as columns, one row per point:
@@ -217,25 +213,25 @@ def generate_entry_exit(
     return entry, exit
 
 
-def _nearest_node(net: RoadNetwork, x: float, y: float, edge_id: int) -> int:
-    """Nearest node to (x, y) reached through the nearest arc's closer endpoint
-    (ties: the lower id)."""
-    ends = net.arcs[edge_id].tolist()
-    (ax, ay), (bx, by) = net.xy[ends].tolist()
-    da, db = math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by)
-    return net.ids[ends[0] if da < db else ends[1] if db < da else min(ends)]
+def generate_route(entries, exits, net: RoadNetwork) -> list[Optional[list[int]]]:
+    """Routes between the network nodes nearest to each entry/exit pair, rows of
+    `entries` and `exits` (J, 2); None where no route connects the pair.
 
-
-def generate_route(entry: np.ndarray, exit: np.ndarray, net: RoadNetwork) -> list[int]:
-    """Route between the network nodes nearest to the two (x, y) endpoints."""
-    ends = np.array([entry, exit], dtype=float)
-    arcs = map_match(net, ends).edge_id.tolist()
-    src, dst = (_nearest_node(net, *p, e) for p, e in zip(ends.tolist(), arcs))
-    try:
-        path, _ = shortest_path(net, src, dst)
-    except UnreachableError as exc:
-        raise RouteError(str(exc)) from exc
-    return path
+    A point's node is the nearer end of its nearest arc (ties: the lower id);
+    all 2J points are matched in one batch.
+    """
+    ends = np.array([entries, exits], dtype=float).reshape(-1, 2)
+    arcs = net.arcs[map_match(net, ends).edge_id]
+    d = hypot(*(ends[:, None] - net.xy[arcs]).T).T  # (2J, 2) to each end of the arc
+    a, b = arcs.T
+    node = np.where(d[:, 0] < d[:, 1], a, np.where(d[:, 1] < d[:, 0], b, np.minimum(a, b)))
+    routes = []
+    for src, dst in zip(*node.reshape(2, -1).tolist()):
+        try:
+            routes.append(shortest_path(net, net.ids[src], net.ids[dst])[0])
+        except UnreachableError:
+            routes.append(None)
+    return routes
 
 
 def assign_times(
@@ -303,9 +299,11 @@ def generate_dataset(
 
     Per-hour counts are round(total_count * histogram * per_hour_count_scale).
     Each trajectory is generated from its own child RNG stream (stream id =
-    trajectory index) so output does not depend on generation order.
-    Entry/exit pairs that cannot be routed are resampled up to 20 times and
-    then skipped; returns (trajectories, skip_count).
+    trajectory index), so output does not depend on how jobs are interleaved.
+    Jobs are routed in rounds: each pending job draws an entry/exit pair, one
+    `generate_route` call routes them all, and a pair with no route of two
+    nodes or more leaves its job pending. Jobs still pending after 20 rounds
+    are skipped; returns (trajectories, skip_count).
     """
     counts = [
         int(round(total_count * w * cfg.per_hour_count_scale))
@@ -313,33 +311,21 @@ def generate_dataset(
     ]
     jobs = [hour for hour in range(HOURS) for _ in range(counts[hour])]
     streams = rng.spawn(len(jobs)) if jobs else []
-    tracks = [_generate_one(profile, net, cfg, hour, idx, stream)
-              for idx, (hour, stream) in enumerate(zip(jobs, streams))]
-    tracks = [traj for traj in tracks if traj is not None]
-    return map_to_roads(tracks, net), len(jobs) - len(tracks)
-
-
-def _generate_one(
-    profile: MobilityProfile,
-    net: RoadNetwork,
-    cfg: GenConfig,
-    hour: int,
-    vehicle_id: int,
-    rng: np.random.Generator,
-) -> Optional[Trajectory]:
-    start_t = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
+    start_t = [(hour + float(s.uniform())) * _SECONDS_PER_HOUR for hour, s in zip(jobs, streams)]
+    tracks: list[Optional[Trajectory]] = [None] * len(jobs)
+    pending = list(range(len(jobs)))
     for _ in range(_ROUTE_RETRIES):
-        entry, exit = generate_entry_exit(profile, hour, rng)
-        try:
-            route = generate_route(entry, exit, net)
-        except RouteError:
-            continue
-        if len(route) < 2:
-            continue
-        path = net.xy[[net._index[nid] for nid in route]]
-        timed = assign_times(path, start_t, profile, hour, rng, vehicle_id)
-        return interpolate(timed, cfg.delta_t)
-    return None
+        if not pending:
+            break
+        ends = np.array([generate_entry_exit(profile, jobs[j], streams[j]) for j in pending])
+        for j, route in zip(pending, generate_route(ends[:, 0], ends[:, 1], net)):
+            if route is not None and len(route) >= 2:
+                path = net.xy[[net._index[nid] for nid in route]]
+                timed = assign_times(path, start_t[j], profile, jobs[j], streams[j], j)
+                tracks[j] = interpolate(timed, cfg.delta_t)
+        pending = [j for j in pending if tracks[j] is None]
+    done = [traj for traj in tracks if traj is not None]
+    return map_to_roads(done, net), len(pending)
 
 
 # --- trajectory CSV interface (header: vehicle_id,t,x,y) ---

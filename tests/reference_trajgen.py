@@ -5,6 +5,10 @@ replaced: cleaning and segmentation, the mobility profile, timing a path,
 interpolation and the density grid. Their arithmetic is kept unchanged, as
 the oracles the array code must match bit for bit. They take and return
 `Trajectory` columns, and walk them as `TrajectoryPoint`s in between.
+
+`generate_dataset` is the job-at-a-time generation loop that routing in rounds
+replaced: each job makes all its attempts before the next job starts, and each
+attempt matches its own two endpoints and snaps them one point at a time.
 """
 
 import math
@@ -12,8 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vtmigsim.roadnet import GeoPoint
-from vtmigsim.trajgen import HOURS, KdeModel, MobilityProfile, Trajectory
+from vtmigsim.roadnet import GeoPoint, UnreachableError, map_match, shortest_path
+from vtmigsim.trajgen import (
+    HOURS,
+    KdeModel,
+    MobilityProfile,
+    Trajectory,
+    assign_times as column_assign_times,
+    generate_entry_exit,
+    interpolate as column_interpolate,
+    map_to_roads,
+)
 
 
 @dataclass(frozen=True)
@@ -160,3 +173,50 @@ def density_grid(trajs, cell):
             key = (int(math.floor(p.pos.x / cell)), int(math.floor(p.pos.y / cell)))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def nearest_node(net, x, y, edge_id):
+    """Nearest node to (x, y) reached through the nearest arc's closer endpoint
+    (ties: the lower id)."""
+    ends = net.arcs[edge_id].tolist()
+    (ax, ay), (bx, by) = net.xy[ends].tolist()
+    da, db = math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by)
+    return net.ids[ends[0] if da < db else ends[1] if db < da else min(ends)]
+
+
+def generate_route(entry, exit, net):
+    """Route between the network nodes nearest to the two (x, y) endpoints;
+    raises UnreachableError when none connects them."""
+    ends = np.array([entry, exit], dtype=float)
+    arcs = map_match(net, ends).edge_id.tolist()
+    src, dst = (nearest_node(net, *p, e) for p, e in zip(ends.tolist(), arcs))
+    return shortest_path(net, src, dst)[0]
+
+
+def generate_one(profile, net, cfg, hour, vehicle_id, rng):
+    """One job's trajectory, or None when 20 pairs found no route."""
+    start_t = (hour + float(rng.uniform())) * 3600.0
+    for _ in range(20):
+        entry, exit = generate_entry_exit(profile, hour, rng)
+        try:
+            route = generate_route(entry, exit, net)
+        except UnreachableError:
+            continue
+        if len(route) < 2:
+            continue
+        path = net.xy[[net._index[nid] for nid in route]]
+        timed = column_assign_times(path, start_t, profile, hour, rng, vehicle_id)
+        return column_interpolate(timed, cfg.delta_t)
+    return None
+
+
+def generate_dataset(profile, net, cfg, total_count, rng):
+    """(trajectories, skip count), one job after another."""
+    counts = [int(round(total_count * w * cfg.per_hour_count_scale))
+              for w in profile.hour_histogram]
+    jobs = [hour for hour in range(HOURS) for _ in range(counts[hour])]
+    streams = rng.spawn(len(jobs)) if jobs else []
+    tracks = [generate_one(profile, net, cfg, hour, idx, stream)
+              for idx, (hour, stream) in enumerate(zip(jobs, streams))]
+    tracks = [traj for traj in tracks if traj is not None]
+    return map_to_roads(tracks, net), len(jobs) - len(tracks)

@@ -189,6 +189,7 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("env.warmup_slots = -3", "", "env.warmup_slots must be >= 0, got -3"),
     ("backhaul.default = 0", "", "key 'backhaul.default' must be > 0, got '0'"),
     ("backhaul.0.2 = -1e9", "", "key 'backhaul.0.2' must be > 0, got '-1e9'"),
+    ("rsu.0.x = 1e200", "", "rounds to 1, so it cannot carry its bits: vehicle 0 and RSU 0"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "hold_negative",
         "flutter_limit_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
@@ -197,7 +198,8 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
         "one_compute_0", "cycles_per_bit_negative", "request_bits_negative",
         "result_bits_negative", "task_bits_negative", "one_task_bits_negative", "gain_0",
         "carrier_negative", "light_speed_0", "slot_seconds_negative", "slot_seconds_0",
-        "warmup_slots_negative", "backhaul_default_0", "one_backhaul_negative"])
+        "warmup_slots_negative", "backhaul_default_0", "one_backhaul_negative",
+        "rsu_out_of_reach"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)
@@ -366,8 +368,10 @@ def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, 
     ("gen.max_speed = -5\n", "gen.max_speed must be > 0, got -5.0"),
     ("gen.gap_split = 0\n", "gen.gap_split must be > 0, got 0.0"),
     ("gen.gap_split = -30\n", "gen.gap_split must be > 0, got -30.0"),
+    ("gen.synthetic_count = 0\n", "key 'gen.synthetic_count' must be >= 1, got 0"),
+    ("gen.synthetic_count = -3\n", "key 'gen.synthetic_count' must be >= 1, got -3"),
 ], ids=["count_scale_negative", "max_speed_0", "max_speed_negative", "gap_split_0",
-        "gap_split_negative"])
+        "gap_split_negative", "synthetic_count_0", "synthetic_count_negative"])
 def test_bad_gen_setting_exits_2_before_output(tmp_path, capsys, extra, message):
     out = tmp_path / "out"
     argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out)]

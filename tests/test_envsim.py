@@ -7,6 +7,7 @@ import pytest
 from helpers import denormalize_observation, line_trajectory, make_env
 
 from vtmigsim.envsim import ActionError, ChannelParams, EnvConfig, PremigrationEnv
+from vtmigsim.roadnet import GeoPoint
 
 
 # --- channel and rates ---
@@ -83,6 +84,24 @@ def test_link_whose_rate_rounds_to_zero_is_rejected():
         make_env(request_bits=1e5, trajectories=far)
     env = make_env(trajectories=far)  # nothing to send, so nothing to reject
     assert env.t_up[0, 0] == env.t_down_serving[0, 0] == 0.0
+
+
+def test_link_out_of_reach_at_its_farthest_slot_is_rejected_at_build():
+    # 1 + SNR rounds to 1 past about 9.5e9 m. The vehicle runs from x = 0 to
+    # 9e9 m, served by RSU 0 throughout; RSU 1 sits at x = -1e9 m, so its link
+    # is in reach at slot 0 and out of reach at slot 9.
+    base = make_env(trajectories=[line_trajectory(0, 0.0, 0.0, 1e9, 0.0)])
+    rsus = [base.rsus[0], dataclasses.replace(base.rsus[1], pos=GeoPoint(-1e9, 0.0))]
+
+    def build(result_bits):
+        vehicle = dataclasses.replace(base.vehicles[0], result_bits=np.full(2, result_bits))
+        return PremigrationEnv(rsus, [vehicle], base.channel, base.cfg)
+
+    with pytest.raises(ValueError, match="rounds to 1, .*: vehicle 0 and RSU 1 at slot 9"):
+        build(1e5)
+    env = build(0.0)  # nothing to send back, so nothing to reject
+    assert (env.serving == 0).all()
+    assert env.spectral_efficiency(0, 1, *env.xy[0, 0]) > 0
 
 
 # --- migration latency ---

@@ -216,17 +216,17 @@ def test_entry_exit_separation_enforced():
 
 def test_generate_route_triangle():
     net = RoadNetwork.from_undirected(
-        [(0, 0, 0), (1, 100, 0), (2, 200, 0)],
-        [(0, 1, 1.0, 10), (1, 2, 1.0, 10), (0, 2, 3.0, 10)],
+        [(0, 0, 0), (1, 100, 0), (2, 200, 0), (3, 1000, 0), (4, 1100, 0)],
+        [(0, 1, 1.0, 10), (1, 2, 1.0, 10), (0, 2, 3.0, 10), (4, 3, None, 10)],
     )
-    route = generate_route((-5, 2), (205, 2), net)
-    assert route == [0, 1, 2]
+    # Row 2 lies on the midpoint of arc 4 -> 3: the tie goes to the lower id, 3.
+    routes = generate_route([(-5, 2), (-5, 2), (1050, 5)], [(205, 2), (1090, 0), (1120, 0)], net)
+    assert routes == [[0, 1, 2], None, [3, 4]]
 
 
 def test_generate_route_same_node():
     net = grid_network()
-    route = generate_route((1, 1), (2, 2), net)
-    assert len(route) == 1
+    assert generate_route([(1, 1)], [(2, 2)], net) == [[0]]
 
 
 def test_assign_times_arithmetic():

@@ -7,23 +7,36 @@ rounding is coarsest and hour buckets turn over. Most hours see no data.
 Interpolated tracks have uneven gaps, grids that land exactly on the last
 timestamp, last gaps within and just past the 1e-9 tail tolerance, and two
 points.
+
+Generation in rounds runs on networks of two grids and a one-segment road
+that share no node, with node ids in shuffled order and segments drawn in
+either direction. Some hours route between the grids (never reachable, so
+their jobs are skipped after 20 rounds), some retry until a pair lands on one
+grid, and some sample both endpoints next to one node of the short road.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_trajgen as ref
 
-from vtmigsim.roadnet import GeoPoint
+from vtmigsim import roadnet, trajgen
+from vtmigsim.roadnet import GeoPoint, RoadNetwork
 from vtmigsim.trajgen import (
     GenConfig,
+    KdeModel,
     MobilityProfile,
     Trajectory,
     assign_times,
     build_profile,
     clean_and_segment,
     density_grid,
+    generate_dataset,
+    generate_route,
     hour_of,
     interpolate,
 )
@@ -231,3 +244,140 @@ def test_interpolate_grid_on_the_last_point_adds_no_tail():
 def test_density_grid_matches_per_point_reference(tracks_xy, cell):
     trajs = [Trajectory(v, np.arange(len(xy), dtype=float), xy) for v, xy in enumerate(tracks_xy)]
     assert density_grid(trajs, cell) == ref.density_grid(trajs, cell)
+
+
+# --- generate_route and generate_dataset ---
+
+def _grid(rows, cols, spacing, origin):
+    """(x, y) nodes and (u, v) segments of a grid, node k at row k // cols."""
+    nodes = [(origin[0] + c * spacing, origin[1] + r * spacing)
+             for r in range(rows) for c in range(cols)]
+    segs = [(k, k + 1) for k in range(len(nodes)) if (k + 1) % cols]
+    segs += [(k, k + cols) for k in range(len(nodes) - cols)]
+    return nodes, segs
+
+
+@st.composite
+def split_networks(draw):
+    """(node columns, segments): grids A and B and the short road C, with
+    shuffled ids and segments in drawn directions."""
+    parts = [
+        _grid(draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+              draw(st.sampled_from([50.0, 100.0, 137.5])), (0.0, 0.0)),
+        _grid(draw(st.integers(1, 3)), draw(st.integers(2, 3)),
+              draw(st.sampled_from([60.0, 100.0])), (draw(st.floats(1500.0, 2500.0)), 300.0)),
+        _grid(1, 2, draw(st.sampled_from([8.0, 25.0])), (5000.0, -400.0)),
+    ]
+    xy, segs = [], []
+    for nodes, part_segs in parts:
+        segs += [(u + len(xy), v + len(xy)) for u, v in part_segs]
+        xy += nodes
+    order = draw(st.permutations(range(len(xy))))
+    offset = draw(st.sampled_from([0, 10**6, 2**70]))  # ids past int64 too
+    ids = [offset + 3 * k for k in order]
+    edges = [(ids[v], ids[u], None, 12.0) if draw(st.booleans()) else (ids[u], ids[v], None, 12.0)
+             for u, v in segs]
+    return [(nid, x, y) for nid, (x, y) in zip(ids, xy)], edges
+
+
+@st.composite
+def split_cases(draw):
+    """(node columns, segments, profile, cfg, count, seed) on a split network."""
+    nodes, edges = draw(split_networks())
+    xy = np.array([(x, y) for _, x, y in nodes])
+    anchors = st.lists(st.sampled_from(range(len(nodes))), min_size=1, max_size=3)
+    hours = draw(st.lists(st.integers(0, 23), min_size=1, max_size=3, unique=True))
+    bandwidth = draw(st.sampled_from([2.0, 15.0, 60.0]))
+    fallback = KdeModel(xy, bandwidth)
+    entry_kde, exit_kde = [fallback] * 24, [fallback] * 24
+    for h in hours:
+        entry_kde[h] = KdeModel(xy[draw(anchors)], bandwidth)
+        exit_kde[h] = KdeModel(xy[draw(anchors)], bandwidth)
+    weights = np.zeros(24)
+    weights[hours] = draw(st.lists(st.floats(0.1, 1.0), min_size=len(hours),
+                                   max_size=len(hours)))
+    speeds = [np.array(draw(st.lists(st.floats(2.0, 30.0), min_size=1, max_size=4)))] * 24
+    profile = MobilityProfile(weights / weights.sum(), speeds, entry_kde, exit_kde)
+    cfg = GenConfig(delta_t=draw(st.sampled_from([20.0, 30.0, 60.0])))
+    return nodes, edges, profile, cfg, draw(st.integers(0, 12)), draw(st.integers(0, 2**32 - 1))
+
+
+def _dataset_bits(fn, nodes, edges, profile, cfg, count, seed):
+    """(track bits, skip count, parent state and spawn count) of one run on a fresh network."""
+    rng = np.random.default_rng(seed)
+    tracks, skipped = fn(profile, RoadNetwork.from_undirected(nodes, edges), cfg, count, rng)
+    return ([_bits(traj) for traj in tracks], skipped,
+            rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned)
+
+
+@pytest.mark.parametrize("kept", [roadnet._KEPT_LABELS, 0])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_cases())
+def test_generate_dataset_in_rounds_matches_job_at_a_time(kept, case):
+    with mock.patch.object(roadnet, "_KEPT_LABELS", kept):
+        got = _dataset_bits(generate_dataset, *case)
+        want = _dataset_bits(ref.generate_dataset, *case)
+    assert got == want
+
+
+def test_rounds_retry_skip_and_snap_to_one_node_as_jobs_do():
+    """Hour 3 routes A to B (every job skipped), hour 8 mixes A and B anchors
+    (retries), hour 17 samples both ends next to one node of C."""
+    a_nodes, a_segs = _grid(3, 3, 100.0, (0.0, 0.0))
+    b_nodes, b_segs = _grid(2, 3, 100.0, (2000.0, 300.0))
+    c_nodes, c_segs = _grid(1, 2, 25.0, (5000.0, -400.0))
+    xy = np.array(a_nodes + b_nodes + c_nodes)
+    segs = a_segs + [(u + 9, v + 9) for u, v in b_segs] + [(15, 16)]
+    net_nodes = [(k, x, y) for k, (x, y) in enumerate(xy.tolist())]
+    net_edges = [(u, v, None, 12.0) for u, v in segs]
+    a, b, c = xy[:9], xy[9:15], xy[15:16]
+    mixed = KdeModel(np.concatenate([a[:2], b[:1]]), 15.0)
+    entry_kde, exit_kde = [mixed] * 24, [mixed] * 24
+    entry_kde[3], exit_kde[3] = KdeModel(a, 15.0), KdeModel(b, 15.0)
+    entry_kde[17] = exit_kde[17] = KdeModel(c, 2.0)  # the road's midpoint is six bandwidths away
+    weights = np.zeros(24)
+    weights[[3, 8, 17]] = (0.25, 0.5, 0.25)
+    profile = MobilityProfile(weights, [np.array([10.0, 14.0])] * 24, entry_kde, exit_kde)
+    case = (net_nodes, net_edges, profile, GenConfig(), 16, 41)
+    calls = []
+    real = trajgen.generate_route
+
+    def counted(entries, exits, net):
+        routes = real(entries, exits, net)
+        calls.append([None if r is None else len(r) for r in routes])
+        return routes
+
+    with mock.patch.object(trajgen, "generate_route", counted):
+        got = _dataset_bits(generate_dataset, *case)
+    assert got == _dataset_bits(ref.generate_dataset, *case)
+    assert got[1] == 8  # hours 3 and 17: four jobs each
+    assert len(calls) == 20 and len(calls[0]) == 16 and len(calls[-1]) == 8
+    assert None in calls[0] and 1 in calls[0]  # unreachable pairs and one-node routes
+
+
+@st.composite
+def route_rows(draw):
+    """(node columns, segments, entries, exits): points on nodes, at arc
+    midpoints (a tie between the arc's ends) and anywhere near the network."""
+    nodes, edges = draw(split_networks())
+    xy = {nid: (x, y) for nid, x, y in nodes}
+    mids = [((xy[u][0] + xy[v][0]) / 2, (xy[u][1] + xy[v][1]) / 2) for u, v, _, _ in edges]
+    point = st.one_of(st.sampled_from(list(xy.values())), st.sampled_from(mids),
+                      st.tuples(st.floats(-200.0, 5200.0), st.floats(-600.0, 800.0)))
+    rows = draw(st.integers(1, 8))
+    return (nodes, edges, draw(st.lists(point, min_size=rows, max_size=rows)),
+            draw(st.lists(point, min_size=rows, max_size=rows)))
+
+
+@SETTINGS
+@given(route_rows())
+def test_generate_route_rows_match_pair_at_a_time(case):
+    nodes, edges, entries, exits = case
+    net = RoadNetwork.from_undirected(nodes, edges)
+    want = []
+    for entry, exit in zip(entries, exits):
+        try:
+            want.append(ref.generate_route(entry, exit, net))
+        except roadnet.UnreachableError:
+            want.append(None)
+    assert generate_route(entries, exits, net) == want
