@@ -2,7 +2,6 @@
 edge task pre-migration."""
 
 from .roadnet import (
-    GeoPoint,
     Projection,
     RoadNetwork,
     load_network,
@@ -23,21 +22,18 @@ from .envsim import (
     ChannelParams,
     EnvConfig,
     PremigrationEnv,
-    RsuSpec,
     StepResult,
-    VehicleSpec,
     build_env,
 )
 from .neuralcore import Adam, Critic, DenseNet, SplitActor
 from .msrl import PolicyBundle, SwitchController, TrainConfig, train
 
 __all__ = [
-    "GeoPoint", "Projection", "RoadNetwork",
+    "Projection", "RoadNetwork",
     "load_network", "map_match", "shortest_path",
     "GenConfig", "KdeModel", "MobilityProfile", "Trajectory",
     "build_profile", "clean_and_segment", "generate_dataset", "interpolate",
-    "ChannelParams", "EnvConfig", "PremigrationEnv", "RsuSpec", "StepResult",
-    "VehicleSpec", "build_env",
+    "ChannelParams", "EnvConfig", "PremigrationEnv", "StepResult", "build_env",
     "Adam", "Critic", "DenseNet", "SplitActor",
     "PolicyBundle", "SwitchController", "TrainConfig", "train",
 ]

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .configio import KEY, ConfigError, get_float, get_int, get_str, read_config
-from .roadnet import GeoPoint, elementwise, hypot
+from .roadnet import elementwise, hypot
 from .trajgen import Trajectory, read_trajectories_csv
 
 
@@ -44,29 +44,6 @@ class ChannelParams:
         for name, value in zip(("gain", "carrier", "light_speed"), astuple(self)):
             if not value > 0:
                 raise ValueError(f"channel.{name} must be > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class RsuSpec:
-    id: int
-    pos: GeoPoint
-    compute: float                 # C_e, cycles/s
-    max_load: float                # cap on queued cycles
-    bw_up: float                   # Hz
-    bw_down: float                 # Hz
-    noise_power: float             # receiver noise, W
-    backhaul: dict[int, float] = field(default_factory=dict)  # peer id -> bits/s
-
-
-@dataclass(frozen=True)
-class VehicleSpec:
-    id: int
-    tx_power: float                            # W
-    cycles_per_bit: float                      # f_v
-    task_bits: np.ndarray                      # per-slot schedule (cycled), bits
-    request_bits: float                        # uplink request size, bits
-    result_bits: np.ndarray                    # per-RSU result size, bits
-    trajectory: Trajectory
 
 
 @dataclass(frozen=True)
@@ -143,13 +120,22 @@ class StepResult:
 class PremigrationEnv:
     """Single-writer environment; create one instance per concurrent rollout.
 
-    Trajectories are fixed for the life of an env, so everything that depends
-    only on (slot, vehicle) is tabulated at construction for slots
+    The inputs are columns, each kept under its keyword's name. Per RSU:
+    `rsu_xy` (E, 2), m; `compute` (E,), cycles/s; `max_load` (E,), the cap on
+    queued cycles; `bw_up` and `bw_down` (E,), Hz; `noise` (E,), receiver
+    noise, W; and `backhaul` (E, E), bits/s from row RSU to column RSU, 0
+    where there is no link. Per vehicle: `tx_power` (V,), W; `cycles_per_bit`
+    (V,); `request_bits` (V,), the uplink request size; `result_bits` (V, E),
+    the result size from each RSU; `task_bits` (horizon, V), the task size of
+    each slot; and `tracks`, V `Trajectory`.
+
+    Trajectories are fixed for the life of an env, so everything else that
+    depends only on (slot, vehicle) is tabulated at construction for slots
     0..horizon-1, each table of shape (horizon, V): `xy` (positions, with a
-    trailing x/y axis), `serving` (nearest RSU), `task_bits`, `t_up` (uplink
-    request latency) and `t_down_serving` (downlink result latency from the
-    serving RSU). `step` reads them and evaluates only what depends on the
-    actions. The channel helpers and `transmission_latencies` broadcast their
+    trailing x/y axis), `serving` (nearest RSU), `t_up` (uplink request
+    latency) and `t_down_serving` (downlink result latency from the serving
+    RSU). `step` reads them and evaluates only what depends on the actions.
+    The channel helpers and `transmission_latencies` broadcast their
     arguments, one link per element. Their hypot, pow, log2 and the error
     rate's exp apply Python's scalar `math` kernels element-wise, because
     numpy's own round differently on some inputs, and the outputs are kept
@@ -158,38 +144,51 @@ class PremigrationEnv:
 
     def __init__(
         self,
-        rsus: Sequence[RsuSpec],
-        vehicles: Sequence[VehicleSpec],
+        *,
+        rsu_xy,
+        compute,
+        max_load,
+        bw_up,
+        bw_down,
+        noise,
+        backhaul,
+        tx_power,
+        cycles_per_bit,
+        request_bits,
+        task_bits,
+        result_bits,
+        tracks: Sequence[Trajectory],
         channel: ChannelParams,
         cfg: EnvConfig,
     ):
-        if not rsus:
+        if not len(rsu_xy):
             raise ValueError("need at least one RSU")
-        if not vehicles:
+        if not tracks:
             raise ValueError("need at least one vehicle")
-        self.rsus = list(rsus)
-        self.vehicles = list(vehicles)
+        self.rsu_xy = np.array(rsu_xy, dtype=float)
+        self.compute = np.array(compute, dtype=float)
+        self.max_load = np.array(max_load, dtype=float)
+        self.bw_up = np.array(bw_up, dtype=float)
+        self.bw_down = np.array(bw_down, dtype=float)
+        self.noise = np.array(noise, dtype=float)
+        self.backhaul = np.array(backhaul, dtype=float)
+        self.tx_power = np.array(tx_power, dtype=float)
+        self.cycles_per_bit = np.array(cycles_per_bit, dtype=float)
+        self.request_bits = np.array(request_bits, dtype=float)
+        self.task_bits = np.array(task_bits, dtype=float)
+        self.result_bits = np.array(result_bits, dtype=float)
+        self.tracks = list(tracks)
         self.channel = channel
         self.cfg = cfg
-        self.E = len(self.rsus)
-        self.V = len(self.vehicles)
+        self.E = len(self.rsu_xy)
+        self.V = len(self.tracks)
         self.obs_dim = self.E + OBS_EXTRA
-        for traj in (v.trajectory for v in self.vehicles):
+        for traj in self.tracks:
             if not len(traj.t):
                 raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} is empty")
             if not (np.diff(traj.t) > 0).all():
                 raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} has timestamps "
                                  "that are not strictly increasing")
-        self.rsu_xy = np.array([[r.pos.x, r.pos.y] for r in self.rsus])
-        rsu = np.array([[r.max_load, r.compute, r.bw_up, r.bw_down, r.noise_power] for r in rsus])
-        self._max_load, self._compute, self._bw_up, self._bw_down, self._noise = rsu.T.astype(float)
-        veh = np.array([[v.cycles_per_bit, v.tx_power, v.request_bits] for v in vehicles])
-        self._cycles_per_bit, self._tx_power, self._request_bits = veh.T.astype(float)
-        self._result_bits = np.array([v.result_bits for v in vehicles], dtype=float)
-        # Backhaul bits/s by (from, to); 0 where no link is configured.
-        self._backhaul = np.array(
-            [[r.backhaul.get(j, 0.0) for j in range(self.E)] for r in self.rsus], dtype=float
-        )
         self._action_scale = float(max(self.E - 1, 1))
         self.latency_scale = 1.0
         self._rng: Optional[np.random.Generator] = None
@@ -200,17 +199,13 @@ class PremigrationEnv:
         # Every link that `transmission_latencies` may be asked for must carry
         # its bits. The rate falls with distance, so check each at its
         # vehicle's farthest slot from the RSU.
-        v, e = np.nonzero((self._request_bits[:, None] != 0) | (self._result_bits != 0))
+        v, e = np.nonzero((self.request_bits[:, None] != 0) | (self.result_bits != 0))
         far = self.rsu_distances(self.xy).argmax(axis=0)[v, e]
         dead = self.spectral_efficiency(v, e, *self.xy[far, v].T) == 0
         if dead.any():
             k = dead.argmax()
             raise ValueError(f"a link's 1 + SNR rounds to 1, so it cannot carry its bits: "
                              f"vehicle {v[k]} and RSU {e[k]} at slot {far[k]}")
-        self.task_bits = np.stack(
-            [np.asarray(v.task_bits, dtype=float)[slots % len(v.task_bits)] for v in self.vehicles],
-            axis=1,
-        )
         self.t_up, self.t_down_serving = self.transmission_latencies(
             slots[:, None], np.arange(self.V), self.serving
         )
@@ -223,8 +218,8 @@ class PremigrationEnv:
         Linear interpolation along each trajectory, held constant off its ends.
         """
         out = np.empty((len(slots), self.V, 2))
-        for v, spec in enumerate(self.vehicles):
-            ts, xy = spec.trajectory.t, spec.trajectory.xy
+        for v, track in enumerate(self.tracks):
+            ts, xy = track.t, track.xy
             t = ts[0] + slots * self.cfg.slot_seconds
             out[:, v] = np.where(t[:, None] <= ts[0], xy[0], xy[-1])
             inside = (t > ts[0]) & (t < ts[-1])
@@ -256,7 +251,7 @@ class PremigrationEnv:
 
         A link's Shannon-form rate is its bandwidth times this.
         """
-        return _log2(1.0 + self._tx_power[v] * self.channel_gain(e, x, y) / self._noise[e])
+        return _log2(1.0 + self.tx_power[v] * self.channel_gain(e, x, y) / self.noise[e])
 
     # --- latency model pieces (exposed for direct testing) ---
 
@@ -270,11 +265,11 @@ class PremigrationEnv:
         """
         xy = self.xy[slot, vs]
         se = self.spectral_efficiency(vs, es, xy[..., 0], xy[..., 1])
-        request, result = self._request_bits[vs], self._result_bits[vs, es]
+        request, result = self.request_bits[vs], self.result_bits[vs, es]
         if np.any((se == 0) & ((request != 0) | (result != 0))):
             raise ValueError("a link's 1 + SNR rounds to 1, so it cannot carry its bits")
-        t_up = np.divide(request, self._bw_up[es] * se, out=np.zeros(se.shape), where=request != 0)
-        t_down = np.divide(result, self._bw_down[es] * se, out=np.zeros(se.shape), where=result != 0)
+        t_up = np.divide(request, self.bw_up[es] * se, out=np.zeros(se.shape), where=request != 0)
+        t_down = np.divide(result, self.bw_down[es] * se, out=np.zeros(se.shape), where=result != 0)
         return t_up, t_down
 
     def migration_latency(self, v, slot: int, from_e, to_e) -> np.ndarray:
@@ -286,7 +281,7 @@ class PremigrationEnv:
         d_mig = self.cfg.alpha * self.task_bits[slot, v]
         d_mig, from_e, to_e = np.broadcast_arrays(d_mig, from_e, to_e)
         used = (from_e != to_e) & (d_mig != 0.0)
-        bw = self._backhaul[from_e, to_e]
+        bw = self.backhaul[from_e, to_e]
         missing = used & (bw <= 0)
         if missing.any():
             pair = f"({from_e[missing][0]},{to_e[missing][0]})"
@@ -317,9 +312,9 @@ class PremigrationEnv:
 
     def processing_latencies(self, v, serving, target, xi_local, xi_mig, t_mig, loads):
         """(serving-side, target-side, combined parallel) processing latency."""
-        f_v = self._cycles_per_bit[v]
-        t_serv = (loads[serving] + xi_local * f_v) / self._compute[serving]
-        t_targ = (loads[target] + xi_mig * f_v) / self._compute[target]
+        f_v = self.cycles_per_bit[v]
+        t_serv = (loads[serving] + xi_local * f_v) / self.compute[serving]
+        t_targ = (loads[target] + xi_mig * f_v) / self.compute[target]
         return t_serv, t_targ, np.maximum(t_serv, t_targ + t_mig)
 
     @staticmethod
@@ -335,7 +330,7 @@ class PremigrationEnv:
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
         self.t = 0
-        self.loads = np.full(self.E, min(self.cfg.init_load, float(self._max_load.min())), dtype=float)
+        self.loads = np.full(self.E, min(self.cfg.init_load, float(self.max_load.min())), dtype=float)
         self.prev_action = np.full(self.V, -1, dtype=int)
         self.prev_serving = np.full(self.V, -1, dtype=int)
         self.prev_local_bits = np.zeros(self.V)
@@ -367,7 +362,7 @@ class PremigrationEnv:
         """Observations (V, obs_dim); `last` is the previous slot's (action,
         err_rate, stability, contention, t_total) arrays, None after reset."""
         obs = np.zeros((self.V, self.obs_dim))
-        obs[:, 1 : 1 + self.E] = self.loads / self._max_load
+        obs[:, 1 : 1 + self.E] = self.loads / self.max_load
         if last is not None:
             action, err, stability, contention, t_total = last
             obs[:, 0] = action / self._action_scale
@@ -410,11 +405,11 @@ class PremigrationEnv:
         # Vehicles commit work in id order; feasibility is checked against the
         # load already pending on the target this slot. Plain floats: the loop
         # is sequential by definition.
-        f_v = self._cycles_per_bit
+        f_v = self.cycles_per_bit
         local_cycles = (xi_local * f_v).tolist()
         req_cycles = (xi_mig_req * f_v).tolist()
         serv_cycles = (xi_mig_serv * f_v).tolist()
-        max_load = self._max_load.tolist()
+        max_load = self.max_load.tolist()
         pending = self.loads.tolist()
         final = requested.tolist()
         remapped = [False] * self.V
@@ -464,12 +459,12 @@ class PremigrationEnv:
         # Queue dynamics: drain at capacity, add this slot's work and random
         # background arrivals, clamp into [0, max_load].
         assigned = np.array(pending) - self.loads
-        drained = np.maximum(0.0, self.loads + assigned - self._compute * cfg.slot_seconds)
+        drained = np.maximum(0.0, self.loads + assigned - self.compute * cfg.slot_seconds)
         if cfg.background_mean > 0:
             lam = cfg.background_mean / cfg.background_unit
             arrivals = self._rng.poisson(lam, size=self.E) * cfg.background_unit
             drained = drained + arrivals
-        self.loads = np.minimum(drained, self._max_load)
+        self.loads = np.minimum(drained, self.max_load)
 
         self.prev_action = final_action
         self.prev_serving = serving
@@ -498,20 +493,21 @@ def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
 
 # --- scenario config interface ---
 
-def _bounded_float(cfg, key: str, default=None, bound="") -> float:
+def _bounded_float(cfg, key: str, default=None, *, bound: str) -> float:
     """Float `key`. With `bound` ">" or ">=", a value that fails `value <bound> 0`
     is a config error that names the key."""
     value = get_float(cfg, key, default)
-    if bound and not (value > 0 if bound == ">" else value >= 0):
+    if not (value > 0 if bound == ">" else value >= 0):
         raise ConfigError(f"key {key!r} must be {bound} 0, got {cfg[key]!r}")
     return value
 
 
-def _indexed_float(cfg, section: str, i: int, name: str, default=None, bound="") -> float:
+def _indexed_float(cfg, section: str, i: int, name: str, default=None, *, bound: str) -> float:
     """<section>.<i>.<name>, falling back to the unindexed <section>.<name>,
     checked as `_bounded_float` checks it."""
     specific = f"{section}.{i}.{name}"
-    return _bounded_float(cfg, specific if specific in cfg else f"{section}.{name}", default, bound)
+    key = specific if specific in cfg else f"{section}.{name}"
+    return _bounded_float(cfg, key, default, bound=bound)
 
 
 def build_env(cfg: dict[str, str]) -> PremigrationEnv:
@@ -525,9 +521,10 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     if n_rsu < 1 or n_veh < 1:
         raise ConfigError("rsu.count and veh.count must be >= 1")
 
-    rsus = []
+    rsu_xy = np.empty((n_rsu, 2))
+    compute, max_load, bw_up, bw_down, noise = np.empty((5, n_rsu))
+    backhaul = np.zeros((n_rsu, n_rsu))
     for i in range(n_rsu):
-        backhaul: dict[int, float] = {}
         for j in range(n_rsu):
             if j == i:
                 continue
@@ -536,42 +533,35 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
             if key is None:
                 raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
                                   f"set one of {', '.join(keys)}")
-            backhaul[j] = _bounded_float(cfg, key, bound=">")
-        rsus.append(
-            RsuSpec(
-                id=i,
-                pos=GeoPoint(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")),
-                compute=_indexed_float(cfg, "rsu", i, "compute", bound=">"),
-                max_load=_indexed_float(cfg, "rsu", i, "max_load"),
-                bw_up=_indexed_float(cfg, "rsu", i, "bw_up", bound=">"),
-                bw_down=_indexed_float(cfg, "rsu", i, "bw_down", bound=">"),
-                noise_power=_indexed_float(cfg, "rsu", i, "noise", bound=">"),
-                backhaul=backhaul,
-            )
-        )
-
-    if not all(r.max_load > 0 for r in rsus):
-        raise ConfigError("rsu max_load must be > 0")
+            backhaul[i, j] = _bounded_float(cfg, key, bound=">")
+        rsu_xy[i] = get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")
+        compute[i] = _indexed_float(cfg, "rsu", i, "compute", bound=">")
+        max_load[i] = _indexed_float(cfg, "rsu", i, "max_load", bound=">")
+        bw_up[i] = _indexed_float(cfg, "rsu", i, "bw_up", bound=">")
+        bw_down[i] = _indexed_float(cfg, "rsu", i, "bw_down", bound=">")
+        noise[i] = _indexed_float(cfg, "rsu", i, "noise", bound=">")
 
     with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
         trajectories = read_trajectories_csv(fh)
     if not trajectories:
         raise ConfigError("no trajectories available for vehicles")
 
-    vehicles = []
+    tx_power, cycles_per_bit, task_bits, request_bits, result_bits = np.empty((5, n_veh))
     for i in range(n_veh):
-        result_bits = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">=")
-        vehicles.append(
-            VehicleSpec(
-                id=i,
-                tx_power=_indexed_float(cfg, "veh", i, "power", bound=">"),
-                cycles_per_bit=_indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">="),
-                task_bits=np.array([_indexed_float(cfg, "veh", i, "task_bits", bound=">=")]),
-                request_bits=_indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">="),
-                result_bits=np.full(n_rsu, result_bits),
-                trajectory=trajectories[i % len(trajectories)],
-            )
-        )
+        result_bits[i] = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">=")
+        tx_power[i] = _indexed_float(cfg, "veh", i, "power", bound=">")
+        cycles_per_bit[i] = _indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">=")
+        task_bits[i] = _indexed_float(cfg, "veh", i, "task_bits", bound=">=")
+        request_bits[i] = _indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">=")
 
     channel = read_config(ChannelParams, cfg, "channel")
-    return PremigrationEnv(rsus, vehicles, channel, read_config(EnvConfig, cfg, "env"))
+    env_cfg = read_config(EnvConfig, cfg, "env")
+    return PremigrationEnv(
+        rsu_xy=rsu_xy, compute=compute, max_load=max_load, bw_up=bw_up, bw_down=bw_down,
+        noise=noise, backhaul=backhaul, tx_power=tx_power, cycles_per_bit=cycles_per_bit,
+        request_bits=request_bits,
+        task_bits=np.broadcast_to(task_bits, (env_cfg.horizon, n_veh)),
+        result_bits=np.broadcast_to(result_bits[:, None], (n_veh, n_rsu)),
+        tracks=[trajectories[i % len(trajectories)] for i in range(n_veh)],
+        channel=channel, cfg=env_cfg,
+    )

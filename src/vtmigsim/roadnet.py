@@ -53,20 +53,9 @@ def elementwise(kernel, nin: int):
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-# Planar distances over arrays with GeoPoint.dist_to's bits, for missing arc
+# Planar distances over arrays with math.hypot's bits, for missing arc
 # lengths and track legs: np.hypot rounds differently on some inputs.
 hypot = elementwise(math.hypot, 2)
-
-
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    """Planar position in meters."""
-
-    x: float
-    y: float
-
-    def dist_to(self, other: "GeoPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ models), then generate new trajectories by sampling entry/exit points,
 routing them through the network, timing the path from empirical speeds,
 densifying with fixed-interval linear interpolation, and snapping the result
 back onto the roads. Every stage reads and writes whole trajectory columns;
-a distance between track points is `math.hypot`'s, as `GeoPoint.dist_to` gives.
+a distance between track points has `math.hypot`'s bits.
 """
 
 from __future__ import annotations

@@ -1,19 +1,14 @@
 """Shared builders for environment and scenario tests, and a gradient checker."""
 
+import inspect
 from typing import Callable, Optional
 
 import numpy as np
 
+from reference_roadnet import GeoPoint
+from scalar_env import RsuSpec, VehicleSpec, env_columns
 from vtmigsim.configio import load_kv
-from vtmigsim.envsim import (
-    ChannelParams,
-    EnvConfig,
-    PremigrationEnv,
-    RsuSpec,
-    VehicleSpec,
-    build_env,
-)
-from vtmigsim.roadnet import GeoPoint, RoadNetwork
+from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv, build_env
 from vtmigsim.trajgen import Trajectory
 
 RSU_POSITIONS = [(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0)]
@@ -51,7 +46,6 @@ def make_env(
         x, y = RSU_POSITIONS[i]
         rsus.append(
             RsuSpec(
-                id=i,
                 pos=GeoPoint(x, y),
                 compute=compute,
                 max_load=max_load,
@@ -67,7 +61,6 @@ def make_env(
         ]
     vehicles = [
         VehicleSpec(
-            id=v,
             tx_power=tx_power,
             cycles_per_bit=cycles_per_bit,
             task_bits=np.array([task_bits]),
@@ -80,7 +73,13 @@ def make_env(
     defaults = dict(horizon=10, warmup_slots=0, slot_seconds=1.0)
     defaults.update(cfg_overrides)
     cfg = EnvConfig(**defaults)
-    return PremigrationEnv(rsus, vehicles, channel or ChannelParams(), cfg)
+    return PremigrationEnv(**env_columns(rsus, vehicles, channel or ChannelParams(), cfg))
+
+
+def with_columns(env, **columns):
+    """A new env on `env`'s inputs, with the named keyword columns replaced."""
+    keywords = inspect.signature(PremigrationEnv).parameters
+    return PremigrationEnv(**{**{k: getattr(env, k) for k in keywords}, **columns})
 
 
 def denormalize_observation(env, obs):
@@ -88,7 +87,7 @@ def denormalize_observation(env, obs):
     E = env.E
     return {
         "action": obs[0] * env._action_scale,
-        "loads": obs[1 : 1 + E] * env._max_load,
+        "loads": obs[1 : 1 + E] * env.max_load,
         "err_rate": obs[1 + E],
         "stability": obs[2 + E],
         "contention": obs[3 + E],

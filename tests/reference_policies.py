@@ -69,7 +69,7 @@ def make_act_fn(kind, env, bundle=None, rng=None):
         return lambda v, obs, slot: (int(env.serving[slot, v]), 0.0)
     assert kind == RANDOM_MIGRATION
     radius = nearby_radius(env)
-    rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
+    rsu_xy = env.rsu_xy
     nearby = np.array([
         np.hypot(rsu_xy[:, 0] - xy[:, :1], rsu_xy[:, 1] - xy[:, 1:]) <= radius
         for xy in env.xy

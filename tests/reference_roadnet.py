@@ -16,12 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from vtmigsim.roadnet import (
-    GeoPoint,
     NoEdgesError,
     Projection,
     UnreachableError,
     ValidationError,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class GeoPoint:
+    """Planar position in meters."""
+
+    x: float
+    y: float
+
+    def dist_to(self, other: "GeoPoint") -> float:
+        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)

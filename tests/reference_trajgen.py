@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vtmigsim.roadnet import GeoPoint, UnreachableError, map_match, shortest_path
+from reference_roadnet import GeoPoint
+
+from vtmigsim.roadnet import UnreachableError, map_match, shortest_path
 from vtmigsim.trajgen import (
     HOURS,
     KdeModel,

@@ -4,18 +4,67 @@ This is the per-vehicle, per-slot implementation that `PremigrationEnv.step`
 replaced with per-slot tables and array expressions. It is kept, unchanged in
 its arithmetic, as the oracle the array-native env must match bit for bit:
 same operations on the same doubles in the same order, with Python's `math`
-kernels for every transcendental. Its step returns a `StepResult` whose
+kernels for every transcendental. It takes one `RsuSpec` per RSU and one
+`VehicleSpec` per vehicle, where the env takes columns; `env_columns` turns
+the specs into the env's keywords. Its step returns a `StepResult` whose
 metrics are a list of per-vehicle `SlotMetrics` objects, where the env's are
 one record array.
 """
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from reference_roadnet import GeoPoint
 from vtmigsim.envsim import OBS_EXTRA, StepResult
+from vtmigsim.trajgen import Trajectory
+
+
+@dataclass(frozen=True)
+class RsuSpec:
+    pos: GeoPoint
+    compute: float                 # C_e, cycles/s
+    max_load: float                # cap on queued cycles
+    bw_up: float                   # Hz
+    bw_down: float                 # Hz
+    noise_power: float             # receiver noise, W
+    backhaul: dict[int, float] = field(default_factory=dict)  # peer id -> bits/s
+
+
+@dataclass(frozen=True)
+class VehicleSpec:
+    tx_power: float                            # W
+    cycles_per_bit: float                      # f_v
+    task_bits: np.ndarray                      # per-slot schedule (cycled), bits
+    request_bits: float                        # uplink request size, bits
+    result_bits: np.ndarray                    # per-RSU result size, bits
+    trajectory: Trajectory
+
+
+def env_columns(rsus, vehicles, channel, cfg):
+    """`PremigrationEnv`'s keywords for the scenario that `ScalarEnv(rsus,
+    vehicles, channel, cfg)` runs: one column per spec field, a missing
+    backhaul link as 0, and each task schedule cycled over the horizon."""
+    slots = np.arange(cfg.horizon)
+    return dict(
+        rsu_xy=[(r.pos.x, r.pos.y) for r in rsus],
+        compute=[r.compute for r in rsus],
+        max_load=[r.max_load for r in rsus],
+        bw_up=[r.bw_up for r in rsus],
+        bw_down=[r.bw_down for r in rsus],
+        noise=[r.noise_power for r in rsus],
+        backhaul=[[r.backhaul.get(j, 0.0) for j in range(len(rsus))] for r in rsus],
+        tx_power=[v.tx_power for v in vehicles],
+        cycles_per_bit=[v.cycles_per_bit for v in vehicles],
+        request_bits=[v.request_bits for v in vehicles],
+        task_bits=[[v.task_bits[t % len(v.task_bits)] for v in vehicles] for t in slots],
+        result_bits=[v.result_bits for v in vehicles],
+        tracks=[v.trajectory for v in vehicles],
+        channel=channel,
+        cfg=cfg,
+    )
 
 
 @dataclass

@@ -72,12 +72,11 @@ def test_build_env_key_fallbacks(tmp_path):
                 "backhaul.1.0": "6e8"})
     env = envsim.build_env(cfg)
     # veh.<i>.<name> overrides veh.<name> for vehicle i only.
-    assert [v.tx_power for v in env.vehicles] == [0.2, 0.5, 0.2]
+    assert env.tx_power.tolist() == [0.2, 0.5, 0.2]
     # backhaul.j.i stands in for a missing backhaul.i.j; each given direction
-    # keeps its own value; unnamed links take backhaul.default.
-    assert env.rsus[0].backhaul == {1: 4e8, 2: 3e8}
-    assert env.rsus[1].backhaul == {0: 6e8, 2: 1e9}
-    assert env.rsus[2].backhaul == {0: 3e8, 1: 1e9}
+    # keeps its own value; unnamed links take backhaul.default; no RSU links
+    # to itself.
+    assert env.backhaul.tolist() == [[0.0, 4e8, 3e8], [6e8, 0.0, 1e9], [3e8, 1e9, 0.0]]
 
 
 def test_backhaul_pair_with_no_key_exits_2_before_output(tmp_path, capsys):
@@ -164,8 +163,8 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("env.tau = -1", "", "tau and background_mean must be >= 0"),
     ("env.background_mean = -0.5", "", "tau and background_mean must be >= 0"),
     ("env.background_unit = -1e8", "", "background_unit > 0"),
-    ("rsu.max_load = 0", "", "rsu max_load must be > 0"),
-    ("rsu.2.max_load = -1e9", "", "rsu max_load must be > 0"),
+    ("rsu.max_load = 0", "", "key 'rsu.max_load' must be > 0, got '0'"),
+    ("rsu.2.max_load = -1e9", "", "key 'rsu.2.max_load' must be > 0, got '-1e9'"),
     ("veh.power = 0", "", "key 'veh.power' must be > 0"),
     ("veh.1.power = -0.2", "", "key 'veh.1.power' must be > 0"),
     ("rsu.bw_up = 0", "", "key 'rsu.bw_up' must be > 0"),
@@ -232,7 +231,7 @@ def test_no_episodes_or_zero_max_load_exits_2_before_output(tmp_path, capsys, co
         "compare": (["compare", "--episodes", "0", *sweep, "5e10"],
                     "--episodes must be >= 1, got 0"),
         "compare_max_load_0": (["compare", "--episodes", "1", *sweep, "5e10,0"],
-                               "rsu max_load must be > 0"),
+                               "key 'rsu.max_load' must be > 0, got '0'"),
     }[command]
     assert cli.main(argv + ["--scenario", scenario, "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -292,9 +291,9 @@ def test_unindexed_sweep_sets_every_unit(tmp_path, section):
     )
     cfg = cli.apply_sweep(load_kv(str(overridden)), f"{section}.{name}", swept)
     env = envsim.build_env(cfg)
-    units = env.vehicles if section == "veh" else env.rsus
-    values = [float(u.task_bits[0]) if section == "veh" else u.max_load for u in units]
-    assert values == [float(swept)] * len(units)
+    column = env.task_bits if section == "veh" else env.max_load
+    assert column.shape == ((env.cfg.horizon, env.V) if section == "veh" else (env.E,))
+    assert (column == float(swept)).all()
     # Through the CLI, the override leaves no trace in the results.
     for scenario, out in ((plain, "p"), (str(overridden), "o")):
         assert _compare(tmp_path, scenario, f"{section}.{name}", swept, out=out) == cli.EXIT_OK

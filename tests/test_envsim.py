@@ -1,13 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import denormalize_observation, line_trajectory, make_env
+from helpers import RSU_POSITIONS, denormalize_observation, line_trajectory, make_env, with_columns
 
 from vtmigsim.envsim import ActionError, ChannelParams, EnvConfig, PremigrationEnv
-from vtmigsim.roadnet import GeoPoint
 
 
 # --- channel and rates ---
@@ -17,7 +15,7 @@ def test_rate_equals_bandwidth_at_unit_snr():
     h = env.channel_gain(0, *env.xy[0, 0])
     # retune noise so p*h/sigma^2 == 1 exactly
     env = make_env(bw=2e6, noise=0.1 * h)
-    uplink_rate = env.rsus[0].bw_up * env.spectral_efficiency(0, 0, *env.xy[0, 0])
+    uplink_rate = env.bw_up[0] * env.spectral_efficiency(0, 0, *env.xy[0, 0])
     assert uplink_rate == pytest.approx(2e6, rel=1e-12)
 
 
@@ -41,7 +39,7 @@ def test_rate_matches_independent_evaluation():
     )
     expected = 1e6 * math.log2(1.0 + 0.1 * (3e8 / (4 * math.pi * 2.4e9 * 100.0)) ** 2 / 1e-9)
     assert expected == pytest.approx(992380.2892503546, rel=1e-12)
-    uplink_rate = env.rsus[0].bw_up * env.spectral_efficiency(0, 0, *env.xy[0, 0])
+    uplink_rate = env.bw_up[0] * env.spectral_efficiency(0, 0, *env.xy[0, 0])
     assert uplink_rate == pytest.approx(expected, rel=1e-9)
 
 
@@ -91,11 +89,11 @@ def test_link_out_of_reach_at_its_farthest_slot_is_rejected_at_build():
     # 9e9 m, served by RSU 0 throughout; RSU 1 sits at x = -1e9 m, so its link
     # is in reach at slot 0 and out of reach at slot 9.
     base = make_env(trajectories=[line_trajectory(0, 0.0, 0.0, 1e9, 0.0)])
-    rsus = [base.rsus[0], dataclasses.replace(base.rsus[1], pos=GeoPoint(-1e9, 0.0))]
+    rsu_xy = base.rsu_xy.copy()
+    rsu_xy[1] = -1e9, 0.0
 
     def build(result_bits):
-        vehicle = dataclasses.replace(base.vehicles[0], result_bits=np.full(2, result_bits))
-        return PremigrationEnv(rsus, [vehicle], base.channel, base.cfg)
+        return with_columns(base, rsu_xy=rsu_xy, result_bits=np.full((1, 2), result_bits))
 
     with pytest.raises(ValueError, match="rounds to 1, .*: vehicle 0 and RSU 1 at slot 9"):
         build(1e5)
@@ -265,11 +263,7 @@ def one_way_backhaul_env(**kwargs):
         line_trajectory(1, 950.0, 10.0, -1.0, 0.0),
     ]
     base = make_env(n_rsu=2, n_veh=2, trajectories=trajectories, **kwargs)
-    rsus = [
-        dataclasses.replace(base.rsus[0], backhaul={1: 1e8}),
-        dataclasses.replace(base.rsus[1], backhaul={}),
-    ]
-    env = PremigrationEnv(rsus, base.vehicles, base.channel, base.cfg)
+    env = with_columns(base, backhaul=[[0.0, 1e8], [0.0, 0.0]])
     env.reset(0)
     return env
 
@@ -330,8 +324,7 @@ def test_reward_qoe_mode():
 def test_infeasible_action_remapped_to_serving():
     env = make_env(n_rsu=2, task_bits=1e6, cycles_per_bit=100.0, alpha=0.5)
     # incoming pre-migration cycles = 0.5e6 * 100 = 5e7 > tiny cap on RSU 1
-    env.rsus[1] = env.rsus[1].__class__(**{**env.rsus[1].__dict__, "max_load": 1e7})
-    env._max_load[1] = 1e7
+    env.max_load[1] = 1e7
     env.reset(0)
     result = env.step([1])
     m = result.metrics[0]
@@ -340,38 +333,37 @@ def test_infeasible_action_remapped_to_serving():
 
 
 def test_total_latency_matches_independent_recomputation():
+    compute, bw, noise, backhaul, tx_power, cycles_per_bit = 1e9, 1e6, 1e-9, 1e8, 0.1, 100.0
+    task_bits, request_bits, result_bits, init_load = 4e6, 2e5, 1e5, 2e9
+    tracks = [line_trajectory(v, 50.0 + 30.0 * v, 10.0, 1.0, 0.0) for v in range(2)]
     env = make_env(
-        n_rsu=2, n_veh=2, task_bits=4e6, request_bits=2e5, result_bits=1e5,
-        alpha=0.5, mu=0.5, init_load=2e9,
+        n_rsu=2, n_veh=2, compute=compute, bw=bw, noise=noise, backhaul=backhaul,
+        tx_power=tx_power, cycles_per_bit=cycles_per_bit, task_bits=task_bits,
+        request_bits=request_bits, result_bits=result_bits, trajectories=tracks,
+        alpha=0.5, mu=0.5, init_load=init_load,
     )
     env.reset(3)
-    loads_before = env.loads.copy()
     result = env.step([1, 0])
     m = result.metrics[0]
-    v = 0
-    # independent arithmetic from raw specs
-    spec = env.vehicles[v]
-    c = env.channel
-    pos = env.xy[0, v]
+    # independent arithmetic from make_env's arguments
+    c = ChannelParams()
+    pos = tracks[0].xy[0]  # slot 0 is the track's first point
     serving, target = m.serving, m.action
 
     def rate(e, bw):
-        rx, ry = env.rsus[e].pos.x, env.rsus[e].pos.y
+        rx, ry = RSU_POSITIONS[e]
         d = max(1.0, math.hypot(pos[0] - rx, pos[1] - ry))
         h = c.gain_coeff * (c.light_speed / (4 * math.pi * c.carrier * d)) ** 2
-        return bw * math.log2(1 + spec.tx_power * h / env.rsus[e].noise_power)
+        return bw * math.log2(1 + tx_power * h / noise)
 
-    t_up = spec.request_bits / rate(serving, env.rsus[serving].bw_up)
-    t_down = sum(
-        float(spec.result_bits[e]) / rate(e, env.rsus[e].bw_down)
-        for e in {serving, target}
-    )
-    d_mig = 0.5 * 4e6
-    t_mig = 0.0 if serving == target else d_mig / env.rsus[serving].backhaul[target]
-    xi_local = 4e6 - d_mig  # first slot: no reuse
+    t_up = request_bits / rate(serving, bw)
+    t_down = sum(result_bits / rate(e, bw) for e in {serving, target})
+    d_mig = 0.5 * task_bits
+    t_mig = 0.0 if serving == target else d_mig / backhaul
+    xi_local = task_bits - d_mig  # first slot: no reuse
     xi_mig = d_mig
-    t_serv = (loads_before[serving] + xi_local * spec.cycles_per_bit) / env.rsus[serving].compute
-    t_targ = (loads_before[target] + xi_mig * spec.cycles_per_bit) / env.rsus[target].compute
+    t_serv = (init_load + xi_local * cycles_per_bit) / compute
+    t_targ = (init_load + xi_mig * cycles_per_bit) / compute
     t_total = t_up + max(t_serv, t_targ + t_mig) + t_down
     assert m.t_total == pytest.approx(t_total, rel=1e-12)
 
@@ -390,7 +382,7 @@ def test_load_caps_random_actions():
         done = False
         while not done:
             result = env.step(list(rng.integers(0, 3, size=3)))
-            assert np.all(env.loads <= env._max_load + 1e-9)
+            assert np.all(env.loads <= env.max_load + 1e-9)
             assert np.all(env.loads >= 0.0)
             for m in result.metrics:
                 assert 0.0 <= m.err_rate < 1.0

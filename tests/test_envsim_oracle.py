@@ -16,11 +16,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_env
-from scalar_env import ScalarEnv, SlotMetrics
+from helpers import RSU_POSITIONS, make_env
+from reference_roadnet import GeoPoint
+from scalar_env import RsuSpec, ScalarEnv, SlotMetrics, VehicleSpec, env_columns
 
-from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv, RsuSpec, VehicleSpec
-from vtmigsim.roadnet import GeoPoint
+from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv
 from vtmigsim.trajgen import Trajectory
 
 
@@ -38,7 +38,6 @@ def scenarios(draw):
     max_load = draw(st.sampled_from([2e8, 1e9, 5e9, 1e12]))
     rsus = [
         RsuSpec(
-            id=i,
             pos=GeoPoint(*rng.uniform(0.0, 2000.0, 2)),
             compute=rng.uniform(1e8, 2e10),
             max_load=max_load,
@@ -72,7 +71,6 @@ def scenarios(draw):
 
     vehicles = [
         VehicleSpec(
-            id=v,
             tx_power=rng.uniform(0.01, 1.0),
             cycles_per_bit=rng.uniform(1.0, 500.0),
             task_bits=bits(draw(st.integers(1, 3))),
@@ -117,7 +115,7 @@ def assert_same_step(new, ref):
 
 
 def assert_invariants(env, result):
-    assert np.all(env.loads >= 0.0) and np.all(env.loads <= env._max_load)
+    assert np.all(env.loads >= 0.0) and np.all(env.loads <= env.max_load)
     m = result.metrics
     assert min(m.t_up.min(), m.t_mig.min(), m.t_proc.min(), m.t_down.min(), m.t_total.min()) >= 0.0
     assert np.all((0.0 <= m.err_rate) & (m.err_rate < 1.0))
@@ -126,7 +124,7 @@ def assert_invariants(env, result):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios(), seed=st.integers(0, 2**16), crowd=st.booleans())
 def test_step_matches_scalar_reference(scenario, seed, crowd):
-    env = PremigrationEnv(*scenario)
+    env = PremigrationEnv(**env_columns(*scenario))
     ref = ScalarEnv(*scenario)
     obs = env.reset(seed)
     ref_obs = ref.reset(seed)
@@ -151,16 +149,17 @@ def test_step_matches_scalar_reference(scenario, seed, crowd):
 @given(scenario=scenarios())
 def test_transmission_latencies_match_scalar_rates(scenario):
     """Every (slot, vehicle, RSU) link in one call, against the scalar rate of each link."""
-    env = PremigrationEnv(*scenario)
+    env = PremigrationEnv(**env_columns(*scenario))
     ref = ScalarEnv(*scenario)
+    rsus, vehicles, _, _ = scenario
     H, V, E = env.cfg.horizon, env.V, env.E
     t_up, t_down = env.transmission_latencies(
         np.arange(H)[:, None, None], np.arange(V)[:, None], np.arange(E)
     )
     assert t_up.shape == t_down.shape == (H, V, E)
     for t, v, e in np.ndindex(H, V, E):
-        request, result = env.vehicles[v].request_bits, float(env.vehicles[v].result_bits[e])
-        rsu = env.rsus[e]
+        request, result = vehicles[v].request_bits, float(vehicles[v].result_bits[e])
+        rsu = rsus[e]
         assert t_up[t, v, e] == (request / ref.rate(v, e, t, rsu.bw_up) if request else 0.0)
         assert t_down[t, v, e] == (result / ref.rate(v, e, t, rsu.bw_down) if result else 0.0)
 
@@ -176,7 +175,7 @@ def test_channel_and_error_rate_use_the_scalar_math_kernels():
     c, p, noise = env.channel, 0.3, 3e-11
     expected = []
     for ei, xi, yi in zip(e.tolist(), x.tolist(), y.tolist()):
-        r = env.rsus[ei].pos
+        r = GeoPoint(*RSU_POSITIONS[ei])
         d = max(1.0, math.hypot(xi - r.x, yi - r.y))
         h = c.gain_coeff * (c.light_speed / (4.0 * math.pi * c.carrier * d)) ** 2
         expected.append(math.log2(1.0 + p * h / noise))

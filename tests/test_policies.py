@@ -24,7 +24,7 @@ def test_heuristics_read_serving_and_radius_per_slot():
     env = make_env(n_rsu=4, n_veh=3, horizon=8)
     full = make_act_fn(FULL_MIGRATION, env)
     rand = make_act_fn(RANDOM_MIGRATION, env, rng=np.random.default_rng(0))
-    rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
+    rsu_xy = env.rsu_xy
     radius = nearby_radius(env)
     for slot in range(env.cfg.horizon):
         full_actions, full_params = full(None, slot)
@@ -38,7 +38,7 @@ def test_heuristics_read_serving_and_radius_per_slot():
 
 
 def nearby_counts(env):
-    rsu_xy = np.array([[r.pos.x, r.pos.y] for r in env.rsus])
+    rsu_xy = env.rsu_xy
     d = np.hypot(rsu_xy[:, 0] - env.xy[..., :1], rsu_xy[:, 1] - env.xy[..., 1:])
     return (d <= nearby_radius(env)).sum(axis=2)
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reference_roadnet import adjacency, arc_table
+from reference_roadnet import GeoPoint, adjacency, arc_table
 from vtmigsim.roadnet import (
-    GeoPoint,
     NoEdgesError,
     ParseError,
     RoadNetwork,

@@ -22,10 +22,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_roadnet as ref
+from reference_roadnet import GeoPoint
 
 from vtmigsim import roadnet
 from vtmigsim.roadnet import (
-    GeoPoint,
     NoEdgesError,
     RoadNetwork,
     UnreachableError,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vtmigsim.roadnet import GeoPoint, RoadNetwork, map_match
+from reference_roadnet import GeoPoint
+from vtmigsim.roadnet import RoadNetwork, map_match
 from vtmigsim.trajgen import (
     FitError,
     GenConfig,

@@ -23,9 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_trajgen as ref
+from reference_roadnet import GeoPoint
 
 from vtmigsim import roadnet, trajgen
-from vtmigsim.roadnet import GeoPoint, RoadNetwork
+from vtmigsim.roadnet import RoadNetwork
 from vtmigsim.trajgen import (
     GenConfig,
     KdeModel,
