@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import envsim, msrl, neuralcore, policies, trajgen
-from .configio import ConfigError, ReadLog, get_int, get_str, load_kv, read_config
+from .configio import ConfigError, ReadLog, check, get_int, get_str, load_kv, read_config
 from .roadnet import load_network
 
 EXIT_OK = 0
@@ -76,9 +76,7 @@ def cmd_trajgen(args) -> int:
 
     synthetic = args.synthetic_profile or get_int(cfg, "gen.synthetic", 0) != 0
     if synthetic:
-        count = get_int(cfg, "gen.synthetic_count", 200)
-        if count < 1:
-            raise ConfigError(f"key 'gen.synthetic_count' must be >= 1, got {count}")
+        count = check("gen.synthetic_count", get_int(cfg, "gen.synthetic_count", 200), ">= 1")
         raw = trajgen.synthetic_truth(net, count, rng)
     else:
         input_path = get_str(cfg, "gen.input")
@@ -133,7 +131,8 @@ def _build_env(
     read is a config error, also when the sweep left the env short of a key."""
     cfg = ReadLog(scenario if sweep is None else apply_sweep(scenario, *sweep))
     if "train.reward_mode" in train_kv:
-        cfg["env.reward_mode"] = train_kv["train.reward_mode"]
+        cfg["env.reward_mode"] = check("train.reward_mode", train_kv["train.reward_mode"],
+                                       envsim.REWARD_MODES)
     cfg.update(policies.env_overrides(kind))
     try:
         env = envsim.build_env(cfg)

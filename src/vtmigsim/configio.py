@@ -10,10 +10,23 @@ import dataclasses
 import math
 from typing import Optional
 
-# `dataclasses.field` metadata: the field's config key, when it is not
+# `dataclasses.field` metadata. KEY: the field's config key, when it is not
 # `<section>.<field name>`; None when the field is not read from a config.
+# RANGE: the rule its value must meet, a key of `_RULES` or a tuple of choices.
 KEY = "config_key"
 NO_KEY = {KEY: None}
+RANGE = "config_range"
+
+# Each numeric rule as the text of its error message; NaN meets none.
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
 
 
 class ConfigError(ValueError):
@@ -30,6 +43,24 @@ class ReadLog(dict):
     def __getitem__(self, key: str) -> str:
         self.read.add(key)
         return super().__getitem__(key)
+
+
+def check(key: str, value, rule, shown=None):
+    """`value`, when it meets `rule` (see `RANGE`); otherwise a `ConfigError`
+    that names `key` and `shown`, by default `value`."""
+    if (value in rule) if isinstance(rule, tuple) else _RULES[rule](value):
+        return value
+    must = f"one of {rule}" if isinstance(rule, tuple) else rule
+    raise ConfigError(f"key {key!r} must be {must}, got {value if shown is None else shown!r}")
+
+
+def check_fields(obj, section: str) -> None:
+    """`check` each field of dataclass `obj` that has a `RANGE`, in declaration
+    order, under its config key, or its name when it has none."""
+    for f in dataclasses.fields(obj):
+        if RANGE in f.metadata:
+            key = f.metadata.get(KEY, f"{section}.{f.name}") or f.name
+            check(key, getattr(obj, f.name), f.metadata[RANGE])
 
 
 def parse_kv(lines) -> dict[str, str]:
@@ -99,8 +130,8 @@ def read_config(cls, cfg: dict[str, str], section: str, **overrides):
 
     A field's key is `<section>.<field name>` unless its metadata names
     another (see `KEY`). It is read as the exact type of the field's default,
-    a bool as an int that is not 0. A `ValueError` from the dataclass's own
-    checks becomes a `ConfigError`.
+    a bool as an int that is not 0. The dataclass's own checks raise
+    `ConfigError` (see `check_fields`).
     """
     values = {}
     for f in dataclasses.fields(cls):
@@ -108,7 +139,4 @@ def read_config(cls, cfg: dict[str, str], section: str, **overrides):
         if key is not None and key in cfg:
             values[f.name] = _GETTERS[type(f.default)](cfg, key)
     values.update(overrides)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**values)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .configio import KEY, ConfigError, get_float, get_int, get_str, read_config
+from .configio import KEY, RANGE, ConfigError, check, check_fields, get_float, get_int
+from .configio import get_str, read_config
 from .roadnet import elementwise, hypot
 from .trajgen import Trajectory, read_trajectories_csv
 
@@ -36,50 +37,40 @@ _pow, _log2, _exp = (elementwise(f, n) for f, n in ((math.pow, 2), (math.log2, 1
 class ChannelParams:
     """Deterministic distance-law channel: h = A * (c / (4 pi f d))^2."""
 
-    gain_coeff: float = field(default=1.0, metadata={KEY: "channel.gain"})  # A
-    carrier: float = 2.4e9         # f, Hz
-    light_speed: float = 3.0e8     # c, m/s
+    gain_coeff: float = field(default=1.0, metadata={KEY: "channel.gain", RANGE: "> 0"})  # A
+    carrier: float = field(default=2.4e9, metadata={RANGE: "> 0"})  # f, Hz
+    light_speed: float = field(default=3.0e8, metadata={RANGE: "> 0"})  # c, m/s
 
     def __post_init__(self) -> None:
-        for name, value in zip(("gain", "carrier", "light_speed"), astuple(self)):
-            if not value > 0:
-                raise ValueError(f"channel.{name} must be > 0, got {value!r}")
+        check_fields(self, "channel")
+
+
+REWARD_MODES = ("latency", "qoe")  # reward = -T_total, or the QoE
+# numpy's largest Poisson mean: a larger one raises "lam value too large".
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
 class EnvConfig:
-    alpha: float = 0.5             # pre-migrated task fraction, in [0, 1)
-    mu: float = 0.5                # rendering reuse coefficient, [0, 1]
-    tau: float = 5e-8              # error contribution per pre-migrated bit
-    lambda1: float = 1.0           # QoE weight on error rate
-    lambda2: float = 1.0           # QoE weight on latency
-    slot_seconds: float = 1.0
-    horizon: int = 100
-    reward_mode: str = "latency"   # 'latency' (reward = -T_total) or 'qoe'
-    background_mean: float = 0.0   # mean background cycles arriving per RSU per slot
-    background_unit: float = 5e8   # cycles per background arrival (Poisson counts)
-    init_load: float = 0.0         # queued cycles at reset
-    warmup_slots: int = 32         # random-action slots used to set the latency scale
+    alpha: float = field(default=0.5, metadata={RANGE: "in [0, 1)"})  # pre-migrated task fraction
+    mu: float = field(default=0.5, metadata={RANGE: "in [0, 1]"})  # rendering reuse coefficient
+    tau: float = field(default=5e-8, metadata={RANGE: ">= 0"})  # error per pre-migrated bit
+    lambda1: float = field(default=1.0, metadata={RANGE: ">= 0"})  # QoE weight on error rate
+    lambda2: float = field(default=1.0, metadata={RANGE: ">= 0"})  # QoE weight on latency
+    slot_seconds: float = field(default=1.0, metadata={RANGE: "> 0"})
+    horizon: int = field(default=100, metadata={RANGE: ">= 1"})
+    reward_mode: str = field(default="latency", metadata={RANGE: REWARD_MODES})
+    background_mean: float = field(default=0.0, metadata={RANGE: ">= 0"})  # cycles/RSU/slot
+    background_unit: float = field(default=5e8, metadata={RANGE: "> 0"})  # cycles per arrival
+    init_load: float = field(default=0.0, metadata={RANGE: ">= 0"})  # queued cycles at reset
+    warmup_slots: int = field(default=32, metadata={RANGE: ">= 0"})  # latency-scale slots
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError("alpha must be in [0, 1)")
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError("mu must be in [0, 1]")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("QoE weights must be nonnegative")
-        if self.reward_mode not in ("latency", "qoe"):
-            raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.tau < 0 or self.background_mean < 0 or not self.background_unit > 0:
-            raise ValueError("tau and background_mean must be >= 0, background_unit > 0")
-        if not self.init_load >= 0:
-            raise ValueError("init_load must be >= 0")
-        if not self.slot_seconds > 0:
-            raise ValueError(f"env.slot_seconds must be > 0, got {self.slot_seconds!r}")
-        if self.warmup_slots < 0:
-            raise ValueError(f"env.warmup_slots must be >= 0, got {self.warmup_slots!r}")
+        check_fields(self, "env")
+        lam = self.background_mean / self.background_unit
+        if not lam <= _POISSON_LAM_MAX:
+            raise ConfigError(f"env.background_mean / env.background_unit must be <= "
+                              f"{_POISSON_LAM_MAX!r}, got {lam!r}")
 
 
 # Observation layout per vehicle: [prev action, E RSU loads, error rate,
@@ -494,12 +485,8 @@ def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
 # --- scenario config interface ---
 
 def _bounded_float(cfg, key: str, default=None, *, bound: str) -> float:
-    """Float `key`. With `bound` ">" or ">=", a value that fails `value <bound> 0`
-    is a config error that names the key."""
-    value = get_float(cfg, key, default)
-    if not (value > 0 if bound == ">" else value >= 0):
-        raise ConfigError(f"key {key!r} must be {bound} 0, got {cfg[key]!r}")
-    return value
+    """Float `key`, `configio.check`ed against rule `bound`; an error shows its text."""
+    return check(key, get_float(cfg, key, default), bound, cfg.get(key))
 
 
 def _indexed_float(cfg, section: str, i: int, name: str, default=None, *, bound: str) -> float:
@@ -516,10 +503,8 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     Vehicle trajectories come from the CSV named by `veh.traj_csv` (vehicle i
     takes the i-th trajectory in file order, cycling when fewer are available).
     """
-    n_rsu = get_int(cfg, "rsu.count")
-    n_veh = get_int(cfg, "veh.count")
-    if n_rsu < 1 or n_veh < 1:
-        raise ConfigError("rsu.count and veh.count must be >= 1")
+    n_rsu = check("rsu.count", get_int(cfg, "rsu.count"), ">= 1")
+    n_veh = check("veh.count", get_int(cfg, "veh.count"), ">= 1")
 
     rsu_xy = np.empty((n_rsu, 2))
     compute, max_load, bw_up, bw_down, noise = np.empty((5, n_rsu))
@@ -533,13 +518,13 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
             if key is None:
                 raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
                                   f"set one of {', '.join(keys)}")
-            backhaul[i, j] = _bounded_float(cfg, key, bound=">")
+            backhaul[i, j] = _bounded_float(cfg, key, bound="> 0")
         rsu_xy[i] = get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")
-        compute[i] = _indexed_float(cfg, "rsu", i, "compute", bound=">")
-        max_load[i] = _indexed_float(cfg, "rsu", i, "max_load", bound=">")
-        bw_up[i] = _indexed_float(cfg, "rsu", i, "bw_up", bound=">")
-        bw_down[i] = _indexed_float(cfg, "rsu", i, "bw_down", bound=">")
-        noise[i] = _indexed_float(cfg, "rsu", i, "noise", bound=">")
+        compute[i] = _indexed_float(cfg, "rsu", i, "compute", bound="> 0")
+        max_load[i] = _indexed_float(cfg, "rsu", i, "max_load", bound="> 0")
+        bw_up[i] = _indexed_float(cfg, "rsu", i, "bw_up", bound="> 0")
+        bw_down[i] = _indexed_float(cfg, "rsu", i, "bw_down", bound="> 0")
+        noise[i] = _indexed_float(cfg, "rsu", i, "noise", bound="> 0")
 
     with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
         trajectories = read_trajectories_csv(fh)
@@ -548,11 +533,11 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
 
     tx_power, cycles_per_bit, task_bits, request_bits, result_bits = np.empty((5, n_veh))
     for i in range(n_veh):
-        result_bits[i] = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">=")
-        tx_power[i] = _indexed_float(cfg, "veh", i, "power", bound=">")
-        cycles_per_bit[i] = _indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">=")
-        task_bits[i] = _indexed_float(cfg, "veh", i, "task_bits", bound=">=")
-        request_bits[i] = _indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">=")
+        result_bits[i] = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">= 0")
+        tx_power[i] = _indexed_float(cfg, "veh", i, "power", bound="> 0")
+        cycles_per_bit[i] = _indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">= 0")
+        task_bits[i] = _indexed_float(cfg, "veh", i, "task_bits", bound=">= 0")
+        request_bits[i] = _indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">= 0")
 
     channel = read_config(ChannelParams, cfg, "channel")
     env_cfg = read_config(EnvConfig, cfg, "env")

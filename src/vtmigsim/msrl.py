@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .configio import KEY, NO_KEY, read_config
+from .configio import KEY, NO_KEY, RANGE, check_fields, read_config
 from .neuralcore import (
     CLIENT,
     SERVER,
@@ -101,38 +101,27 @@ class SwitchController:
 
 @dataclass
 class TrainConfig:
-    gamma: float = 0.95
-    lam: float = 0.95
-    clip: float = 0.2
-    epochs: int = 4
-    minibatch: int = 8
-    lr: float = 1e-3
-    episodes: int = 100
-    window: int = 16
-    hold: int = 32
-    flutter_limit: int = 4
+    gamma: float = field(default=0.95, metadata={RANGE: "in (0, 1]"})
+    lam: float = field(default=0.95, metadata={RANGE: "in (0, 1]"})
+    clip: float = field(default=0.2, metadata={RANGE: "in (0, 1)"})
+    epochs: int = field(default=4, metadata={RANGE: ">= 1"})
+    minibatch: int = field(default=8, metadata={RANGE: ">= 1"})
+    lr: float = field(default=1e-3, metadata={RANGE: "> 0"})
+    episodes: int = field(default=100, metadata={RANGE: ">= 1"})
+    window: int = field(default=16, metadata={RANGE: ">= 1"})
+    hold: int = field(default=32, metadata={RANGE: ">= 0"})
+    flutter_limit: int = field(default=4, metadata={RANGE: ">= 0"})
     thr0: float = 0.7
     change: float = field(default=0.005, metadata={KEY: "train.ch"})
     seed: int = field(default=0, metadata=NO_KEY)
-    mode: str = field(default="split", metadata=NO_KEY)
+    mode: str = field(default="split", metadata={**NO_KEY, RANGE: MODES})
     hidden_dims: tuple = field(default=(8, 16, 16, 32, 16), metadata=NO_KEY)
     split_index: int = field(default=2, metadata=NO_KEY)
     critic_dims: tuple = field(default=(32, 32), metadata=NO_KEY)
     shared_critic: bool = True
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma <= 1.0) or not (0.0 < self.lam <= 1.0):
-            raise ValueError("gamma and lam must be in (0, 1]")
-        if not (0.0 < self.clip < 1.0):
-            raise ValueError("clip must be in (0, 1)")
-        if min(self.episodes, self.epochs, self.minibatch, self.window) < 1:
-            raise ValueError("episodes, epochs, minibatch and window must be >= 1")
-        if min(self.hold, self.flutter_limit) < 0:
-            raise ValueError("train.hold and train.flutter_limit must be >= 0")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        check_fields(self, "train")
 
 
 def train_config_from(cfg: dict[str, str], **overrides) -> TrainConfig:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .configio import KEY
+from .configio import KEY, RANGE, check_fields
 from .roadnet import RoadNetwork, UnreachableError, csv_rows, hypot, map_match, parse_num
 from .roadnet import shortest_path
 
@@ -86,18 +86,15 @@ class KdeModel:
 class GenConfig:
     """Knobs for cleaning and generation."""
 
-    delta_t: float = 30.0            # interpolation interval, seconds
-    bandwidth: float = 50.0          # kernel bandwidth, meters
-    per_hour_count_scale: float = field(default=1.0, metadata={KEY: "gen.count_scale"})
-    max_speed: float = 60.0          # anomaly threshold, m/s
-    gap_split: float = 300.0         # segmentation gap, seconds
+    delta_t: float = field(default=30.0, metadata={RANGE: "> 0"})  # interpolation interval, s
+    bandwidth: float = field(default=50.0, metadata={RANGE: "> 0"})  # kernel bandwidth, meters
+    per_hour_count_scale: float = field(
+        default=1.0, metadata={KEY: "gen.count_scale", RANGE: ">= 0"})
+    max_speed: float = field(default=60.0, metadata={RANGE: "> 0"})  # anomaly threshold, m/s
+    gap_split: float = field(default=300.0, metadata={RANGE: "> 0"})  # segmentation gap, s
 
     def __post_init__(self) -> None:
-        for name in ("delta_t", "bandwidth", "max_speed", "gap_split"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"gen.{name} must be > 0, got {getattr(self, name)!r}")
-        if not self.per_hour_count_scale >= 0:
-            raise ValueError(f"gen.count_scale must be >= 0, got {self.per_hour_count_scale!r}")
+        check_fields(self, "gen")
 
 
 @dataclass
@@ -272,11 +269,11 @@ def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
     ts, xy = traj.t, traj.xy
     if len(ts) < 2:
         raise ValueError("need at least 2 points to interpolate")
-    if not delta_t > 0:
-        raise ValueError("delta_t must be positive")
     t0, t_end = ts[0], ts[-1]
-    n_steps = int(math.floor((t_end - t0) / delta_t + 1e-9))
-    t = t0 + np.arange(n_steps + 1) * delta_t
+    steps = float(t_end - t0) / float(delta_t) + 1e-9 if delta_t > 0 else math.nan
+    if not math.isfinite(steps):
+        raise ValueError(f"delta_t must be > 0 and give a finite step count, got {delta_t!r}")
+    t = t0 + np.arange(math.floor(steps) + 1) * delta_t
     i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
     u = (t - ts[i]) / (ts[i + 1] - ts[i])
     out = xy[i] + u[:, None] * (xy[i + 1] - xy[i])

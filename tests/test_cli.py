@@ -1,15 +1,22 @@
 """CLI contract: exit codes, scenario key fallbacks, and checkpoints that do
 not fit the scenario."""
 
+import contextlib
 import csv
+import dataclasses
+import io
+import string
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import write_cli_scenario, write_train_cfg
-from vtmigsim import cli, envsim, msrl, neuralcore
-from vtmigsim.configio import load_kv
+from vtmigsim import cli, envsim, msrl, neuralcore, trajgen
+from vtmigsim.configio import KEY, RANGE, load_kv
 
 
 def test_commands_that_succeed_exit_0(tmp_path):
@@ -156,13 +163,13 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("env.lambda1 = nan", "train.reward_mode = qoe\n", "key 'env.lambda1': 'nan' is not a finite"),
     ("", "train.lr = nan\n", "key 'train.lr': 'nan' is not a finite"),
     ("", "train.thr0 = -inf\n", "key 'train.thr0': '-inf' is not a finite"),
-    ("", "train.window = 0\n", "window must be >= 1"),
-    ("", "train.lr = -1\n", "lr must be positive"),
-    ("", "train.hold = -5\n", "train.hold and train.flutter_limit must be >= 0"),
-    ("", "train.flutter_limit = -1\n", "train.hold and train.flutter_limit must be >= 0"),
-    ("env.tau = -1", "", "tau and background_mean must be >= 0"),
-    ("env.background_mean = -0.5", "", "tau and background_mean must be >= 0"),
-    ("env.background_unit = -1e8", "", "background_unit > 0"),
+    ("", "train.window = 0\n", "key 'train.window' must be >= 1, got 0"),
+    ("", "train.lr = -1\n", "key 'train.lr' must be > 0, got -1.0"),
+    ("", "train.hold = -5\n", "key 'train.hold' must be >= 0, got -5"),
+    ("", "train.flutter_limit = -1\n", "key 'train.flutter_limit' must be >= 0, got -1"),
+    ("env.tau = -1", "", "key 'env.tau' must be >= 0, got -1.0"),
+    ("env.background_mean = -0.5", "", "key 'env.background_mean' must be >= 0, got -0.5"),
+    ("env.background_unit = -1e8", "", "key 'env.background_unit' must be > 0, got -100000000.0"),
     ("rsu.max_load = 0", "", "key 'rsu.max_load' must be > 0, got '0'"),
     ("rsu.2.max_load = -1e9", "", "key 'rsu.2.max_load' must be > 0, got '-1e9'"),
     ("veh.power = 0", "", "key 'veh.power' must be > 0"),
@@ -171,7 +178,7 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("rsu.bw_down = 0", "", "key 'rsu.bw_down' must be > 0"),
     ("rsu.noise = 0", "", "key 'rsu.noise' must be > 0"),
     ("rsu.1.noise = -1e-11", "", "key 'rsu.1.noise' must be > 0"),
-    ("env.init_load = -1e10", "", "init_load must be >= 0"),
+    ("env.init_load = -1e10", "", "key 'env.init_load' must be >= 0, got -10000000000.0"),
     ("rsu.compute = 0", "", "key 'rsu.compute' must be > 0"),
     ("rsu.compute = -1e10", "", "key 'rsu.compute' must be > 0"),
     ("rsu.2.compute = 0", "", "key 'rsu.2.compute' must be > 0"),
@@ -180,15 +187,21 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("veh.result_bits = -2e5", "", "key 'veh.result_bits' must be >= 0"),
     ("veh.task_bits = -2e6", "", "key 'veh.task_bits' must be >= 0"),
     ("veh.1.task_bits = -2e6", "", "key 'veh.1.task_bits' must be >= 0"),
-    ("channel.gain = 0", "", "channel.gain must be > 0"),
-    ("channel.carrier = -2.4e9", "", "channel.carrier must be > 0"),
-    ("channel.light_speed = 0", "", "channel.light_speed must be > 0"),
-    ("env.slot_seconds = -1", "", "env.slot_seconds must be > 0, got -1.0"),
-    ("env.slot_seconds = 0", "", "env.slot_seconds must be > 0, got 0.0"),
-    ("env.warmup_slots = -3", "", "env.warmup_slots must be >= 0, got -3"),
+    ("channel.gain = 0", "", "key 'channel.gain' must be > 0, got 0.0"),
+    ("channel.carrier = -2.4e9", "", "key 'channel.carrier' must be > 0, got -2400000000.0"),
+    ("channel.light_speed = 0", "", "key 'channel.light_speed' must be > 0, got 0.0"),
+    ("env.slot_seconds = -1", "", "key 'env.slot_seconds' must be > 0, got -1.0"),
+    ("env.slot_seconds = 0", "", "key 'env.slot_seconds' must be > 0, got 0.0"),
+    ("env.warmup_slots = -3", "", "key 'env.warmup_slots' must be >= 0, got -3"),
     ("backhaul.default = 0", "", "key 'backhaul.default' must be > 0, got '0'"),
     ("backhaul.0.2 = -1e9", "", "key 'backhaul.0.2' must be > 0, got '-1e9'"),
     ("rsu.0.x = 1e200", "", "rounds to 1, so it cannot carry its bits: vehicle 0 and RSU 0"),
+    ("env.background_mean = 1e30", "",
+     "env.background_mean / env.background_unit must be <= 9.223372006484771e+18, got 2e+21"),
+    ("", "train.reward_mode = latncy\n",
+     "key 'train.reward_mode' must be one of ('latency', 'qoe'), got 'latncy'"),
+    ("rsu.count = 0", "", "key 'rsu.count' must be >= 1, got 0"),
+    ("veh.count = -1", "", "key 'veh.count' must be >= 1, got -1"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "hold_negative",
         "flutter_limit_negative", "tau_negative",
         "background_mean_negative", "background_unit_negative", "max_load_0",
@@ -198,7 +211,8 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
         "result_bits_negative", "task_bits_negative", "one_task_bits_negative", "gain_0",
         "carrier_negative", "light_speed_0", "slot_seconds_negative", "slot_seconds_0",
         "warmup_slots_negative", "backhaul_default_0", "one_backhaul_negative",
-        "rsu_out_of_reach"])
+        "rsu_out_of_reach", "background_beyond_poisson_limit", "train_reward_mode_unknown",
+        "rsu_count_0", "veh_count_negative"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):
     scenario = write_cli_scenario(tmp_path)
@@ -225,7 +239,8 @@ def test_no_episodes_or_zero_max_load_exits_2_before_output(tmp_path, capsys, co
     sweep = ["--sweep-param", "rsu.max_load", "--sweep-values"]
     argv, message = {
         "train": (["train", "--episodes", "0"], "--episodes must be >= 1, got 0"),
-        "train_cfg_key": (["train", "--train-cfg", str(train_cfg)], "episodes, epochs"),
+        "train_cfg_key": (["train", "--train-cfg", str(train_cfg)],
+                          "key 'train.episodes' must be >= 1, got -2"),
         "eval": (["eval", "--policy", "full_migration", "--episodes", "0"],
                  "--episodes must be >= 1, got 0"),
         "compare": (["compare", "--episodes", "0", *sweep, "5e10"],
@@ -362,15 +377,16 @@ def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, 
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("gen.count_scale = -1\n", "gen.count_scale must be >= 0, got -1.0"),
-    ("gen.max_speed = 0\n", "gen.max_speed must be > 0, got 0.0"),
-    ("gen.max_speed = -5\n", "gen.max_speed must be > 0, got -5.0"),
-    ("gen.gap_split = 0\n", "gen.gap_split must be > 0, got 0.0"),
-    ("gen.gap_split = -30\n", "gen.gap_split must be > 0, got -30.0"),
+    ("gen.count_scale = -1\n", "key 'gen.count_scale' must be >= 0, got -1.0"),
+    ("gen.max_speed = 0\n", "key 'gen.max_speed' must be > 0, got 0.0"),
+    ("gen.max_speed = -5\n", "key 'gen.max_speed' must be > 0, got -5.0"),
+    ("gen.gap_split = 0\n", "key 'gen.gap_split' must be > 0, got 0.0"),
+    ("gen.gap_split = -30\n", "key 'gen.gap_split' must be > 0, got -30.0"),
     ("gen.synthetic_count = 0\n", "key 'gen.synthetic_count' must be >= 1, got 0"),
     ("gen.synthetic_count = -3\n", "key 'gen.synthetic_count' must be >= 1, got -3"),
+    ("gen.delta_t = 1e-320\n", "delta_t must be > 0 and give a finite step count, got 1e-320"),
 ], ids=["count_scale_negative", "max_speed_0", "max_speed_negative", "gap_split_0",
-        "gap_split_negative", "synthetic_count_0", "synthetic_count_negative"])
+        "gap_split_negative", "synthetic_count_0", "synthetic_count_negative", "delta_t_tiny"])
 def test_bad_gen_setting_exits_2_before_output(tmp_path, capsys, extra, message):
     out = tmp_path / "out"
     argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out)]
@@ -422,3 +438,72 @@ def test_repeated_timestamp_exits_2_naming_the_csv_vehicle_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "vehicle_id 7 " in err and "not strictly" in err
     assert not out.exists()
+
+
+# Finite values outside each range rule, drawn apart from the rules' own code and
+# written as str() gives them: a float's repr, int text for int fields, plain text
+# for a tuple of choices. -0.0 meets ">= 0", so it is not below it.
+_BELOW_0 = st.floats(max_value=-5e-324, allow_infinity=False)
+_FLOAT_OUTSIDE = {
+    "> 0": st.floats(max_value=0.0, allow_infinity=False),
+    ">= 0": _BELOW_0,
+    "in [0, 1)": _BELOW_0 | st.floats(min_value=1.0, allow_infinity=False),
+    "in [0, 1]": _BELOW_0 | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "in (0, 1]": st.floats(max_value=0.0, allow_infinity=False)
+    | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "in (0, 1)": st.floats(max_value=0.0, allow_infinity=False)
+    | st.floats(min_value=1.0, allow_infinity=False),
+}
+_INT_OUTSIDE = {">= 0": st.integers(max_value=-1), ">= 1": st.integers(max_value=0)}
+SECTIONS = {"train": msrl.TrainConfig, "env": envsim.EnvConfig,
+            "channel": envsim.ChannelParams, "gen": trajgen.GenConfig}
+
+
+def _ranged_keys():
+    """{config key: (field type, rule)} of every field with a key and a RANGE;
+    `TrainConfig.mode` has no key, and test_configio checks it in code."""
+    out = {}
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get(KEY, f"{section}.{f.name}")
+            if key is not None and RANGE in f.metadata:
+                out[key] = type(f.default), f.metadata[RANGE]
+    return out
+
+
+RANGED_KEYS = _ranged_keys()
+
+
+def _outside(kind, rule):
+    if isinstance(rule, tuple):
+        return st.text(string.ascii_lowercase, min_size=1).filter(lambda text: text not in rule)
+    return (_INT_OUTSIDE if kind is int else _FLOAT_OUTSIDE)[rule]
+
+
+@pytest.mark.parametrize("key", sorted(RANGED_KEYS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_declared_range_refuses_a_value_outside_it_before_output(key, data):
+    kind, rule = RANGED_KEYS[key]
+    value = data.draw(_outside(kind, rule), label="value")
+    section = key.split(".")[0]
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        out = tmp / "out"
+        if section == "gen":
+            argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp, f"{key} = {value}\n")]
+        else:
+            scenario = write_cli_scenario(tmp)
+            train_cfg = tmp / "train.cfg"
+            train_cfg.touch()
+            with open(train_cfg if section == "train" else scenario, "a", encoding="utf-8") as fh:
+                fh.write(f"{key} = {value}\n")
+            # --episodes would override train.episodes; every other key fails first.
+            episodes = [] if key == "train.episodes" else ["--episodes", "1"]
+            argv = ["train", "--scenario", scenario, "--train-cfg", str(train_cfg), *episodes]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        must = f"one of {rule}" if isinstance(rule, tuple) else rule
+        assert err.getvalue() == f"config error: key {key!r} must be {must}, got {value!r}\n"
+        assert not out.exists()

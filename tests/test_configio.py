@@ -2,12 +2,15 @@
 its own defaults, through the entry points that build it."""
 
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from helpers import write_cli_scenario
 from vtmigsim import envsim, msrl, trajgen
-from vtmigsim.configio import KEY, ConfigError, get_float, load_kv, read_config
+from vtmigsim.configio import KEY, RANGE, ConfigError, get_float, load_kv, read_config
 
 # Every key each dataclass reads, set to a value that is not its default, and
 # the field value it must build. train.ch, channel.gain and gen.count_scale
@@ -96,5 +99,55 @@ def test_get_float_rejects_non_finite_values(text):
 
 
 def test_dataclass_check_becomes_config_error():
-    with pytest.raises(ConfigError, match="alpha must be in"):
+    with pytest.raises(ConfigError, match=r"^key 'env\.alpha' must be in \[0, 1\), got 1\.0$"):
         read_config(envsim.EnvConfig, {"env.alpha": "1"}, "env")
+
+
+def _ranged_floats():
+    for section, (cls, _) in SCHEMA.items():
+        for f in dataclasses.fields(cls):
+            if RANGE in f.metadata and isinstance(f.default, float):
+                yield cls, f.name, f.metadata.get(KEY, f"{section}.{f.name}")
+
+
+@pytest.mark.parametrize("cls, name, key", list(_ranged_floats()))
+def test_nan_in_code_meets_no_range(cls, name, key):
+    with pytest.raises(ConfigError, match=rf"^key '{re.escape(key)}' must be .*, got nan$"):
+        cls(**{name: math.nan})
+
+
+def test_a_setting_with_no_key_is_named_by_its_field():
+    with pytest.raises(ConfigError, match=re.escape(
+            "key 'mode' must be one of ('split', 'client', 'server'), got 'both'")):
+        msrl.TrainConfig(mode="both")
+
+
+def _readme_settings():
+    """The README's settings table as (key, default text, range text) rows."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Key | Default | Range | Meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, rule = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        rows.append((key.strip("`"), default, rule))
+    return rows
+
+
+def test_readme_settings_table_is_the_declared_keys_defaults_and_ranges():
+    declared = []
+    for section in ("train", "env", "channel", "gen"):
+        for f in dataclasses.fields(SCHEMA[section][0]):
+            key = f.metadata.get(KEY, f"{section}.{f.name}")
+            if key is None:
+                continue
+            rule = f.metadata.get(RANGE, "any")
+            if isinstance(rule, tuple):
+                rule = "one of " + ", ".join(f"`{choice}`" for choice in rule)
+            declared.append((key, f.default, rule))
+    table = _readme_settings()
+    assert [key for key, _, _ in table] == [key for key, _, _ in declared]
+    for (key, text, rule), (_, default, want) in zip(table, declared):
+        value = int(text) != 0 if type(default) is bool else type(default)(text)
+        assert (value, rule) == (default, want), key

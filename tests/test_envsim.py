@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ def test_step_past_horizon_raises():
 def test_horizon_must_be_positive():
     with pytest.raises(ValueError, match="horizon"):
         EnvConfig(horizon=0)
+
+
+def test_background_arrival_rate_stops_at_numpys_poisson_limit():
+    limit = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+    above = math.nextafter(limit, math.inf)
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(above)
+    env = make_env(n_rsu=2, background_mean=limit, background_unit=1.0, warmup_slots=1)
+    env.reset(0)
+    env.step([1])  # arrivals at the limit fill the queues to max_load
+    assert (env.loads == env.max_load).all()
+    message = ("env.background_mean / env.background_unit must be <= 9.223372006484771e+18, "
+               "got 9.223372006484772e+18")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EnvConfig(background_mean=above, background_unit=1.0)
 
 
 def one_way_backhaul_env(**kwargs):
