@@ -127,19 +127,14 @@ def _build_env(
 ) -> envsim.PremigrationEnv:
     """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`.
 
-    `sweep` = (key, value) goes through `apply_sweep`. A swept key that `build_env` does not
-    read is a config error, also when the sweep left the env short of a key."""
-    cfg = ReadLog(scenario if sweep is None else apply_sweep(scenario, *sweep))
+    `sweep` = (key, value) goes through `envsim.apply_sweep`. A swept key that `build_env`
+    does not read is a config error."""
+    cfg = ReadLog(scenario if sweep is None else envsim.apply_sweep(scenario, *sweep))
     if "train.reward_mode" in train_kv:
         cfg["env.reward_mode"] = check("train.reward_mode", train_kv["train.reward_mode"],
                                        envsim.REWARD_MODES)
     cfg.update(policies.env_overrides(kind))
-    try:
-        env = envsim.build_env(cfg)
-    except ConfigError:
-        if sweep is None or sweep[0] in cfg.read:
-            raise
-        _build_env(scenario, kind, train_kv)  # raises the scenario's own error, if any
+    env = envsim.build_env(cfg)
     if sweep is not None and sweep[0] not in cfg.read:
         raise ConfigError(f"--sweep-param {sweep[0]!r} is not a scenario key that the env reads")
     return env
@@ -286,23 +281,6 @@ def cmd_eval(args) -> int:
 
 COMPARE_HEADER = ["policy", "param_value", "metric", "mean", "stderr"]
 COMPARE_METRICS = ("reward", "qoe", "latency", "err_rate", "active_params")  # EVAL_MEANS
-
-
-def apply_sweep(scenario: dict[str, str], param: str, value: str) -> dict[str, str]:
-    """Set scenario key `param` to the text `value`, as it was given.
-
-    An unindexed rsu.<name> or veh.<name> sets every unit: it drops each
-    indexed rsu.<i>.<name> or veh.<i>.<name> override.
-    """
-    out = dict(scenario)
-    parts = param.split(".")
-    if parts[0] in ("rsu", "veh") and len(parts) == 2:
-        for key in list(out):
-            kp = key.split(".")
-            if len(kp) == 3 and kp[0] == parts[0] and kp[2] == parts[1]:
-                del out[key]
-    out[param] = value
-    return out
 
 
 def cmd_compare(args) -> int:

@@ -14,6 +14,7 @@ All units are SI: meters, seconds, Hz, watts, bits, CPU cycles.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -484,69 +485,80 @@ def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
 
 # --- scenario config interface ---
 
-def _bounded_float(cfg, key: str, default=None, *, bound: str) -> float:
-    """Float `key`, `configio.check`ed against rule `bound`; an error shows its text."""
-    return check(key, get_float(cfg, key, default), bound, cfg.get(key))
+# The per-unit scenario keys, in read order: {section: {name: (default, rule)}},
+# default None when the key is required, rule a `configio.RANGE` rule. Unit i
+# reads <section>.<i>.<name>, else <section>.<name>, else the default.
+UNIT_KEYS = {
+    "rsu": {name: (None, "> 0") for name in ("compute", "max_load", "bw_up", "bw_down", "noise")},
+    "veh": {"result_bits": (0.0, ">= 0"), "power": (None, "> 0"),
+            "cycles_per_bit": (None, ">= 0"), "task_bits": (None, ">= 0"),
+            "request_bits": (0.0, ">= 0")},
+}
 
 
-def _indexed_float(cfg, section: str, i: int, name: str, default=None, *, bound: str) -> float:
-    """<section>.<i>.<name>, falling back to the unindexed <section>.<name>,
-    checked as `_bounded_float` checks it."""
-    specific = f"{section}.{i}.{name}"
-    key = specific if specific in cfg else f"{section}.{name}"
-    return _bounded_float(cfg, key, default, bound=bound)
+def _unit_columns(cfg, section: str, n: int) -> dict[str, np.ndarray]:
+    """{name: (n,) column} of `section`'s `UNIT_KEYS`, read unit by unit; a value
+    outside its rule is a `ConfigError` that shows the key's config text."""
+    columns = {name: np.empty(n) for name in UNIT_KEYS[section]}
+    for i in range(n):
+        for name, (default, rule) in UNIT_KEYS[section].items():
+            key = f"{section}.{i}.{name}"
+            if key not in cfg:
+                key = f"{section}.{name}"
+            columns[name][i] = check(key, get_float(cfg, key, default), rule, cfg.get(key))
+    return columns
+
+
+def apply_sweep(scenario: dict[str, str], param: str, value: str) -> dict[str, str]:
+    """Set scenario key `param` to the text `value`, as it was given.
+
+    An unindexed `UNIT_KEYS` key <section>.<name> sets every unit: it drops each
+    indexed <section>.<i>.<name> override.
+    """
+    out = dict(scenario)
+    section, _, name = param.partition(".")
+    if name in UNIT_KEYS.get(section, ()):
+        for key in list(out):
+            if key.count(".") == 2 and key.split(".")[::2] == [section, name]:
+                del out[key]
+    out[param] = value
+    return out
 
 
 def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     """Assemble an environment from a flat scenario config.
 
-    Vehicle trajectories come from the CSV named by `veh.traj_csv` (vehicle i
-    takes the i-th trajectory in file order, cycling when fewer are available).
+    Reads the RSU keys (backhaul pairs, positions, `UNIT_KEYS["rsu"]`), then the
+    CSV named by `veh.traj_csv` (vehicle i takes its i-th trajectory in file
+    order, cycling when fewer are available), then `UNIT_KEYS["veh"]`.
     """
     n_rsu = check("rsu.count", get_int(cfg, "rsu.count"), ">= 1")
     n_veh = check("veh.count", get_int(cfg, "veh.count"), ">= 1")
 
-    rsu_xy = np.empty((n_rsu, 2))
-    compute, max_load, bw_up, bw_down, noise = np.empty((5, n_rsu))
     backhaul = np.zeros((n_rsu, n_rsu))
-    for i in range(n_rsu):
-        for j in range(n_rsu):
-            if j == i:
-                continue
-            keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
-            key = next((k for k in keys if k in cfg), None)  # first set, in this order
-            if key is None:
-                raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
-                                  f"set one of {', '.join(keys)}")
-            backhaul[i, j] = _bounded_float(cfg, key, bound="> 0")
-        rsu_xy[i] = get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")
-        compute[i] = _indexed_float(cfg, "rsu", i, "compute", bound="> 0")
-        max_load[i] = _indexed_float(cfg, "rsu", i, "max_load", bound="> 0")
-        bw_up[i] = _indexed_float(cfg, "rsu", i, "bw_up", bound="> 0")
-        bw_down[i] = _indexed_float(cfg, "rsu", i, "bw_down", bound="> 0")
-        noise[i] = _indexed_float(cfg, "rsu", i, "noise", bound="> 0")
+    for i, j in itertools.permutations(range(n_rsu), 2):
+        keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
+        key = next((k for k in keys if k in cfg), None)  # first set, in this order
+        if key is None:
+            raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
+                              f"set one of {', '.join(keys)}")
+        backhaul[i, j] = check(key, get_float(cfg, key), "> 0", cfg.get(key))
+    rsu_xy = [(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")) for i in range(n_rsu)]
+    rsu = _unit_columns(cfg, "rsu", n_rsu)
 
     with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
         trajectories = read_trajectories_csv(fh)
     if not trajectories:
         raise ConfigError("no trajectories available for vehicles")
-
-    tx_power, cycles_per_bit, task_bits, request_bits, result_bits = np.empty((5, n_veh))
-    for i in range(n_veh):
-        result_bits[i] = _indexed_float(cfg, "veh", i, "result_bits", 0.0, bound=">= 0")
-        tx_power[i] = _indexed_float(cfg, "veh", i, "power", bound="> 0")
-        cycles_per_bit[i] = _indexed_float(cfg, "veh", i, "cycles_per_bit", bound=">= 0")
-        task_bits[i] = _indexed_float(cfg, "veh", i, "task_bits", bound=">= 0")
-        request_bits[i] = _indexed_float(cfg, "veh", i, "request_bits", 0.0, bound=">= 0")
+    veh = _unit_columns(cfg, "veh", n_veh)
 
     channel = read_config(ChannelParams, cfg, "channel")
     env_cfg = read_config(EnvConfig, cfg, "env")
     return PremigrationEnv(
-        rsu_xy=rsu_xy, compute=compute, max_load=max_load, bw_up=bw_up, bw_down=bw_down,
-        noise=noise, backhaul=backhaul, tx_power=tx_power, cycles_per_bit=cycles_per_bit,
-        request_bits=request_bits,
-        task_bits=np.broadcast_to(task_bits, (env_cfg.horizon, n_veh)),
-        result_bits=np.broadcast_to(result_bits[:, None], (n_veh, n_rsu)),
+        rsu_xy=rsu_xy, **rsu, backhaul=backhaul, tx_power=veh["power"],
+        cycles_per_bit=veh["cycles_per_bit"], request_bits=veh["request_bits"],
+        task_bits=np.broadcast_to(veh["task_bits"], (env_cfg.horizon, n_veh)),
+        result_bits=np.broadcast_to(veh["result_bits"][:, None], (n_veh, n_rsu)),
         tracks=[trajectories[i % len(trajectories)] for i in range(n_veh)],
         channel=channel, cfg=env_cfg,
     )

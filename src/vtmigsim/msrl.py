@@ -630,6 +630,16 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
     return tensors
 
 
+def _saved(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """Checkpoint tensor `name`, refused when missing or of another shape."""
+    saved = tensors.get(name)
+    if saved is None:
+        raise ValueError(f"checkpoint has no tensor {name}")
+    if saved.shape != shape:
+        raise ValueError(f"checkpoint tensor {name} has shape {saved.shape}, expected {shape}")
+    return saved
+
+
 def load_bundle(
     tensors: dict[str, np.ndarray], cfg: TrainConfig
 ) -> tuple[PolicyBundle, int]:
@@ -640,23 +650,15 @@ def load_bundle(
     own. A controller row may be missing (the checkpoint was trained outside
     split mode): that controller starts fresh.
     """
-    episode = int(tensors["meta/episode"][0, 0])
-    agents, obs_dim, actions = (
-        int(tensors[f"meta/{key}"][0, 0]) for key in ("agents", "obs_dim", "actions")
+    episode, agents, obs_dim, actions = (
+        int(_saved(tensors, f"meta/{key}", (1, 1))[0, 0])
+        for key in ("episode", "agents", "obs_dim", "actions")
     )
     bundle = make_bundle(obs_dim, actions, agents, cfg, draw=False)
     layout = bundle_tensors(bundle, episode)
     for name, param in layout:
-        saved = tensors.get(name)
-        if saved is None and name.endswith("/ctrl"):
-            continue
-        if saved is None:
-            raise ValueError(f"checkpoint has no tensor {name}")
-        if saved.shape != param.shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape {saved.shape}, expected {param.shape}"
-            )
-        param[...] = saved
+        if name in tensors or not name.endswith("/ctrl"):
+            param[...] = _saved(tensors, name, param.shape)
     rows = (row for name, row in layout if name.endswith("/ctrl"))
     for c, row in zip(bundle.controllers or [], rows):
         c.server_calls, c.hold_remaining, c.calls = (int(x) for x in row[0])

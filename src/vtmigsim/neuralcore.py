@@ -306,24 +306,29 @@ def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> Non
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """The tensors of checkpoint `path`; a malformed file is a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CKPT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
         out: dict[str, np.ndarray] = {}
-        while True:
-            header = fh.readline()
-            if not header:
-                break
+        line = 1  # the number of the last line read
+        while header := fh.readline():
+            line += 1
             if not header.strip():
                 continue
-            name, rows_s, cols_s = header.split()
-            rows, cols = int(rows_s), int(cols_s)
-            data = np.empty((rows, cols))
-            for r in range(rows):
-                fields = fh.readline().split()
-                if len(fields) != cols:
-                    raise ValueError(f"tensor {name}: row {r} has {len(fields)} values, wanted {cols}")
-                data[r] = fields  # numpy parses each decimal string as float() does
+            r = -1  # the row being read; -1 while reading the header
+            try:
+                name, rows_s, cols_s = header.split()
+                data = np.empty((int(rows_s), int(cols_s)))
+                rows, cols = data.shape
+                for r in range(rows):
+                    fields = fh.readline().split()
+                    if len(fields) != cols:
+                        raise ValueError(f"tensor {name}: row {r} has {len(fields)} values, wanted {cols}")
+                    data[r] = fields  # numpy parses each decimal string as float() does
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line + r + 1}: {exc}") from None
+            line += rows
             out[name] = data
     return out

@@ -24,6 +24,7 @@ from .roadnet import shortest_path
 
 HOURS = 24
 _SECONDS_PER_HOUR = 3600.0
+_MAX_STEPS = 2**24  # interpolation steps per track, so a tiny delta_t cannot exhaust memory
 
 
 class FitError(ValueError):
@@ -271,7 +272,7 @@ def interpolate(traj: Trajectory, delta_t: float) -> Trajectory:
         raise ValueError("need at least 2 points to interpolate")
     t0, t_end = ts[0], ts[-1]
     steps = float(t_end - t0) / float(delta_t) + 1e-9 if delta_t > 0 else math.nan
-    if not math.isfinite(steps):
+    if not steps <= _MAX_STEPS:
         raise ValueError(f"delta_t must be > 0 and give a finite step count, got {delta_t!r}")
     t = t0 + np.arange(math.floor(steps) + 1) * delta_t
     i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)

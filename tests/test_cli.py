@@ -159,6 +159,26 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     assert loads == [ckpt]
 
 
+@pytest.mark.parametrize("body, message", [
+    ("meta/episode 0 0\n", "checkpoint tensor meta/episode has shape (0, 0), expected (1, 1)"),
+    ("x/W0 1 1\n0\n", "checkpoint has no tensor meta/episode"),
+    ("meta/episode 1\n", "line 2: not enough values to unpack (expected 3, got 2)"),
+    ("meta/episode 1 1\nabc\n", "line 3: could not convert string to float: 'abc'"),
+    ("meta/episode -1 1\n", "line 2: negative dimensions are not allowed"),
+], ids=["meta_empty", "meta_missing", "header_short", "row_unparsable", "rows_negative"])
+def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message):
+    scenario = write_cli_scenario(tmp_path)
+    ckpt = tmp_path / "ckpt.txt"
+    ckpt.write_text(f"{neuralcore.CKPT_MAGIC}\n{body}", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["eval", "--scenario", scenario, "--checkpoint", str(ckpt), "--policy", "split",
+            "--episodes", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {ckpt}: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario_line, train_text, message", [
     ("env.lambda1 = nan", "train.reward_mode = qoe\n", "key 'env.lambda1': 'nan' is not a finite"),
     ("", "train.lr = nan\n", "key 'train.lr': 'nan' is not a finite"),
@@ -304,7 +324,7 @@ def test_unindexed_sweep_sets_every_unit(tmp_path, section):
         Path(plain).read_text(encoding="utf-8") + f"{section}.0.{name} = {override}\n",
         encoding="utf-8",
     )
-    cfg = cli.apply_sweep(load_kv(str(overridden)), f"{section}.{name}", swept)
+    cfg = envsim.apply_sweep(load_kv(str(overridden)), f"{section}.{name}", swept)
     env = envsim.build_env(cfg)
     column = env.task_bits if section == "veh" else env.max_load
     assert column.shape == ((env.cfg.horizon, env.V) if section == "veh" else (env.E,))
@@ -385,8 +405,11 @@ def test_bad_trajgen_flags_exit_2_before_output(tmp_path, capsys, flags, extra, 
     ("gen.synthetic_count = 0\n", "key 'gen.synthetic_count' must be >= 1, got 0"),
     ("gen.synthetic_count = -3\n", "key 'gen.synthetic_count' must be >= 1, got -3"),
     ("gen.delta_t = 1e-320\n", "delta_t must be > 0 and give a finite step count, got 1e-320"),
+    ("gen.delta_t = 1e-300\n", "delta_t must be > 0 and give a finite step count, got 1e-300"),
+    ("gen.delta_t = 1e-12\n", "delta_t must be > 0 and give a finite step count, got 1e-12"),
 ], ids=["count_scale_negative", "max_speed_0", "max_speed_negative", "gap_split_0",
-        "gap_split_negative", "synthetic_count_0", "synthetic_count_negative", "delta_t_tiny"])
+        "gap_split_negative", "synthetic_count_0", "synthetic_count_negative", "delta_t_tiny",
+        "delta_t_beyond_size_limit", "delta_t_too_many_steps"])
 def test_bad_gen_setting_exits_2_before_output(tmp_path, capsys, extra, message):
     out = tmp_path / "out"
     argv = ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path, extra), "--out", str(out)]
@@ -460,14 +483,18 @@ SECTIONS = {"train": msrl.TrainConfig, "env": envsim.EnvConfig,
 
 
 def _ranged_keys():
-    """{config key: (field type, rule)} of every field with a key and a RANGE;
-    `TrainConfig.mode` has no key, and test_configio checks it in code."""
+    """{config key: (field type, rule)} of every field with a key and a RANGE, then
+    of every `envsim.UNIT_KEYS` key, unindexed and for unit 1; `TrainConfig.mode`
+    has no key, and test_configio checks it in code."""
     out = {}
     for section, cls in SECTIONS.items():
         for f in dataclasses.fields(cls):
             key = f.metadata.get(KEY, f"{section}.{f.name}")
             if key is not None and RANGE in f.metadata:
                 out[key] = type(f.default), f.metadata[RANGE]
+    for section, names in envsim.UNIT_KEYS.items():
+        for name, (_, rule) in names.items():
+            out[f"{section}.{name}"] = out[f"{section}.1.{name}"] = float, rule
     return out
 
 
@@ -505,5 +532,6 @@ def test_every_declared_range_refuses_a_value_outside_it_before_output(key, data
         with contextlib.redirect_stderr(err):
             assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         must = f"one of {rule}" if isinstance(rule, tuple) else rule
-        assert err.getvalue() == f"config error: key {key!r} must be {must}, got {value!r}\n"
+        shown = str(value) if section in envsim.UNIT_KEYS else value  # the config text
+        assert err.getvalue() == f"config error: key {key!r} must be {must}, got {shown!r}\n"
         assert not out.exists()

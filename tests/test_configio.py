@@ -146,8 +146,14 @@ def test_readme_settings_table_is_the_declared_keys_defaults_and_ranges():
             if isinstance(rule, tuple):
                 rule = "one of " + ", ".join(f"`{choice}`" for choice in rule)
             declared.append((key, f.default, rule))
+    for section, names in envsim.UNIT_KEYS.items():
+        declared += [(f"{section}.{name}", default, rule)
+                     for name, (default, rule) in names.items()]
     table = _readme_settings()
     assert [key for key, _, _ in table] == [key for key, _, _ in declared]
     for (key, text, rule), (_, default, want) in zip(table, declared):
-        value = int(text) != 0 if type(default) is bool else type(default)(text)
+        if text == "required":
+            value = None
+        else:
+            value = int(text) != 0 if type(default) is bool else type(default)(text)
         assert (value, rule) == (default, want), key
