@@ -7,14 +7,14 @@ Subcommands: `trajgen` (synthesize trajectories and density/histogram data),
 
 All primary outputs are written atomically (a `.partial` file renamed on
 completion) and are byte-identical across runs with the same seed, inputs and
-commit.
+commit. Learner outputs are byte-identical only within one CPU class: one
+OpenBLAS kernel and one set of numpy SIMD targets.
 Exit codes: 0 success, 2 config error, 3 training abort, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -32,27 +32,21 @@ EXIT_ABORT = 3
 EXIT_IO = 4
 
 
-def _atomic_path(path: str) -> str:
-    return path + ".partial"
-
-
-def atomic_write(path: str, write_fn: Callable) -> None:
-    """Write through a .partial file and rename into place on success."""
-    tmp = _atomic_path(path)
+def atomic_write(path: str, write_fn: Callable):
+    """Write through a .partial file and rename into place on success; returns
+    what `write_fn(fh)` returns."""
+    tmp = path + ".partial"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        write_fn(fh)
+        result = write_fn(fh)
     os.replace(tmp, path)
+    return result
 
 
-def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table, the header row and then `rows`, through `atomic_write`."""
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    atomic_write(path, write)
+def write_table(path: str, header: Sequence[str], row_format: str, rows: Iterable[tuple]) -> None:
+    """Write a CSV table through `atomic_write`: the header line, then
+    `row_format % row` for each row tuple."""
+    atomic_write(path, lambda fh: fh.write(
+        "".join([",".join(header) + "\n", *(row_format % row for row in rows)])))
 
 
 # --- trajgen ---
@@ -98,24 +92,21 @@ def cmd_trajgen(args) -> int:
         raise ConfigError(f"--grid-cell {args.grid_cell} gives a non-finite cell index") from None
 
     os.makedirs(args.out, exist_ok=True)
-    traj_path = os.path.join(args.out, "trajectories.csv")
-    atomic_write(traj_path, lambda fh: trajgen.write_trajectories_csv(generated, fh))
+    points = atomic_write(os.path.join(args.out, "trajectories.csv"),
+                          lambda fh: trajgen.write_trajectories_csv(generated, fh))
     write_table(
-        os.path.join(args.out, "density_grid.csv"), ["cell_x", "cell_y", "count"],
-        ([cx, cy, count] for (cx, cy), count in sorted(grid.items())),
+        os.path.join(args.out, "density_grid.csv"), ["cell_x", "cell_y", "count"], "%d,%d,%d\n",
+        ((cx, cy, count) for (cx, cy), count in sorted(grid.items())),
     )
 
     starts = [traj.t[0] for traj in generated]
     hours = np.bincount(trajgen.hour_of(starts), minlength=trajgen.HOURS)
     write_table(
         os.path.join(args.out, "hourly_histogram.csv"), ["hour", "count", "profile_weight"],
-        ([h, int(hours[h]), f"{profile.hour_histogram[h]:.9g}"] for h in range(trajgen.HOURS)),
+        "%d,%d,%.9g\n", zip(range(trajgen.HOURS), hours.tolist(), profile.hour_histogram.tolist()),
     )
 
-    print(
-        f"trajgen: {len(generated)} trajectories "
-        f"({sum(len(t.t) for t in generated)} points), {skipped} skipped"
-    )
+    print(f"trajgen: {len(generated)} trajectories ({points} points), {skipped} skipped")
     return EXIT_OK
 
 
@@ -181,33 +172,32 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_every = get_int(train_kv, "train.ckpt_every", 50)
-    report_path = os.path.join(args.out, "train_report.csv")
-    tmp_path = _atomic_path(report_path)
 
     def save_ckpt(name: str, bundle_now, episode: int) -> None:
         path = os.path.join(args.out, name)
-        tmp = _atomic_path(path)
+        tmp = path + ".partial"
         neuralcore.save_checkpoint(tmp, msrl.bundle_tensors(bundle_now, episode))
         os.replace(tmp, path)
 
-    try:
-        with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(msrl.REPORT_HEADER)
+    def train_reporting(fh):
+        """msrl.train, streaming one report row per episode to `fh`."""
+        fh.write(",".join(msrl.REPORT_HEADER) + "\n")
+        fh.flush()
+
+        def on_episode(stats: msrl.EpisodeStats) -> None:
+            fh.write(msrl.REPORT_ROW % msrl.report_row(stats))
             fh.flush()
+            if ckpt_every > 0 and (stats.episode + 1) % ckpt_every == 0:
+                # Known defect: on a fresh run `bundle` stays None until
+                # msrl.train returns, so this save fails.
+                save_ckpt(f"ckpt_ep{stats.episode}.txt", bundle, stats.episode)
 
-            def on_episode(stats: msrl.EpisodeStats) -> None:
-                writer.writerow(msrl.report_row(stats))
-                fh.flush()
-                if ckpt_every > 0 and (stats.episode + 1) % ckpt_every == 0:
-                    # Known defect: on a fresh run `bundle` stays None until
-                    # msrl.train returns, so this save fails.
-                    save_ckpt(f"ckpt_ep{stats.episode}.txt", bundle, stats.episode)
+        return msrl.train(env, cfg, bundle=bundle, start_episode=start_episode,
+                          on_episode=on_episode)
 
-            stats_list, bundle = msrl.train(
-                env, cfg, bundle=bundle, start_episode=start_episode, on_episode=on_episode
-            )
-        os.replace(tmp_path, report_path)
+    try:
+        stats_list, bundle = atomic_write(os.path.join(args.out, "train_report.csv"),
+                                          train_reporting)
     except msrl.TrainAbort as exc:
         dump_path = os.path.join(args.out, "abort_dump.txt")
         with open(dump_path, "w", encoding="utf-8") as fh:
@@ -227,6 +217,7 @@ def cmd_train(args) -> int:
 # The msrl.EvalSummary means, in column order.
 EVAL_MEANS = ["mean_reward", "mean_qoe", "mean_latency", "mean_err", "mean_active_params"]
 EVAL_HEADER = ["policy", "episodes", *EVAL_MEANS]
+EVAL_ROW = "%s,%d," + ",".join(["%.9g"] * len(EVAL_MEANS)) + "\n"
 
 
 def _read_checkpoint(args, kinds: Sequence[str]) -> Optional[dict]:
@@ -257,19 +248,21 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng([args.seed, 11])
     act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
 
-    rows: list[list] = []
+    rows: list[tuple] = []
 
     def on_slot(ep, slot, metrics):
-        rows.extend(envsim.metrics_rows(ep, slot, metrics))
+        records = metrics[envsim.METRICS_FIELDS].tolist()
+        rows.extend((ep, slot, v, *record) for v, record in enumerate(records))
 
     summary = msrl.run_episodes(env, act, args.episodes, args.seed * 1000, on_slot=on_slot)
 
     os.makedirs(args.out, exist_ok=True)
     write_table(
-        os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER,
-        [[kind, args.episodes, *(f"{getattr(summary, m):.9g}" for m in EVAL_MEANS)]],
+        os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER, EVAL_ROW,
+        [(kind, args.episodes, *(getattr(summary, m) for m in EVAL_MEANS))],
     )
-    write_table(os.path.join(args.out, "eval_metrics.csv"), envsim.METRICS_HEADER, rows)
+    write_table(os.path.join(args.out, "eval_metrics.csv"), envsim.METRICS_HEADER,
+                envsim.METRICS_ROW, rows)
     print(
         f"eval: policy={kind} episodes={args.episodes} "
         f"mean_reward={summary.mean_reward:.6g} mean_latency={summary.mean_latency:.6g}"
@@ -280,6 +273,7 @@ def cmd_eval(args) -> int:
 # --- compare ---
 
 COMPARE_HEADER = ["policy", "param_value", "metric", "mean", "stderr"]
+COMPARE_ROW = "%s,%.9g,%s,%.9g,%.9g\n"
 COMPARE_METRICS = ("reward", "qoe", "latency", "err_rate", "active_params")  # EVAL_MEANS
 
 
@@ -298,7 +292,7 @@ def cmd_compare(args) -> int:
     if not values:
         raise ConfigError("empty sweep value list")
 
-    results: list[list] = []
+    results: list[tuple] = []
     tensors = _read_checkpoint(args, kinds)
     for vi, (text, value) in enumerate(zip(texts, values)):
         for kind in kinds:
@@ -312,12 +306,11 @@ def cmd_compare(args) -> int:
             for metric, mean in zip(COMPARE_METRICS, EVAL_MEANS):
                 arr = np.array([getattr(s, mean) for s in runs])
                 stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-                results.append(
-                    [kind, f"{value:.9g}", metric, f"{arr.mean():.9g}", f"{stderr:.9g}"]
-                )
+                results.append((kind, value, metric, arr.mean(), stderr))
 
     os.makedirs(args.out, exist_ok=True)
-    write_table(os.path.join(args.out, "compare_results.csv"), COMPARE_HEADER, results)
+    write_table(os.path.join(args.out, "compare_results.csv"), COMPARE_HEADER, COMPARE_ROW,
+                results)
     print(f"compare: {len(kinds)} policies x {len(values)} values -> {len(results)} rows")
     return EXIT_OK
 
@@ -376,6 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "episodes", None) is not None and args.episodes < 1:
             raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

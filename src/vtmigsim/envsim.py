@@ -468,19 +468,14 @@ class PremigrationEnv:
         return StepResult(observations, metrics.view(np.recarray), done)
 
 
+# The eval metrics table: one row per vehicle and slot, (episode, slot,
+# vehicle, *record) with a record of the METRICS_FIELDS of its SLOT_METRICS.
 METRICS_HEADER = [
     "episode", "slot", "vehicle", "action", "serving",
     "T_u", "T_m", "T_p", "T_d", "T_total", "err_rate", "qoe", "reward", "remapped",
 ]
-
-
-def metrics_rows(episode: int, slot: int, metrics: np.recarray) -> list[list]:
-    """A slot's METRICS_HEADER rows, one per vehicle in id order: the metrics
-    fields from `action` to `remapped`."""
-    return [
-        [episode, slot, v, action, serving, *(f"{x:.9g}" for x in floats), int(remapped)]
-        for v, (action, serving, *floats, remapped, _, _, _, _) in enumerate(metrics.tolist())
-    ]
+METRICS_FIELDS = list(SLOT_METRICS.names[:SLOT_METRICS.names.index("remapped") + 1])
+METRICS_ROW = "%d,%d,%d,%d,%d," + ",".join(["%.9g"] * 8) + ",%d\n"
 
 
 # --- scenario config interface ---

@@ -420,18 +420,16 @@ class EpisodeStats:
     mean_entropy: float
 
 
+# The train report: one row per episode, the EpisodeStats fields it names.
 REPORT_HEADER = [
     "episode", "mean_reward", "mean_qoe", "mean_latency", "mean_err",
     "active_params", "server_ratio", "switches", "threshold",
 ]
+REPORT_ROW = "%d," + ",".join(["%.9g"] * 6) + ",%d,%.9g\n"
 
 
-def report_row(s: EpisodeStats) -> list:
-    return [
-        s.episode, f"{s.mean_reward:.9g}", f"{s.mean_qoe:.9g}", f"{s.mean_latency:.9g}",
-        f"{s.mean_err:.9g}", f"{s.active_params:.9g}", f"{s.server_ratio:.9g}",
-        s.switches, f"{s.threshold:.9g}",
-    ]
+def report_row(s: EpisodeStats) -> tuple:
+    return tuple(getattr(s, name) for name in REPORT_HEADER)
 
 
 def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) -> EpisodeStats:
@@ -645,15 +643,20 @@ def load_bundle(
 ) -> tuple[PolicyBundle, int]:
     """Rebuild a bundle from checkpoint tensors; returns (bundle, episode).
 
-    Builds a fresh bundle of the checkpoint's size and writes every tensor
+    Builds a fresh bundle of the checkpoint's size, its meta values integers
+    (the episode >= 0, the sizes >= 1), and writes every tensor
     `bundle_tensors` lists for it, refusing a missing one or any shape but its
     own. A controller row may be missing (the checkpoint was trained outside
     split mode): that controller starts fresh.
     """
-    episode, agents, obs_dim, actions = (
-        int(_saved(tensors, f"meta/{key}", (1, 1))[0, 0])
-        for key in ("episode", "agents", "obs_dim", "actions")
-    )
+    meta = []
+    for key, least in (("episode", 0), ("agents", 1), ("obs_dim", 1), ("actions", 1)):
+        value = float(_saved(tensors, f"meta/{key}", (1, 1))[0, 0])
+        if not (value >= least and value.is_integer()):
+            raise ValueError(f"checkpoint tensor meta/{key} must be an integer >= {least}, "
+                             f"got {value!r}")
+        meta.append(int(value))
+    episode, agents, obs_dim, actions = meta
     bundle = make_bundle(obs_dim, actions, agents, cfg, draw=False)
     layout = bundle_tensors(bundle, episode)
     for name, param in layout:

@@ -11,7 +11,6 @@ a distance between track points has `math.hypot`'s bits.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -326,26 +325,25 @@ def generate_dataset(
     return map_to_roads(done, net), len(pending)
 
 
-# --- trajectory CSV interface (header: vehicle_id,t,x,y) ---
+# --- trajectory CSV interface ---
+
+TRAJ_HEADER = ["vehicle_id", "t", "x", "y"]
+TRAJ_ROW = "%d,%.6f,%.6f,%.6f\n"
+
 
 def write_trajectories_csv(trajs: Iterable[Trajectory], fh) -> int:
     """Write trajectories; returns the number of point rows written."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["vehicle_id", "t", "x", "y"])
-    rows = 0
-    for traj in trajs:
-        vid = traj.vehicle_id
-        writer.writerows([vid, f"{t:.6f}", f"{x:.6f}", f"{y:.6f}"]
-                         for t, (x, y) in zip(traj.t.tolist(), traj.xy.tolist()))
-        rows += len(traj.t)
-    return rows
+    rows = [TRAJ_ROW % (traj.vehicle_id, t, x, y)
+            for traj in trajs for t, (x, y) in zip(traj.t.tolist(), traj.xy.tolist())]
+    fh.write("".join([",".join(TRAJ_HEADER) + "\n", *rows]))
+    return len(rows)
 
 
 def read_trajectories_csv(fh) -> list[Trajectory]:
     """Trajectories by vehicle id, each with its rows in file order; a
     non-finite time or coordinate is a ParseError."""
     by_vehicle: dict[int, list[float]] = {}  # t, x, y of each row in turn
-    for n, row in csv_rows(fh, ["vehicle_id", "t", "x", "y"], "trajectory"):
+    for n, row in csv_rows(fh, TRAJ_HEADER, "trajectory"):
         txy = [parse_num(f, float, what, n) for f, what in zip(row[1:], "txy")]
         by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).extend(txy)
     tracks = []

@@ -3,8 +3,8 @@
 These are `msrl.run_episodes`, `msrl._episode_stats` and the eval metrics row
 writer as they ran on one `SlotMetrics` object per vehicle and slot: every
 mean over one flat list of Python floats, slots in order and vehicles in id
-order within a slot. The column means of `vtmigsim.msrl` and the rows of
-`envsim.metrics_rows` must reproduce them exactly.
+order within a slot. The column means of `vtmigsim.msrl` and the rows that
+`envsim.METRICS_ROW` formats must reproduce them exactly.
 """
 
 from __future__ import annotations

@@ -59,8 +59,7 @@ def test_training_abort_exits_3(tmp_path, capsys, monkeypatch):
     assert "training aborted: non-finite loss at episode 0" in capsys.readouterr().err
     assert (out / "abort_dump.txt").read_text(encoding="utf-8").startswith(
         "non-finite loss at episode 0\nepisode = 0\ncritic_loss = nan\n")
-    assert not (out / "train_report.csv").exists()
-    assert not (out / "ckpt_final.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["abort_dump.txt", "train_report.csv.partial"]
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):
@@ -165,7 +164,11 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     ("meta/episode 1\n", "line 2: not enough values to unpack (expected 3, got 2)"),
     ("meta/episode 1 1\nabc\n", "line 3: could not convert string to float: 'abc'"),
     ("meta/episode -1 1\n", "line 2: negative dimensions are not allowed"),
-], ids=["meta_empty", "meta_missing", "header_short", "row_unparsable", "rows_negative"])
+    *((f"meta/episode 1 1\n0\nmeta/agents 1 1\n{value}\n",
+       f"checkpoint tensor meta/agents must be an integer >= 1, got {shown}")
+      for value, shown in (("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("2.5", "2.5"))),
+], ids=["meta_empty", "meta_missing", "header_short", "row_unparsable", "rows_negative",
+        "agents_inf", "agents_nan", "agents_negative", "agents_fraction"])
 def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message):
     scenario = write_cli_scenario(tmp_path)
     ckpt = tmp_path / "ckpt.txt"
@@ -271,6 +274,22 @@ def test_no_episodes_or_zero_max_load_exits_2_before_output(tmp_path, capsys, co
     assert cli.main(argv + ["--scenario", scenario, "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajgen", "train", "eval", "compare"])
+def test_negative_seed_exits_2_naming_the_flag_before_output(tmp_path, capsys, command):
+    scenario = ["--scenario", write_cli_scenario(tmp_path), "--episodes", "1"]
+    argv = {
+        "trajgen": ["trajgen", "--gen-cfg", _write_gen_cfg(tmp_path)],
+        "train": ["train", *scenario],
+        "eval": ["eval", *scenario, "--policy", "full_migration"],
+        "compare": ["compare", *scenario, "--sweep-param", "rsu.max_load",
+                    "--sweep-values", "5e10"],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

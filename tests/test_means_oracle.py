@@ -49,10 +49,11 @@ def test_eval_summary_and_rows_match_per_vehicle_reference(tmp_path, scenario, k
     rows, ref_rows = [], []
 
     def on_slot(ep, slot, metrics):
-        rows.extend(envsim.metrics_rows(ep, slot, metrics))
+        records = metrics[envsim.METRICS_FIELDS].tolist()
+        rows.extend(envsim.METRICS_ROW % (ep, slot, v, *r) for v, r in enumerate(records))
 
     def on_vehicle(ep, slot, v, m):
-        ref_rows.append(ref.metrics_row(ep, slot, v, m))
+        ref_rows.append(",".join(map(str, ref.metrics_row(ep, slot, v, m))) + "\n")
 
     got = msrl.run_episodes(env, act, 2, 100, on_slot)
     want = ref.run_episodes(env, ref_act, 2, 100, on_vehicle)

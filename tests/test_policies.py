@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_policies as ref
 from helpers import cli_env, corner_env, make_env
-from vtmigsim import envsim, msrl
+from vtmigsim import msrl
 from vtmigsim.policies import (
     FULL_MIGRATION,
     KINDS,
@@ -44,7 +44,7 @@ def nearby_counts(env):
 
 
 def run_recorded(env, act, episodes, seed_base):
-    """run_episodes with every slot's (actions, params) and metrics rows."""
+    """run_episodes with every slot's (actions, params) and metrics records."""
     slots, rows = [], []
 
     def recording(obs, slot):
@@ -53,7 +53,7 @@ def run_recorded(env, act, episodes, seed_base):
         return actions, params
 
     def on_slot(ep, slot, metrics):
-        rows.extend(envsim.metrics_rows(ep, slot, metrics))
+        rows.append(metrics.tolist())
 
     return msrl.run_episodes(env, recording, episodes, seed_base, on_slot), slots, rows
 
