@@ -14,6 +14,7 @@ from vtmigsim.roadnet import (
     map_match,
     shortest_path,
 )
+from vtmigsim.trajgen import read_trajectories_csv
 
 
 def brute_force_shortest(net, src, dst):
@@ -100,6 +101,78 @@ def test_load_accepts_ids_beyond_float_range():
 def test_load_reports_line_numbers():
     with pytest.raises(ParseError, match="line 3"):
         load_network(["node_id,x,y", "0,0,0", "1,abc,0"], EDGES_CSV)
+
+
+N = ["node_id,x,y", "0,0,0", "1,100,0"]
+E = ["from,to,length_m,speed_mps", "0,1,100,15"]
+T = ["vehicle_id,t,x,y", "1,0,0,0", "1,10,5,5"]
+CRLF = ["node_id,x,y\r\n", "0,0,0\r\n", "\r\n", "1,0,z\r\n"]
+TRAJ_CRLF = ["vehicle_id,t,x,y\r\n", "\r\n", "1,0,0,0\r\n", "", "1,1,0,zz\r\n"]
+# (nodes, edges) for load_network, or trajectory lines (edges None), and the
+# exact ParseError text. Blank and CRLF rows count in the line number.
+CSV_MESSAGES = {
+    "nodes_no_header": (["0,0,0"], E, "line 1: missing header node_id,x,y, got ['0', '0', '0']"),
+    "nodes_empty": ([], E, "line 1: missing header node_id,x,y, got None"),
+    "nodes_blank_first": (["", *N], E, "line 1: missing header node_id,x,y, got []"),
+    "edges_no_header": (N, ["0,1,100,15"], "line 1: missing header from,to,length_m,speed_mps, "
+                        "got ['0', '1', '100', '15']"),
+    "node_width": (N + ["2,0"], E, "line 4: expected 3 node fields, got 2"),
+    "node_width_long": (N + ["2,0,0,0"], E, "line 4: expected 3 node fields, got 4"),
+    "edge_width": (N, E + ["0,1,5"], "line 3: expected 4 edge fields, got 3"),
+    "node_id": (N + ["x,0,0"], E, "line 4: cannot parse node id from 'x'"),
+    "node_id_float": (N + ["2.0,0,0"], E, "line 4: cannot parse node id from '2.0'"),
+    "node_x": (N + ["2,abc,0"], E, "line 4: cannot parse x from 'abc'"),
+    "node_y": (N + ["2,0,"], E, "line 4: cannot parse y from ''"),
+    "node_x_nan": (N + ["2,nan,0"], E, "line 4: non-finite x"),
+    "node_y_inf": (N + ["2,0,-inf"], E, "line 4: non-finite y"),
+    "node_x_overflow": (N + ["2,1e999,0"], E, "line 4: non-finite x"),
+    "edge_from": (N, E + ["a,1,5,15"], "line 3: cannot parse from node from 'a'"),
+    "edge_to": (N, E + ["0,,5,15"], "line 3: cannot parse to node from ''"),
+    "edge_length": (N, E + ["0,1,five,15"], "line 3: cannot parse length from 'five'"),
+    "edge_length_nan": (N, E + ["0,1,NaN,15"], "line 3: non-finite length"),
+    "edge_speed": (N, E + ["0,1,,"], "line 3: cannot parse speed from ''"),
+    "edge_speed_inf": (N, E + ["0,1,,inf"], "line 3: non-finite speed"),
+    "first_bad_field_wins": (N + ["y,abc,nan"], E, "line 4: cannot parse node id from 'y'"),
+    "first_bad_row_wins": (N + ["2,0", "x,0,0"], E, "line 4: expected 3 node fields, got 2"),
+    "nodes_before_edges": (N + ["x,0,0"], ["bad"], "line 4: cannot parse node id from 'x'"),
+    "blank_rows_count": (["node_id,x,y", "", "0,0,0", "  ", "1,abc,0"], E,
+                         "line 5: cannot parse x from 'abc'"),
+    "crlf_rows_count": (CRLF, E, "line 4: cannot parse y from 'z'"),
+    "quoted_comma": (N + ['"2,5",0,0'], E, "line 4: cannot parse node id from '2,5'"),
+    "quoted_ok_then_bad": (N + ['"2"," 3.5 ","4"', '3,"x y",0'], E,
+                           "line 5: cannot parse x from 'x y'"),
+    "traj_no_header": (["1,0,0,0"], None,
+                       "line 1: missing header vehicle_id,t,x,y, got ['1', '0', '0', '0']"),
+    "traj_empty": ([], None, "line 1: missing header vehicle_id,t,x,y, got None"),
+    "traj_width": (T + ["1,20,5"], None, "line 4: expected 4 trajectory fields, got 3"),
+    "traj_vehicle_id": (T + ["v,20,5,5"], None, "line 4: cannot parse vehicle id from 'v'"),
+    "traj_t": (T + ["1,,5,5"], None, "line 4: cannot parse t from ''"),
+    "traj_x": (T + ["1,20,abc,5"], None, "line 4: cannot parse x from 'abc'"),
+    "traj_y": (T + ["1,20,5,y"], None, "line 4: cannot parse y from 'y'"),
+    "traj_t_nan": (T + ["1,nan,5,5"], None, "line 4: non-finite t"),
+    "traj_y_inf": (T + ["1,20,5,inf"], None, "line 4: non-finite y"),
+    "traj_t_before_id": (T + ["v,nan,5,5"], None, "line 4: non-finite t"),
+    "traj_blank_crlf": (TRAJ_CRLF, None, "line 5: cannot parse y from 'zz'"),
+    "traj_quoted": (T + ['"1","2,5",0,0'], None, "line 4: cannot parse t from '2,5'"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_MESSAGES)
+def test_csv_parse_error_text(name):
+    lines, edges, message = CSV_MESSAGES[name]
+    with pytest.raises(ParseError) as got:
+        load_network(lines, edges) if edges is not None else read_trajectories_csv(lines)
+    assert str(got.value) == message
+
+
+def test_csv_accepts_spaced_headers_quotes_and_empty_lengths():
+    net = load_network(["node_id , x,y", '"0"," 0 ",0', "", "1,3,4\r\n"],
+                       [" from,to,length_m,speed_mps ", "0,1, ,15", '1,0,"2.5",15'])
+    assert net.ids == [0, 1]
+    assert net.length.tolist() == [5.0, 5.0, 2.5, 2.5]  # the empty length is the distance
+    (track,) = read_trajectories_csv(["vehicle_id,t,x,y", ' 7 ,"1", 2 ,3', "", "7,2,4,5\r\n"])
+    assert track.vehicle_id == 7
+    assert track.t.tolist() == [1.0, 2.0] and track.xy.tolist() == [[2.0, 3.0], [4.0, 5.0]]
 
 
 def test_map_match_identity_on_edge():
