@@ -134,21 +134,19 @@ def _build_env(
 def _checkpoint_bundle(
     path: str, tensors: dict, cfg: msrl.TrainConfig, env: envsim.PremigrationEnv
 ) -> tuple[msrl.PolicyBundle, int]:
-    """The bundle and episode of checkpoint `path`, read as `tensors`, sized as the env."""
+    """The bundle and episode of checkpoint `path`, read as `tensors`, sized as
+    the env: its sizes are checked before a bundle of them is allocated."""
     try:
-        bundle, episode = msrl.load_bundle(tensors, cfg)
+        meta = msrl.checkpoint_meta(tensors)
+        for what, want in (("agents", env.V), ("obs_dim", env.obs_dim), ("actions", env.E)):
+            if meta[what] != want:
+                raise ConfigError(f"checkpoint {path} has meta/{what} = {meta[what]}, "
+                                  f"but the scenario needs {want}")
+        return msrl.load_bundle(tensors, cfg)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for what, saved, want in (
-        ("agents", bundle.actor.agents, env.V),
-        ("obs_dim", bundle.actor.obs_dim, env.obs_dim),
-        ("actions", bundle.actor.n_actions, env.E),
-    ):
-        if saved != want:
-            raise ConfigError(
-                f"checkpoint {path} has meta/{what} = {saved}, but the scenario needs {want}"
-            )
-    return bundle, episode
 
 
 def cmd_train(args) -> int:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .configio import KEY, RANGE, ConfigError, check, check_fields, get_float, get_int
 from .configio import get_str, read_config
-from .roadnet import elementwise, hypot
-from .trajgen import Trajectory, read_trajectories_csv
+from .roadnet import elementwise, first_fault, hypot
+from .trajgen import read_trajectories_csv
 
 
 class ActionError(ValueError):
@@ -118,8 +118,10 @@ class PremigrationEnv:
     noise, W; and `backhaul` (E, E), bits/s from row RSU to column RSU, 0
     where there is no link. Per vehicle: `tx_power` (V,), W; `cycles_per_bit`
     (V,); `request_bits` (V,), the uplink request size; `result_bits` (V, E),
-    the result size from each RSU; `task_bits` (horizon, V), the task size of
-    each slot; and `tracks`, V `Trajectory`.
+    the result size from each RSU; and `task_bits` (horizon, V), the task size
+    of each slot. The V tracks are one column of points: vehicle v follows
+    rows `track_offsets[v]` to `track_offsets[v + 1]` of `track_t` (N,), s,
+    and `track_xy` (N, 2), m, with the track's `vehicle_id` in `track_id` (V,).
 
     Trajectories are fixed for the life of an env, so everything else that
     depends only on (slot, vehicle) is tabulated at construction for slots
@@ -149,13 +151,16 @@ class PremigrationEnv:
         request_bits,
         task_bits,
         result_bits,
-        tracks: Sequence[Trajectory],
+        track_id,
+        track_t,
+        track_xy,
+        track_offsets,
         channel: ChannelParams,
         cfg: EnvConfig,
     ):
         if not len(rsu_xy):
             raise ValueError("need at least one RSU")
-        if not tracks:
+        if not len(track_id):
             raise ValueError("need at least one vehicle")
         self.rsu_xy = np.array(rsu_xy, dtype=float)
         self.compute = np.array(compute, dtype=float)
@@ -169,18 +174,22 @@ class PremigrationEnv:
         self.request_bits = np.array(request_bits, dtype=float)
         self.task_bits = np.array(task_bits, dtype=float)
         self.result_bits = np.array(result_bits, dtype=float)
-        self.tracks = list(tracks)
+        self.track_id = np.array(track_id)
+        self.track_t = np.array(track_t, dtype=float)
+        self.track_xy = np.array(track_xy, dtype=float).reshape(-1, 2)
+        self.track_offsets = np.array(track_offsets, dtype=np.intp)
         self.channel = channel
         self.cfg = cfg
         self.E = len(self.rsu_xy)
-        self.V = len(self.tracks)
+        self.V = len(self.track_id)
         self.obs_dim = self.E + OBS_EXTRA
-        for traj in self.tracks:
-            if not len(traj.t):
-                raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} is empty")
-            if not (np.diff(traj.t) > 0).all():
-                raise ValueError(f"trajectory of vehicle_id {traj.vehicle_id} has timestamps "
-                                 "that are not strictly increasing")
+        start, end = self.track_offsets[:-1], self.track_offsets[1:]
+        falls = np.concatenate(([0], np.cumsum(~(np.diff(self.track_t) > 0))))  # before each row
+        fault = first_fault(end == start, falls[np.maximum(end - 1, start)] > falls[start])
+        if fault:
+            v, check = fault
+            raise ValueError(f"trajectory of vehicle_id {self.track_id[v]} " + (
+                "is empty", "has timestamps that are not strictly increasing")[check])
         self._action_scale = float(max(self.E - 1, 1))
         self.latency_scale = 1.0
         self._rng: Optional[np.random.Generator] = None
@@ -209,15 +218,20 @@ class PremigrationEnv:
 
         Linear interpolation along each trajectory, held constant off its ends.
         """
-        out = np.empty((len(slots), self.V, 2))
-        for v, track in enumerate(self.tracks):
-            ts, xy = track.t, track.xy
-            t = ts[0] + slots * self.cfg.slot_seconds
-            out[:, v] = np.where(t[:, None] <= ts[0], xy[0], xy[-1])
-            inside = (t > ts[0]) & (t < ts[-1])
-            i = np.searchsorted(ts, t[inside], side="right") - 1
-            u = (t[inside] - ts[i]) / (ts[i + 1] - ts[i])
-            out[inside, v] = xy[i] + u[:, None] * (xy[i + 1] - xy[i])
+        ts, xy = self.track_t, self.track_xy
+        first, last = self.track_offsets[:-1], self.track_offsets[1:] - 1
+        t = ts[first] + (slots * self.cfg.slot_seconds)[:, None]  # (len(slots), V)
+        out = np.where((t <= ts[first])[..., None], xy[first], xy[last])
+        inside = (t > ts[first]) & (t < ts[last])
+        v = inside.nonzero()[1]
+        # Bisect each time q's track for its last row lo with ts[lo] <= q.
+        q, lo, hi = t[inside], first[v], last[v]
+        for _ in range(int((last - first).max()).bit_length()):
+            mid = (lo + hi) // 2
+            below = ts[mid] <= q
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        u = (q - ts[lo]) / (ts[lo + 1] - ts[lo])
+        out[inside] = xy[lo] + u[:, None] * (xy[lo + 1] - xy[lo])
         return out
 
     def rsu_distances(self, xy: np.ndarray) -> np.ndarray:
@@ -546,6 +560,7 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     if not trajectories:
         raise ConfigError("no trajectories available for vehicles")
     veh = _unit_columns(cfg, "veh", n_veh)
+    tracks = [trajectories[i % len(trajectories)] for i in range(n_veh)]
 
     channel = read_config(ChannelParams, cfg, "channel")
     env_cfg = read_config(EnvConfig, cfg, "env")
@@ -554,6 +569,9 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
         cycles_per_bit=veh["cycles_per_bit"], request_bits=veh["request_bits"],
         task_bits=np.broadcast_to(veh["task_bits"], (env_cfg.horizon, n_veh)),
         result_bits=np.broadcast_to(veh["result_bits"][:, None], (n_veh, n_rsu)),
-        tracks=[trajectories[i % len(trajectories)] for i in range(n_veh)],
+        track_id=[traj.vehicle_id for traj in tracks],
+        track_t=np.concatenate([traj.t for traj in tracks]),
+        track_xy=np.concatenate([traj.xy for traj in tracks]),
+        track_offsets=np.cumsum([0, *(len(traj.t) for traj in tracks)]),
         channel=channel, cfg=env_cfg,
     )

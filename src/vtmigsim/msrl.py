@@ -638,26 +638,32 @@ def _saved(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarra
     return saved
 
 
-def load_bundle(
-    tensors: dict[str, np.ndarray], cfg: TrainConfig
-) -> tuple[PolicyBundle, int]:
-    """Rebuild a bundle from checkpoint tensors; returns (bundle, episode).
-
-    Builds a fresh bundle of the checkpoint's size, its meta values integers
-    (the episode >= 0, the sizes >= 1), and writes every tensor
-    `bundle_tensors` lists for it, refusing a missing one or any shape but its
-    own. A controller row may be missing (the checkpoint was trained outside
-    split mode): that controller starts fresh.
-    """
-    meta = []
+def checkpoint_meta(tensors: dict[str, np.ndarray]) -> dict[str, int]:
+    """The checkpoint's `episode`, `agents`, `obs_dim` and `actions`: integers,
+    the episode >= 0 and the sizes >= 1, or a ValueError naming the tensor."""
+    meta = {}
     for key, least in (("episode", 0), ("agents", 1), ("obs_dim", 1), ("actions", 1)):
         value = float(_saved(tensors, f"meta/{key}", (1, 1))[0, 0])
         if not (value >= least and value.is_integer()):
             raise ValueError(f"checkpoint tensor meta/{key} must be an integer >= {least}, "
                              f"got {value!r}")
-        meta.append(int(value))
-    episode, agents, obs_dim, actions = meta
-    bundle = make_bundle(obs_dim, actions, agents, cfg, draw=False)
+        meta[key] = int(value)
+    return meta
+
+
+def load_bundle(
+    tensors: dict[str, np.ndarray], cfg: TrainConfig
+) -> tuple[PolicyBundle, int]:
+    """Rebuild a bundle from checkpoint tensors; returns (bundle, episode).
+
+    Builds a fresh bundle of the size `checkpoint_meta` reads, and writes
+    every tensor `bundle_tensors` lists for it, refusing a missing one or any
+    shape but its own. A controller row may be missing (the checkpoint was
+    trained outside split mode): that controller starts fresh.
+    """
+    meta = checkpoint_meta(tensors)
+    episode = meta["episode"]
+    bundle = make_bundle(meta["obs_dim"], meta["actions"], meta["agents"], cfg, draw=False)
     layout = bundle_tensors(bundle, episode)
     for name, param in layout:
         if name in tensors or not name.endswith("/ctrl"):

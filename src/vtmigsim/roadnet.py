@@ -1,17 +1,21 @@
 """Planar road network: CSV loading, nearest-segment projection, shortest paths.
 
-Coordinates are planar meters (x east, y north). A network is four columns:
-node ids in ascending order, their positions, the arcs as pairs of dense node
-indices, and the arc lengths. Undirected road segments are stored as two
-directed arcs. The columns are read-only; the query indexes are built eagerly,
-and `shortest_path` keeps paused route searches on the network (give each
-thread its own network). Dijkstra runs on dense node indices, so heap ties
-break exactly as on node ids. `map_match` takes a batch of points and reads a
-uniform grid of arc buckets with array ops, one pass per block of queries: it
-keeps the best arc of the 3x3 cell block around a query only if it is nearer
-than one cell by a margin that covers rounding, as every other arc is a cell
-away. The other queries (off the grid, far from roads, not finite) scan every
-arc with the same per-arc arithmetic.
+`read_columns` parses the numeric columns of a CSV file (the road network's
+and the trajectories'), each column at once; it reads row by row only to name
+the first bad line. Coordinates are planar meters (x east, y north). A
+network is four columns: node ids in ascending order, their positions, the
+arcs as pairs of dense node indices, and the arc lengths. It is built with
+array checks that name the first bad node or arc, and each node's arc list
+for routing comes from one stable sort of the arcs. Undirected road segments
+are stored as two directed arcs. The columns are read-only; the query
+indexes are built eagerly, and `shortest_path` keeps paused route searches on
+the network (give each thread its own network). Dijkstra runs on dense node
+indices, so heap ties break exactly as on node ids. `map_match` takes a batch
+of points and reads a uniform grid of arc buckets with array ops, one pass
+per block of queries: it keeps the best arc of the 3x3 cell block around a
+query only if it is nearer than one cell by a margin that covers rounding, as
+every other arc is a cell away. The other queries (off the grid, far from
+roads, not finite) scan every arc with the same per-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from struct import pack
 from typing import Iterable, Optional, Sequence
 
@@ -84,35 +89,44 @@ class RoadNetwork:
 
     def __init__(self, ids: Sequence[int], xy, arcs: Sequence[tuple[int, int]], length, speed):
         """Nodes ids[k] at xy[k], in any order; arc k joins the node ids arcs[k]
-        with length[k] meters and speed limit speed[k] m/s, both > 0."""
+        with length[k] meters and speed limit speed[k] m/s, both > 0. The first
+        bad node, then the first bad arc, is a ValidationError."""
+        ids, ends = list(ids), list(chain.from_iterable(arcs))
+        row = dict(zip(ids, range(len(ids))))  # a repeated id is refused before its use
+        self._build(ids, xy, _rows(row, ends).reshape(-1, 2), ends, length, speed)
+
+    def _build(self, ids: list, xy, rows: np.ndarray, ends, length, speed) -> None:
+        """The constructor on arcs given as rows (m, 2) of `ids`, -1 for the
+        unknown node `ends[2k]` or `ends[2k + 1]`."""
+        n = len(ids)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        finite = np.isfinite(xy).all(axis=1).tolist()
-        row: dict[int, int] = {}
-        for k, nid in enumerate(ids):
-            if nid in row:
-                raise ValidationError(f"duplicate node id {nid}")
-            if not finite[k]:
-                raise ValidationError(f"node {nid} has non-finite coordinates")
-            row[nid] = k
-        self.ids = sorted(row)
-        self.xy = xy[[row[nid] for nid in self.ids]]
-        self._index = index = {nid: i for i, nid in enumerate(self.ids)}
-        self._searches = {}  # paused shortest_path searches by source index, oldest use first
-        self._out = out = [[] for _ in self.ids]  # (to index, length) per node
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # each id's first row
+        fault = first_fault(_rows(first, ids) != np.arange(n), ~np.isfinite(xy).all(axis=1))
+        if fault:
+            k, check = fault
+            raise ValidationError((f"duplicate node id {ids[k]}",
+                                   f"node {ids[k]} has non-finite coordinates")[check])
         self.length = np.array(length, dtype=float).reshape(-1)
-        speed = np.asarray(speed, dtype=float).tolist()
-        ends = []
-        for eid, ((u, v), w, s) in enumerate(zip(arcs, self.length.tolist(), speed, strict=True)):
-            a, b = index.get(u), index.get(v)
-            if a is None or b is None:
-                raise ValidationError(f"edge {eid} references unknown node {u if a is None else v}")
-            if not w > 0:
-                raise ValidationError(f"edge {eid} has non-positive length")
-            if not s > 0:
-                raise ValidationError(f"edge {eid} has non-positive speed limit")
-            out[a].append((b, w))
-            ends += (a, b)
-        self.arcs = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        speed = np.asarray(speed, dtype=float).reshape(-1)
+        fault = first_fault(*(rows < 0).T, ~(self.length > 0), ~(speed > 0))
+        if fault:
+            k, check = fault
+            raise ValidationError(f"edge {k} " + (
+                f"references unknown node {ends[2 * k + check]}" if check < 2 else
+                ("has non-positive length", "has non-positive speed limit")[check - 2]))
+        self.ids = sorted(ids)
+        order = _rows(first, self.ids)
+        self.xy = xy[order]
+        self._index = dict(zip(self.ids, range(n)))
+        self._searches = {}  # paused shortest_path searches by source index, oldest use first
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        self.arcs = rank[rows]
+        # (to index, length) of each node's arcs, in arc order
+        by_tail = np.argsort(self.arcs[:, 0], kind="stable")
+        out = list(zip(self.arcs[by_tail, 1].tolist(), self.length[by_tail].tolist()))
+        bounds = np.searchsorted(self.arcs[by_tail, 0], np.arange(n + 1)).tolist()
+        self._out = [out[a:b] for a, b in zip(bounds, bounds[1:])]
         for column in (self.xy, self.arcs, self.length):
             column.flags.writeable = False
         a, b = self.xy[self.arcs.T]
@@ -131,21 +145,30 @@ class RoadNetwork:
         Segment k becomes arcs 2k (u->v) and 2k+1 (v->u). A None length is
         filled in with the endpoint Euclidean distance.
         """
-        ids = [nid for nid, _, _ in nodes]
-        xy = np.array([(x, y) for _, x, y in nodes], dtype=float).reshape(-1, 2)
-        row = {nid: k for k, nid in enumerate(ids)}  # a repeated id (rejected later): its last row
-        for u, v, _, _ in edges:
-            if u not in row or v not in row:
-                missing = v if u in row else u
-                raise ValidationError(f"edge ({u},{v}) references unknown node {missing}")
-        ends = np.array([(row[u], row[v]) for u, v, _, _ in edges], dtype=np.intp).reshape(-1, 2)
-        gap = np.array([w is None for _, _, w, _ in edges], dtype=bool)
-        length = np.array([0.0 if w is None else w for _, _, w, _ in edges], dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf: the constructor rejects the node
-            length[gap] = hypot(*(xy[ends[gap, 0]] - xy[ends[gap, 1]]).T)
-        arcs = [arc for u, v, _, _ in edges for arc in ((u, v), (v, u))]
-        speed = np.array([s for _, _, _, s in edges], dtype=float)
-        return cls(ids, xy, arcs, length.repeat(2), speed.repeat(2))
+        ids, x, y = zip(*nodes) if nodes else ((),) * 3
+        u, v, length, speed = zip(*edges) if edges else ((),) * 4
+        missing = np.array([w is None for w in length], dtype=bool)
+        return cls._from_segments(list(ids), np.column_stack((x, y)), u, v, length, speed, missing)
+
+    @classmethod
+    def _from_segments(cls, ids: list, xy, u, v, length, speed, missing) -> "RoadNetwork":
+        """`from_undirected` on columns: node `ids` at `xy`, segment k from u[k]
+        to v[k] with length[k], whose value is ignored where `missing[k]`."""
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        row = dict(zip(ids, range(len(ids))))  # a repeated id (refused later): its last row
+        ru, rv = _rows(row, u), _rows(row, v)
+        fault = first_fault(ru < 0, rv < 0)
+        if fault:
+            k, check = fault
+            raise ValidationError(
+                f"edge ({u[k]},{v[k]}) references unknown node {(u[k], v[k])[check]}")
+        length = np.array(length, dtype=float).reshape(-1)
+        with np.errstate(invalid="ignore"):  # inf - inf: the node is refused
+            length[missing] = hypot(*(xy[ru[missing]] - xy[rv[missing]]).T)
+        net = cls.__new__(cls)
+        net._build(ids, xy, np.column_stack((ru, rv, rv, ru)).reshape(-1, 2), None,
+                   length.repeat(2), np.asarray(speed, dtype=float).repeat(2))
+        return net
 
     def _build_bucket_index(self, a: np.ndarray, b: np.ndarray) -> None:
         """Row-major CSR of the arcs whose bbox meets each cell, ids ascending.
@@ -191,6 +214,23 @@ class RoadNetwork:
         self._slack = 1e-9 * (scale + cell)  # covers rounding in cell indices and projections
 
 
+def _rows(index: dict, nids) -> np.ndarray:
+    """index[nid] for each of `nids` as an intp array, -1 where it is missing."""
+    nids = list(nids)
+    return np.fromiter(map(index.get, nids, repeat(-1)), np.intp, len(nids))
+
+
+def first_fault(*faults) -> Optional[tuple[int, int]]:
+    """(row, check) of the first row where one of the masks `faults` (in
+    check order) holds, and the first mask that holds there; None if none does."""
+    faults = np.array(faults, dtype=bool).reshape(len(faults), -1)
+    bad = faults.any(axis=0)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return k, int(faults[:, k].argmax())
+
+
 def parse_num(field: str, kind: type, what: str, line_no: int):
     """`field` as an int or a finite float; a ParseError names `what` and the line."""
     try:
@@ -198,23 +238,66 @@ def parse_num(field: str, kind: type, what: str, line_no: int):
     except ValueError:
         raise ParseError(f"line {line_no}: cannot parse {what} from {field!r}") from None
     if kind is float and not math.isfinite(value):
-        raise ParseError(f"line {line_no}: non-finite {what}")
+        raise ParseError(f"line {line_no}: non-finite {what}") from None
     return value
 
 
-def csv_rows(source: Iterable[str], header: list[str], what: str):
-    """Yield (line number, row) of the data rows after a required header,
-    skipping blank rows; a ParseError names the line of a row of another width."""
+def _column(fields: Sequence[str], kind: Optional[type]) -> np.ndarray:
+    """`fields` parsed as `parse_num` does, or a ValueError: kind int gives int64
+    (Python ints, as objects, past int64), float a finite float64, and None a
+    float64 that is NaN where the field is blank."""
+    if kind is None:
+        filled = np.fromiter(map(bool, map(str.strip, fields)), bool, len(fields))
+        values = np.full(len(fields), math.nan)
+        values[filled] = _column(list(compress(fields, filled)), float)
+        return values
+    try:
+        values = np.array(fields, dtype=np.int64 if kind is int else float)
+    except OverflowError:
+        return np.array(list(map(int, fields)), dtype=object)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def read_columns(source: Iterable[str], header: list[str], what: str, fields) -> list[np.ndarray]:
+    """The numeric columns of a CSV source (a file object or a list of lines).
+
+    The source starts with `header`; blank rows are skipped. `fields` lists
+    (column, kind, name) in the order a row's fields are checked, kind as in
+    `_column`; one array per field, in that order. Each column is parsed whole.
+    Only when that fails are the rows read again one by one, so that the
+    ParseError names the first bad row (another width, or its first bad field)
+    and its line.
+    """
     reader = csv.reader(source)
     first = next(reader, None)
     if first is None or [c.strip() for c in first] != header:
         raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")
-    for n, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"line {n}: expected {len(header)} {what} fields, got {len(row)}")
-        yield n, row
+    rows, failure = [], None
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:  # raised after the rows before it, as a row-by-row read does
+        failure = exc
+    kept = [row for row in rows if len(row) > 1 or "".join(row).strip()]  # not blank
+    try:
+        columns = list(zip(*kept, strict=True)) or [()] * len(header)
+        if failure or len(columns) != len(header):
+            raise ValueError("a row of another width")
+        return [_column(columns[col], kind) for col, kind, _ in fields]
+    except ValueError:
+        for n, row in enumerate(rows, start=2):
+            if not row or len(row) == 1 and not row[0].strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"line {n}: expected {len(header)} {what} fields, got {len(row)}") from None
+            for col, kind, name in fields:
+                if kind is not None or row[col].strip():
+                    parse_num(row[col], kind or float, name, n)
+        if failure:
+            raise failure from None
+        raise
 
 
 def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> RoadNetwork:
@@ -224,18 +307,13 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
     where an empty length field means "use the endpoint Euclidean distance".
     Both sources must start with their header line.
     """
-    nodes = [
-        (parse_num(row[0], int, "node id", n), parse_num(row[1], float, "x", n),
-         parse_num(row[2], float, "y", n))
-        for n, row in csv_rows(nodes_source, ["node_id", "x", "y"], "node")
-    ]
-    edges = [
-        (parse_num(row[0], int, "from node", n), parse_num(row[1], int, "to node", n),
-         parse_num(row[2], float, "length", n) if row[2].strip() else None,
-         parse_num(row[3], float, "speed", n))
-        for n, row in csv_rows(edges_source, ["from", "to", "length_m", "speed_mps"], "edge")
-    ]
-    return RoadNetwork.from_undirected(nodes, edges)
+    ids, x, y = read_columns(nodes_source, ["node_id", "x", "y"], "node",
+                             [(0, int, "node id"), (1, float, "x"), (2, float, "y")])
+    u, v, length, speed = read_columns(
+        edges_source, ["from", "to", "length_m", "speed_mps"], "edge",
+        [(0, int, "from node"), (1, int, "to node"), (2, None, "length"), (3, float, "speed")])
+    return RoadNetwork._from_segments(ids.tolist(), np.column_stack((x, y)), u.tolist(),
+                                      v.tolist(), length, speed, np.isnan(length))
 
 
 _KEPT_LABELS = 1 << 18  # node labels kept per network by paused route searches, 13 B each

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .configio import KEY, RANGE, check_fields
-from .roadnet import RoadNetwork, UnreachableError, csv_rows, hypot, map_match, parse_num
+from .roadnet import RoadNetwork, UnreachableError, hypot, map_match, read_columns
 from .roadnet import shortest_path
 
 HOURS = 24
@@ -342,15 +342,13 @@ def write_trajectories_csv(trajs: Iterable[Trajectory], fh) -> int:
 def read_trajectories_csv(fh) -> list[Trajectory]:
     """Trajectories by vehicle id, each with its rows in file order; a
     non-finite time or coordinate is a ParseError."""
-    by_vehicle: dict[int, list[float]] = {}  # t, x, y of each row in turn
-    for n, row in csv_rows(fh, TRAJ_HEADER, "trajectory"):
-        txy = [parse_num(f, float, what, n) for f, what in zip(row[1:], "txy")]
-        by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).extend(txy)
-    tracks = []
-    for vid, txy in sorted(by_vehicle.items()):
-        rows = np.array(txy).reshape(-1, 3)
-        tracks.append(Trajectory(vid, rows[:, 0], rows[:, 1:]))
-    return tracks
+    t, x, y, vid = read_columns(fh, TRAJ_HEADER, "trajectory", [
+        (1, float, "t"), (2, float, "x"), (3, float, "y"), (0, int, "vehicle id")])
+    order = np.argsort(vid, kind="stable")
+    vid, t, xy = vid[order], t[order], np.column_stack((x, y))[order]
+    cuts = (np.flatnonzero(vid[1:] != vid[:-1]) + 1).tolist()
+    ids = vid[[0, *cuts]].tolist() if len(vid) else []
+    return [Trajectory(*track) for track in zip(ids, np.split(t, cuts), np.split(xy, cuts))]
 
 
 def density_grid(trajs: Sequence[Trajectory], cell: float) -> dict[tuple[int, int], int]:
@@ -381,31 +379,40 @@ def synthetic_truth(
 
     Trip start hours follow a bimodal rush-hour shape, endpoints favour two
     randomly chosen anchor regions, leg speeds are uniform in [6, 14] m/s and
-    points carry Gaussian position jitter, mimicking measurement noise.
+    points carry Gaussian position jitter, mimicking measurement noise. An
+    hour, entry or exit is drawn as `rng.choice(n, p=w)` draws it: one
+    `rng.random()` looked up in the cumulative weights, here built once.
     """
-    weights = _DEFAULT_HOUR_SHAPE if hour_weights is None else hour_weights
-    weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
+    weights = np.asarray(_DEFAULT_HOUR_SHAPE if hour_weights is None else hour_weights, float)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not (weights.shape == (HOURS,) and (weights >= 0).all() and 0 < total < math.inf):
+        raise ValueError(f"hour_weights must be {HOURS} finite weights >= 0 with a finite sum > 0")
     node_ids, positions = net.ids, net.xy
     anchors = positions[rng.choice(len(node_ids), size=2, replace=False)]
     span = max(positions.max(axis=0) - positions.min(axis=0))
     scale = max(span / 3.0, 1.0)
+
+    def cdf(p: np.ndarray) -> np.ndarray:
+        """`Generator.choice`'s table for probabilities p."""
+        c = p.cumsum()
+        return c / c[-1]
 
     def node_weights(anchor: np.ndarray) -> np.ndarray:
         d = np.hypot(positions[:, 0] - anchor[0], positions[:, 1] - anchor[1])
         w = np.exp(-d / scale)
         return w / w.sum()
 
-    w_entry = node_weights(anchors[0])
-    w_exit = node_weights(anchors[1])
+    hours, entries, exits = (cdf(p) for p in (
+        weights / total, node_weights(anchors[0]), node_weights(anchors[1])))
 
     out: list[Trajectory] = []
     attempts = 0
     while len(out) < n_traj and attempts < 20 * n_traj:
         attempts += 1
-        hour = int(rng.choice(HOURS, p=weights))
-        src = node_ids[int(rng.choice(len(node_ids), p=w_entry))]
-        dst = node_ids[int(rng.choice(len(node_ids), p=w_exit))]
+        hour = int(hours.searchsorted(rng.random(), side="right"))
+        src = node_ids[int(entries.searchsorted(rng.random(), side="right"))]
+        dst = node_ids[int(exits.searchsorted(rng.random(), side="right"))]
         if src == dst:
             continue
         try:

@@ -1,14 +1,15 @@
-"""Reference road networks: object construction, dict-based Dijkstra and
-full-scan map_match.
+"""Reference road networks: object construction, the per-arc adjacency loop,
+dict-based Dijkstra, full-scan map_match and the per-field CSV reader.
 
 These are the implementations that the column `RoadNetwork`, the dense-index
-`shortest_path` and the bucket-indexed `map_match` replaced. They are kept,
-unchanged in their arithmetic, check order and tie rules, as the oracle the
-fast code must match bit for bit. `ObjectNetwork` builds one `RoadNode` per
-node and one `RoadEdge` per arc; the queries read only the public columns of
-a `RoadNetwork` (`ids`, `xy`, `arcs`, `length`).
+`shortest_path`, the bucket-indexed `map_match` and the column CSV reader
+replaced. They are kept, unchanged in their arithmetic, check order and tie
+rules, as the oracle the fast code must match bit for bit. `ObjectNetwork`
+builds one `RoadNode` per node and one `RoadEdge` per arc; the queries read
+only the public columns of a `RoadNetwork` (`ids`, `xy`, `arcs`, `length`).
 """
 
+import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -17,9 +18,12 @@ import numpy as np
 
 from vtmigsim.roadnet import (
     NoEdgesError,
+    ParseError,
     Projection,
+    RoadNetwork,
     UnreachableError,
     ValidationError,
+    parse_num,
 )
 
 
@@ -105,6 +109,58 @@ def adjacency(net):
     for eid, (u, _, _) in enumerate(arc_table(net)):
         out[u].append(eid)
     return out
+
+
+def out_lists(net):
+    """Each node's (to index, length) arcs in arc order, appended one arc at a
+    time as the network constructor once did."""
+    out = [[] for _ in net.ids]
+    for (a, b), w in zip(net.arcs.tolist(), net.length.tolist()):
+        out[a].append((b, w))
+    return out
+
+
+def csv_rows(source, header, what):
+    """Yield (line number, row) of the data rows after a required header,
+    skipping blank rows; a ParseError names the line of a row of another width."""
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first is None or [c.strip() for c in first] != header:
+        raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")
+    for n, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"line {n}: expected {len(header)} {what} fields, got {len(row)}")
+        yield n, row
+
+
+def read_fields(source, header, what, fields):
+    """`roadnet.read_columns` one field at a time: a list per field of its
+    values, None for a blank field of kind None."""
+    out = [[] for _ in fields]
+    for n, row in csv_rows(source, header, what):
+        for values, (col, kind, name) in zip(out, fields):
+            blank = kind is None and not row[col].strip()
+            values.append(None if blank else parse_num(row[col], kind or float, name, n))
+    return out
+
+
+def load_network(nodes_source, edges_source):
+    """`roadnet.load_network` through the per-field reader and node and
+    segment tuples."""
+    nodes = [
+        (parse_num(row[0], int, "node id", n), parse_num(row[1], float, "x", n),
+         parse_num(row[2], float, "y", n))
+        for n, row in csv_rows(nodes_source, ["node_id", "x", "y"], "node")
+    ]
+    edges = [
+        (parse_num(row[0], int, "from node", n), parse_num(row[1], int, "to node", n),
+         parse_num(row[2], float, "length", n) if row[2].strip() else None,
+         parse_num(row[3], float, "speed", n))
+        for n, row in csv_rows(edges_source, ["from", "to", "length_m", "speed_mps"], "edge")
+    ]
+    return RoadNetwork.from_undirected(nodes, edges)
 
 
 def segment_arrays(net):

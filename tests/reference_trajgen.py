@@ -9,6 +9,10 @@ the oracles the array code must match bit for bit. They take and return
 `generate_dataset` is the job-at-a-time generation loop that routing in rounds
 replaced: each job makes all its attempts before the next job starts, and each
 attempt matches its own two endpoints and snaps them one point at a time.
+
+`read_trajectories_csv` is the per-field reader that the column reader
+replaced, and `synthetic_truth` draws each hour and endpoint with
+`Generator.choice(p=...)`, where the column version builds each table once.
 """
 
 import math
@@ -16,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reference_roadnet import GeoPoint
+from reference_roadnet import GeoPoint, csv_rows
 
-from vtmigsim.roadnet import UnreachableError, map_match, shortest_path
+from vtmigsim.roadnet import UnreachableError, hypot, map_match, parse_num, shortest_path
 from vtmigsim.trajgen import (
+    _DEFAULT_HOUR_SHAPE,
+    _SECONDS_PER_HOUR,
     HOURS,
+    TRAJ_HEADER,
     KdeModel,
     MobilityProfile,
     Trajectory,
@@ -222,3 +229,56 @@ def generate_dataset(profile, net, cfg, total_count, rng):
               for idx, (hour, stream) in enumerate(zip(jobs, streams))]
     tracks = [traj for traj in tracks if traj is not None]
     return map_to_roads(tracks, net), len(jobs) - len(tracks)
+
+
+def read_trajectories_csv(fh):
+    """Trajectories by vehicle id, each with its rows in file order."""
+    by_vehicle = {}  # t, x, y of each row in turn
+    for n, row in csv_rows(fh, TRAJ_HEADER, "trajectory"):
+        txy = [parse_num(f, float, what, n) for f, what in zip(row[1:], "txy")]
+        by_vehicle.setdefault(parse_num(row[0], int, "vehicle id", n), []).extend(txy)
+    tracks = []
+    for vid, txy in sorted(by_vehicle.items()):
+        rows = np.array(txy).reshape(-1, 3)
+        tracks.append(Trajectory(vid, rows[:, 0], rows[:, 1:]))
+    return tracks
+
+
+def synthetic_truth(net, n_traj, rng, hour_weights=None, gps_noise=3.0, sample_interval=60.0):
+    """`trajgen.synthetic_truth` with one `rng.choice(p=...)` per hour and endpoint."""
+    weights = _DEFAULT_HOUR_SHAPE if hour_weights is None else hour_weights
+    weights = np.asarray(weights, dtype=float)
+    weights = weights / weights.sum()
+    node_ids, positions = net.ids, net.xy
+    anchors = positions[rng.choice(len(node_ids), size=2, replace=False)]
+    span = max(positions.max(axis=0) - positions.min(axis=0))
+    scale = max(span / 3.0, 1.0)
+
+    def node_weights(anchor):
+        d = np.hypot(positions[:, 0] - anchor[0], positions[:, 1] - anchor[1])
+        w = np.exp(-d / scale)
+        return w / w.sum()
+
+    w_entry = node_weights(anchors[0])
+    w_exit = node_weights(anchors[1])
+    out = []
+    attempts = 0
+    while len(out) < n_traj and attempts < 20 * n_traj:
+        attempts += 1
+        hour = int(rng.choice(HOURS, p=weights))
+        src = node_ids[int(rng.choice(len(node_ids), p=w_entry))]
+        dst = node_ids[int(rng.choice(len(node_ids), p=w_exit))]
+        if src == dst:
+            continue
+        try:
+            route, _ = shortest_path(net, src, dst)
+        except UnreachableError:
+            continue
+        t0 = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
+        path = positions[[net._index[nid] for nid in route]]
+        legs = hypot(*(path[:-1] - path[1:]).T) / rng.uniform(6.0, 14.0, size=len(route) - 1)
+        timed = Trajectory(len(out), np.add.accumulate(np.concatenate(([t0], legs))), path)
+        dense = column_interpolate(timed, sample_interval)
+        noise = rng.normal(0.0, gps_noise, dense.xy.shape)
+        out.append(Trajectory(len(out), dense.t, dense.xy + noise))
+    return out

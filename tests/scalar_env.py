@@ -61,10 +61,28 @@ def env_columns(rsus, vehicles, channel, cfg):
         request_bits=[v.request_bits for v in vehicles],
         task_bits=[[v.task_bits[t % len(v.task_bits)] for v in vehicles] for t in slots],
         result_bits=[v.result_bits for v in vehicles],
-        tracks=[v.trajectory for v in vehicles],
+        track_id=[v.trajectory.vehicle_id for v in vehicles],
+        track_t=np.concatenate([v.trajectory.t for v in vehicles]),
+        track_xy=np.concatenate([v.trajectory.xy for v in vehicles]),
+        track_offsets=np.cumsum([0, *(len(v.trajectory.t) for v in vehicles)]),
         channel=channel,
         cfg=cfg,
     )
+
+
+def position_loop(tracks, slots, slot_seconds):
+    """(len(slots), V, 2) positions of V `Trajectory` tracks at the start of
+    each slot: the per-vehicle loop that `PremigrationEnv.position` replaced."""
+    out = np.empty((len(slots), len(tracks), 2))
+    for v, track in enumerate(tracks):
+        ts, xy = track.t, track.xy
+        t = ts[0] + slots * slot_seconds
+        out[:, v] = np.where(t[:, None] <= ts[0], xy[0], xy[-1])
+        inside = (t > ts[0]) & (t < ts[-1])
+        i = np.searchsorted(ts, t[inside], side="right") - 1
+        u = (t[inside] - ts[i]) / (ts[i + 1] - ts[i])
+        out[inside, v] = xy[i] + u[:, None] * (xy[i + 1] - xy[i])
+    return out
 
 
 @dataclass

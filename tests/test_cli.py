@@ -124,6 +124,27 @@ def test_checkpoint_for_other_vehicle_count_is_a_config_error(tmp_path, capsys, 
     assert not (tmp_path / "out" / "train_report.csv").exists()
 
 
+def test_checkpoint_sizes_are_checked_before_its_bundle_is_allocated(tmp_path, capsys):
+    """A checkpoint that claims 1e15 agents is refused by its size, not by the
+    allocation of a bundle that large."""
+    scenario = write_cli_scenario(tmp_path)
+    assert cli.main(["train", "--scenario", scenario, "--out", str(tmp_path / "t"),
+                     "--episodes", "1"]) == cli.EXIT_OK
+    capsys.readouterr()
+    tensors = neuralcore.load_checkpoint(str(tmp_path / "t" / "ckpt_final.txt"))
+    tensors["meta/agents"] = np.array([[1e15]])
+    ckpt = str(tmp_path / "huge.txt")
+    neuralcore.save_checkpoint(ckpt, tensors.items())
+    out = tmp_path / "out"
+    argv = ["eval", "--scenario", scenario, "--checkpoint", ckpt, "--policy", "split",
+            "--episodes", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: checkpoint {ckpt} has meta/agents = 1000000000000000, "
+                          "but the scenario needs 3")
+    assert not out.exists()
+
+
 def test_checkpoint_without_a_needed_tensor_is_a_config_error(tmp_path, capsys):
     scenario = write_cli_scenario(tmp_path)
     ckpt = str(tmp_path / "shared" / "ckpt_final.txt")

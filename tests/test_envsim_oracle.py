@@ -11,6 +11,7 @@ operations on the same doubles.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import RSU_POSITIONS, make_env
 from reference_roadnet import GeoPoint
-from scalar_env import RsuSpec, ScalarEnv, SlotMetrics, VehicleSpec, env_columns
+from scalar_env import RsuSpec, ScalarEnv, SlotMetrics, VehicleSpec, env_columns, position_loop
 
 from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv
 from vtmigsim.trajgen import Trajectory
@@ -183,3 +184,37 @@ def test_channel_and_error_rate_use_the_scalar_math_kernels():
     bits = rng.uniform(0.0, 1e7, len(e))
     err = [1.0 - math.exp(-1e-7 * b) for b in bits.tolist()]
     assert np.array_equal(env.error_rate(bits[None, :], 1e-7), err)
+
+
+HOUR_EDGE = 472222 * 3600.0  # an hour boundary at epoch scale
+
+
+@st.composite
+def tracks(draw):
+    """Strictly increasing tracks of 1 to 6 points from zero or epoch-scale starts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for v in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 6))
+        start = draw(st.sampled_from([0.0, 0.25, 1.7e9 + 0.123456, HOUR_EDGE]))
+        gaps = rng.choice([0.5, 1.0, 3.0, 7.3, rng.uniform(0.01, 40.0)], size=n - 1)
+        t = start + np.concatenate(([0.0], np.cumsum(gaps)))  # gaps >> an ulp of the start
+        out.append(Trajectory(v, t, rng.uniform(-500.0, 500.0, (n, 2))))
+    return out
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tracks(), st.sampled_from([1.0, 0.5, 7.3, 30.0]),
+       st.lists(st.integers(-3, 40), min_size=1, max_size=12))
+def test_position_matches_the_per_vehicle_loop(trajs, slot_seconds, slots):
+    """One pass over every vehicle's column track: the bits of the per-vehicle
+    loop, for one-point tracks and slots before the start and past the end."""
+    slots = np.array(slots)
+    env = SimpleNamespace(
+        track_t=np.concatenate([t.t for t in trajs]),
+        track_xy=np.concatenate([t.xy for t in trajs]),
+        track_offsets=np.cumsum([0, *(len(t.t) for t in trajs)]),
+        cfg=SimpleNamespace(slot_seconds=slot_seconds))
+    got = PremigrationEnv.position(env, slots)
+    want = position_loop(trajs, slots, slot_seconds)
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]

@@ -10,7 +10,8 @@ source resumes a kept search, whatever the bound on kept searches. The array
 of a batch, the same arc and the same bits in every `Projection` field as the
 full scan of that point alone. Networks cover random graphs, lattices
 full of equal-length ties, non-contiguous, negative and unsorted node ids,
-multi-arcs, one-way arcs, a single arc and collinear arcs.
+multi-arcs, one-way arcs, a single arc and collinear arcs. The adjacency lists
+that `shortest_path` walks must be those the per-arc loop builds.
 """
 
 import math
@@ -410,6 +411,16 @@ def test_columns_match_object_construction(case, directed):
     # a planted fault raises, unless it is an arc fault and there is no arc to carry it
     assert not faults or not segs and faults <= {"unknown_endpoint", "bad_length", "bad_speed"}
     assert _columns(build()) == _object_columns(expected)
+
+
+@SETTINGS
+@given(networks())
+def test_adjacency_matches_the_per_arc_loop(case):
+    """The stable-sort adjacency and the id index hold what appending arc by
+    arc and enumerating the ids give."""
+    net, _ = case
+    assert net._out == ref.out_lists(net)
+    assert net._index == {nid: i for i, nid in enumerate(net.ids)}
 
 
 def test_match_in_blocks_leaves_a_near_cell_distance_to_the_full_scan():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_trajgen as ref_trajgen
 from reference_roadnet import GeoPoint
 from vtmigsim.roadnet import RoadNetwork, map_match
 from vtmigsim.trajgen import (
@@ -318,6 +319,37 @@ def test_generate_dataset_hour_concentration():
     out, _ = generate_dataset(profile, net, CFG, 10, np.random.default_rng(1))
     assert len(out) > 0
     assert all(hour_of(t.t[0]) == 8 for t in out)
+
+
+def _track_bits(trajs):
+    return [(t.vehicle_id, [x.hex() for x in t.t.tolist()],
+             [x.hex() for x in t.xy.ravel().tolist()]) for t in trajs]
+
+
+@pytest.mark.parametrize("seed, hour_weights", [
+    (0, None), (13, None), (21, np.eye(24)[8]), (5, np.arange(24.0)), (8, np.eye(24)[23] * 1e-300),
+])
+def test_synthetic_truth_draws_as_generator_choice(seed, hour_weights):
+    """Drawing from tables built once gives the tracks, and leaves the generator
+    in the state, that one `rng.choice(n, p=...)` per hour and endpoint does."""
+    net = grid_network(6, 150.0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = synthetic_truth(net, 12, rng, hour_weights=hour_weights)
+    want = ref_trajgen.synthetic_truth(net, 12, ref_rng, hour_weights=hour_weights)
+    assert _track_bits(got) == _track_bits(want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("hour_weights", [
+    -np.eye(24)[3], np.full(24, np.nan), np.r_[np.ones(23), np.inf], np.zeros(24), np.ones(23),
+    np.full(24, 1e308),
+], ids=["negative", "nan", "inf", "all_zero", "short", "sum_overflows"])
+def test_synthetic_truth_refuses_bad_hour_weights_before_any_draw(hour_weights):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="hour_weights must be 24 finite weights >= 0"):
+        synthetic_truth(grid_network(), 5, rng, hour_weights=hour_weights)
+    assert rng.bit_generator.state == state
 
 
 def test_generate_dataset_deterministic():
