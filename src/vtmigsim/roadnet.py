@@ -2,20 +2,19 @@
 
 `read_columns` parses the numeric columns of a CSV file (the road network's
 and the trajectories'), each column at once; it reads row by row only to name
-the first bad line. Coordinates are planar meters (x east, y north). A
-network is four columns: node ids in ascending order, their positions, the
-arcs as pairs of dense node indices, and the arc lengths. It is built with
-array checks that name the first bad node or arc, and each node's arc list
-for routing comes from one stable sort of the arcs. Undirected road segments
-are stored as two directed arcs. The columns are read-only; the query
-indexes are built eagerly, and `shortest_path` keeps paused route searches on
-the network (give each thread its own network). Dijkstra runs on dense node
-indices, so heap ties break exactly as on node ids. `map_match` takes a batch
-of points and reads a uniform grid of arc buckets with array ops, one pass
-per block of queries: it keeps the best arc of the 3x3 cell block around a
-query only if it is nearer than one cell by a margin that covers rounding, as
-every other arc is a cell away. The other queries (off the grid, far from
-roads, not finite) scan every arc with the same per-arc arithmetic.
+the first bad line. Coordinates are planar meters (x east, y north). A network
+is four columns: node ids in ascending order, their positions, the arcs as
+pairs of dense node indices, and the arc lengths. It is built with array
+checks that name the first bad node or arc; each node's out- and in-arc lists
+come from stable sorts of the arcs. Undirected road segments are stored as two
+directed arcs. The columns are read-only, the query indexes are built eagerly,
+and no query changes the network. `shortest_path` finds by A* search the path
+Dijkstra's finds, ties broken on node ids. `map_match` takes a batch of points
+and reads a uniform grid of arc buckets with array ops, one pass per block of
+queries: it keeps the best arc of the 3x3 cell block around a query only if it
+is nearer than one cell by a margin that covers rounding, as every other arc is
+a cell away. The other queries (off the grid, far from roads, not finite) scan
+every arc with the same per-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from struct import pack
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +81,6 @@ class RoadNetwork:
     `ids` lists the node ids ascending (a list: ids may exceed int64) and `xy`
     (n, 2) their positions in that order. Arc k runs from node `arcs[k, 0]` to
     node `arcs[k, 1]`, dense indices into `ids`, and is `length[k]` meters long.
-    `_searches` holds the paused `shortest_path` searches of recent sources.
     """
 
     def __init__(self, ids: Sequence[int], xy, arcs: Sequence[tuple[int, int]], length, speed):
@@ -118,28 +114,32 @@ class RoadNetwork:
         order = _rows(first, self.ids)
         self.xy = xy[order]
         self._index = dict(zip(self.ids, range(n)))
-        self._searches = {}  # paused shortest_path searches by source index, oldest use first
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         self.arcs = rank[rows]
-        # (to index, length) of each node's arcs, in arc order
-        by_tail = np.argsort(self.arcs[:, 0], kind="stable")
-        out = list(zip(self.arcs[by_tail, 1].tolist(), self.length[by_tail].tolist()))
-        bounds = np.searchsorted(self.arcs[by_tail, 0], np.arange(n + 1)).tolist()
-        self._out = [out[a:b] for a, b in zip(bounds, bounds[1:])]
+        for name, end in (("_out", 0), ("_in", 1)):  # (other end, length) per node, in arc order
+            by_end = np.argsort(self.arcs[:, end], kind="stable")
+            arcs = list(zip(self.arcs[by_end, 1 - end].tolist(), self.length[by_end].tolist()))
+            bounds = np.searchsorted(self.arcs[by_end, end], np.arange(n + 1)).tolist()
+            setattr(self, name, [arcs[a:b] for a, b in zip(bounds, bounds[1:])])
         for column in (self.xy, self.arcs, self.length):
             column.flags.writeable = False
         a, b = self.xy[self.arcs.T]
         d = b - a  # rows of _seg: ax, ay, dx, dy, len2 of each arc
         self._seg = np.array([*a.T, *d.T, np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)])
         self._build_bucket_index(a, b)
+        # A* scale: the least length per meter of an arc keeps h consistent; 0 (Dijkstra) where
+        # an arc can vanish in a float sum (pops leave (D, index) order) or keys leave the range.
+        with np.errstate(over="ignore"):  # c = inf turns the heuristic off
+            c = float((self.length / np.sqrt(self._seg[4])).min(initial=math.inf))
+        lo, total = float(self.length.min(initial=math.inf)), sum(self.length.tolist())
+        top = 4.0 * (total + 3.0 * c * float(np.abs(self.xy).max(initial=0.0)))  # bounds keys
+        self._scale = c if (lo > total * 2.0**-50 and (c + 1.0) * 2.0**-1000 < lo
+                            and top < math.inf) else 0.0
 
     @classmethod
-    def from_undirected(
-        cls,
-        nodes: Sequence[tuple[int, float, float]],
-        edges: Sequence[tuple[int, int, Optional[float], float]],
-    ) -> "RoadNetwork":
+    def from_undirected(cls, nodes: Sequence[tuple[int, float, float]],
+                        edges: Sequence[tuple[int, int, Optional[float], float]]) -> "RoadNetwork":
         """Build from (id, x, y) nodes and (u, v, length|None, speed) segments.
 
         Segment k becomes arcs 2k (u->v) and 2k+1 (v->u). A None length is
@@ -267,18 +267,20 @@ def read_columns(source: Iterable[str], header: list[str], what: str, fields) ->
     (column, kind, name) in the order a row's fields are checked, kind as in
     `_column`; one array per field, in that order. Each column is parsed whole.
     Only when that fails are the rows read again one by one, so that the
-    ParseError names the first bad row (another width, or its first bad field)
-    and its line.
+    ParseError names the first bad row (another width, or its first bad field,
+    or a row the csv module cannot read) and its line.
     """
     reader = csv.reader(source)
-    first = next(reader, None)
-    if first is None or [c.strip() for c in first] != header:
-        raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")
     rows, failure = [], None
     try:
         rows.extend(reader)
     except csv.Error as exc:  # raised after the rows before it, as a row-by-row read does
-        failure = exc
+        failure = ParseError(f"line {reader.line_num}: {exc}")
+    first, *rows = rows or [None]
+    if first is None and failure:
+        raise failure
+    if first is None or [c.strip() for c in first] != header:
+        raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")
     kept = [row for row in rows if len(row) > 1 or "".join(row).strip()]  # not blank
     try:
         columns = list(zip(*kept, strict=True)) or [()] * len(header)
@@ -316,7 +318,6 @@ def load_network(nodes_source: Iterable[str], edges_source: Iterable[str]) -> Ro
                                       v.tolist(), length, speed, np.isnan(length))
 
 
-_KEPT_LABELS = 1 << 18  # node labels kept per network by paused route searches, 13 B each
 _BLOCK = 512           # queries per in-block pass: bounds the candidate arrays
 _SCAN_PAIRS = 1 << 13  # query-arc pairs per full-scan pass
 
@@ -381,51 +382,50 @@ def map_match(net: RoadNetwork, xy) -> Projection:
 
 
 def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], float]:
-    """Minimum-length node path from src to dst.
+    """The minimum-length node path from src to dst and its length that
+    Dijkstra's search with heap entries (distance D, dense index) finds.
 
-    Classic label-setting search with a binary heap and lazy deletion; the
-    relaxation step is dist[v] = min(dist[v], dist[u] + w(u, v)). Heap entries
-    are (distance, dense index) with indices in node-id order, so results are
-    deterministic. Pushes for a node strictly decrease, so a popped entry above
-    its node's distance is stale. The pop order does not depend on dst, so the
-    search pauses with dst settled and its arcs relaxed, and `net` keeps it (LRU,
-    `_KEPT_LABELS` labels in all): a later call from src resumes it exactly.
+    A* (Hart, Nilsson & Raphael 1968) with lazy deletion, keyed on g + h with
+    h = `net._scale` * Euclidean distance to dst. Dijkstra pops in (D(u), u)
+    order, so its parent of v is the in-neighbour u with the least (D(u), u)
+    where D(u) + w(u, v) == D(v) in float64: the path is walked back by that
+    rule. With `net._scale` 0, h is 0 and the search stops at dst.
     """
     for nid in (src, dst):
         if nid not in net._index:
             raise ValidationError(f"unknown node {nid}")
     if src == dst:
         return [src], 0.0
-    s, target, out, kept = net._index[src], net._index[dst], net._out, net._searches
-    n = len(out)
-    # (dist, parent, settled flags, heap) of the paused search from s, or a fresh one
-    dist, parent, done, heap = state = kept.pop(s, None) or (None, None, bytearray(n), [(0.0, s)])
-    if not done[target] and heap:
-        dist, parent = (dist.tolist(), parent.tolist()) if dist else ([math.inf] * n, [-1] * n)
-        dist[s] = 0.0
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            d_u, u = pop(heap)
-            if d_u > dist[u]:
-                continue
-            done[u] = 1
-            for v, w in out[u]:
-                cand = d_u + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    parent[v] = u
-                    push(heap, (cand, v))
-            if u == target:
+    s, t, out, scale, n = net._index[src], net._index[dst], net._out, net._scale, len(net.ids)
+    h = (scale * np.hypot(*(net.xy - net.xy[t]).T)).tolist() if scale else [0.0] * n
+    dist, parent = [math.inf] * n, [-1] * n
+    dist[s] = 0.0
+    # Each arc of a path rounds a key g + h (and h's consistency) by a few ulps of
+    # D(dst); n * 2**-48 * D(dst) covers paths of 2n arcs, so every node the walk
+    # back reads pops with its exact label before the heap minimum passes the limit.
+    heap, limit, slack = [(h[s], 0.0, s)], math.inf, (n + 4) * 2.0**-48
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        f, d_u, u = pop(heap)
+        if f > limit:
+            break
+        if d_u > dist[u]:
+            continue
+        if u == t:
+            if not scale:
                 break
-        state = None if n > _KEPT_LABELS else (  # struct reads a list faster than array()
-            array("d", pack(f"{n}d", *dist)), array("i", pack(f"{n}i", *parent)), done, heap)
-    if state is not None:
-        kept[s] = state  # most recently used last
-    while len(kept) * n > _KEPT_LABELS:
-        del kept[next(iter(kept))]
-    if not done[target]:
+            limit = d_u + d_u * slack
+        for v, w in out[u]:
+            cand = d_u + w
+            if cand < dist[v]:
+                dist[v] = cand
+                parent[v] = u
+                push(heap, (cand + h[v], cand, v))
+    if dist[t] == math.inf:
         raise UnreachableError(f"node {dst} is not reachable from {src}")
-    path = [target]
+    path = [t]
     while path[-1] != s:
-        path.append(parent[path[-1]])
-    return [net.ids[i] for i in reversed(path)], dist[target]
+        v = path[-1]
+        path.append(min((dist[u], u) for u, w in net._in[v] if dist[u] + w == dist[v])[1]
+                    if scale else parent[v])
+    return [net.ids[i] for i in reversed(path)], dist[t]

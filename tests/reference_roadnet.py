@@ -120,10 +120,18 @@ def out_lists(net):
     return out
 
 
+def _records(reader):
+    """The rows of a csv reader; a row it cannot read is a ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def csv_rows(source, header, what):
     """Yield (line number, row) of the data rows after a required header,
     skipping blank rows; a ParseError names the line of a row of another width."""
-    reader = csv.reader(source)
+    reader = _records(csv.reader(source))
     first = next(reader, None)
     if first is None or [c.strip() for c in first] != header:
         raise ParseError(f"line 1: missing header {','.join(header)}, got {first}")

@@ -486,6 +486,22 @@ def test_non_finite_trajectory_value_exits_2_with_its_line(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_unreadable_trajectory_row_exits_2_with_its_line(tmp_path, capsys):
+    """A field past the csv module's size limit is a config error naming its line."""
+    scenario = write_cli_scenario(tmp_path)
+    tracks = tmp_path / "vehicles.csv"
+    lines = _lines(tracks)
+    lines.append("0,70.000000," + "1" * (csv.field_size_limit() + 1) + ",10.000000")
+    tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["eval", "--scenario", scenario, "--policy", "full_migration", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert f"line {len(lines)}: field larger than field limit" in err
+    assert not out.exists()
+
+
 def test_repeated_timestamp_exits_2_naming_the_csv_vehicle_id(tmp_path, capsys):
     scenario = write_cli_scenario(tmp_path)
     tracks = tmp_path / "vehicles.csv"

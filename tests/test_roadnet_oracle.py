@@ -3,18 +3,23 @@ bit for bit.
 
 The column `RoadNetwork` must hold the nodes, arcs and lengths that the
 object construction holds, and reject the same inputs with the same message.
-`shortest_path` (dense-index Dijkstra) must return the same path and length
-as the dict-based search, ties included, also when a later call from the same
-source resumes a kept search, whatever the bound on kept searches. The array
+`shortest_path` (A* with the canonical-predecessor walk back) must return the
+same path and length as the dict-based Dijkstra search, ties included, in any
+order of queries, and must leave the network as it was. The array
 `map_match` (bucket index with a full-scan fall-back) must return, in every row
 of a batch, the same arc and the same bits in every `Projection` field as the
 full scan of that point alone. Networks cover random graphs, lattices
 full of equal-length ties, non-contiguous, negative and unsorted node ids,
-multi-arcs, one-way arcs, a single arc and collinear arcs. The adjacency lists
-that `shortest_path` walks must be those the per-arc loop builds.
+multi-arcs, one-way arcs, a single arc, collinear arcs, arcs too short to
+change a sum they end, and lengths below the Euclidean distance far from the
+origin. The adjacency lists that `shortest_path` walks must be those the
+per-arc loop builds.
 """
 
+import copy
 import math
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -57,7 +62,8 @@ def _ids(draw, rng, n):
 def networks(draw):
     """(RoadNetwork, node ids) for one of several network shapes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(["random", "lattice", "single", "collinear", "one_way"]))
+    shape = draw(st.sampled_from(["random", "lattice", "single", "collinear", "one_way",
+                                  "vanishing", "short_far"]))
     # Projected (UTM-like) coordinates put the rounding at a larger scale.
     ox, oy = draw(st.sampled_from([(0.0, 0.0), (512345.6, 4123456.7), (-1e6, 3e5)]))
     if shape == "lattice":
@@ -105,9 +111,13 @@ def networks(draw):
         if n > 2 and draw(st.booleans()):  # an overlapping long segment
             segs.append((ids[0], ids[-1], None, 10.0))
         return RoadNetwork.from_undirected(nodes, segs), ids
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(6 if shape in ("vanishing", "short_far") else 2, 12))
     ids = _ids(draw, rng, n)
+    if shape == "short_far":  # explicit lengths below the Euclidean distance, near 1e12
+        ox, oy = draw(st.sampled_from([(1e12, 1e12), (-3e12, 7e11)]))
     xy = rng.uniform(-300.0, 900.0, (n, 2)) + (ox, oy)
+    if shape in ("vanishing", "short_far"):
+        return _explicit_lengths(draw, rng, shape, ids, xy), ids
     prob = draw(st.sampled_from([0.2, 0.5, 0.9]))
     round_lengths = draw(st.booleans())  # small integer lengths tie often
     segs = []
@@ -125,6 +135,25 @@ def networks(draw):
         arcs = [(u, v) for u, v, _, _ in segs]
         return RoadNetwork(ids, xy, arcs, lengths, [s for _, _, _, s in segs]), ids
     return RoadNetwork.from_undirected([(ids[i], *xy[i]) for i in range(n)], segs), ids
+
+
+def _explicit_lengths(draw, rng, shape, ids, xy):
+    """A random network whose segments all have explicit lengths: some too short
+    to change a float64 sum they end ("vanishing": 1e-20 beside 1e3, or powers of
+    two from 2**-56 to 2**59), or each below its Euclidean distance ("short_far")."""
+    n, prob = len(ids), draw(st.sampled_from([0.3, 0.6, 0.9]))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j and rng.random() < prob]
+    pairs = pairs or [(0, 1)]
+    if shape == "vanishing":
+        if draw(st.booleans()):
+            lengths = rng.choice([1e-20, 1e3, 1e3], len(pairs))
+        else:
+            lengths = 2.0 ** rng.integers(-56, 60, len(pairs)).astype(float)
+    else:
+        span = np.hypot(*(xy[[i for i, _ in pairs]] - xy[[j for _, j in pairs]]).T)
+        lengths = np.maximum(span * rng.choice([0.05, 0.5, 0.999, 1.0], len(pairs)), 1e-3)
+    segs = [(ids[i], ids[j], float(w), 10.0) for (i, j), w in zip(pairs, lengths.tolist())]
+    return RoadNetwork.from_undirected([(ids[i], *xy[i]) for i in range(n)], segs)
 
 
 def _bits(proj):
@@ -242,17 +271,6 @@ def _assert_answers(net, queries, expected):
         else:
             path, length = shortest_path(net, src, dst)
             assert (path, length.hex()) == want, (src, dst)
-        _assert_kept_under_their_source(net)
-
-
-def _assert_kept_under_their_source(net):
-    """A search kept under another node's index would resume from the wrong source."""
-    for s, (dist, parent, _, _) in net._searches.items():
-        assert (dist[s], parent[s]) == (0.0, -1), s
-
-
-def _kept_labels(net):
-    return sum(len(dist) for dist, _, _, _ in net._searches.values())
 
 
 @st.composite
@@ -268,41 +286,81 @@ def query_sequences(draw):
 
 @SETTINGS
 @given(query_sequences())
-def test_resumed_searches_match_fresh_dict_dijkstra(case):
-    """Each answer of a sequence equals a fresh reference search, with kept
-    searches bounded by default, to one network's node count and to none."""
+def test_repeated_queries_match_fresh_dict_dijkstra(case):
+    """Each answer of a sequence with repeated sources and pairs equals a
+    fresh reference search, asked forwards and then backwards."""
     net, queries = case
     expected = [_reference_answer(net, src, dst) for src, dst in queries]
-    for bound in (roadnet._KEPT_LABELS, len(net.ids), 0):
-        net._searches.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(roadnet, "_KEPT_LABELS", bound)
-            _assert_answers(net, queries, expected)
-        assert _kept_labels(net) <= bound
+    _assert_answers(net, queries, expected)
+    _assert_answers(net, queries[::-1], expected[::-1])
 
 
-def test_kept_searches_stay_within_the_label_bound(monkeypatch):
-    """A 30x30 lattice queried from every node keeps the most recently used
-    searches up to the bound; a bound below one search keeps none."""
-    n = 30
-    nodes = [(k, (k % n) * 50.0, (k // n) * 50.0) for k in range(n * n)]
+def _state(net):
+    """Every attribute of a network: arrays by dtype, shape and bytes, the rest copied."""
+    return {name: (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+            else copy.deepcopy(value) for name, value in vars(net).items()}
+
+
+@settings(SETTINGS, max_examples=60)
+@given(query_sequences(), st.integers(0, 2**32 - 1))
+def test_routing_keeps_no_state(case, seed):
+    """A batch of queries leaves every attribute and column of the network as it
+    was, and a twin network built alike answers the same after another history."""
+    net, queries = case
+    arcs = [(net.ids[u], net.ids[v]) for u, v in net.arcs.tolist()]
+    twin = RoadNetwork(net.ids, net.xy, arcs, net.length, np.ones(len(arcs)))
+    before = _state(net)
+    assert _state(twin) == before
+    answers = [_reference_answer(net, src, dst) for src, dst in queries]  # a fresh search each
+    _assert_answers(net, queries, answers)
+    assert _state(net) == before
+    rng = np.random.default_rng(seed)
+    for k in rng.permutation(len(queries)).tolist():  # another order, another history
+        _assert_answers(twin, [queries[k]], [answers[k]])
+    _assert_answers(twin, queries, answers)
+    assert _state(twin) == before
+
+
+def test_threads_share_one_network():
+    """Four threads routing on one lattice, switching often, each get the
+    reference answers."""
+    n = 12
+    nodes = [(k, float(k % n), float(k // n)) for k in range(n * n)]
     segs = [(k, k + 1, None, 10.0) for k in range(n * n - 1) if (k + 1) % n]
     segs += [(k, k + n, None, 10.0) for k in range(n * n - n)]
     net = RoadNetwork.from_undirected(nodes, segs)
-    rng = np.random.default_rng(11)
-    for src in range(n * n):
-        shortest_path(net, src, int(rng.integers(n * n)))
-        assert _kept_labels(net) <= roadnet._KEPT_LABELS
-        _assert_kept_under_their_source(net)
-    keep = roadnet._KEPT_LABELS // (n * n)
-    assert 0 < keep < n * n and list(net._searches) == list(range(n * n - keep, n * n))
-    queries = [tuple(q) for q in rng.integers(n * n, size=(40, 2)).tolist()]
-    queries += [(n * n - 1, k) for k in range(0, n * n, 97)]  # resumes a kept search
-    expected = [_reference_answer(net, src, dst) for src, dst in queries]
-    _assert_answers(net, queries, expected)
-    monkeypatch.setattr(roadnet, "_KEPT_LABELS", n * n - 1)
-    _assert_answers(net, queries, expected)
-    assert not net._searches
+    queries = [tuple(q) for q in np.random.default_rng(5).integers(n * n, size=(40, 2)).tolist()]
+    expected = [ref.shortest_path(net, src, dst) for src, dst in queries]
+    answers = [None] * 4
+
+    def work(k):
+        answers[k] = [shortest_path(net, src, dst) for src, dst in queries[k:] + queries[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, got in enumerate(answers):
+        assert got == expected[k:] + expected[:k]
+
+
+def test_an_arc_that_vanishes_in_a_sum_keeps_dijkstras_route():
+    """1 -> 3 adds 1e-20 to 1e3, which leaves it 1e3: Dijkstra pops 3 before 2
+    at that distance, so 3 is the parent of 4, though (1e3, 2) < (1e3, 3)."""
+    nodes = [(k, float(k), 0.0) for k in range(1, 5)]
+    segs = [(1, 3, 1e3, 10.0), (3, 2, 1e-20, 10.0), (3, 4, 1e3, 10.0), (2, 4, 1e3, 10.0)]
+    net = RoadNetwork.from_undirected(nodes, segs)
+    assert ref.shortest_path(net, 1, 4) == ([1, 3, 4], 2e3)
+    for src in range(1, 5):
+        for dst in range(1, 5):
+            assert shortest_path(net, src, dst) == ref.shortest_path(net, src, dst)
 
 
 def test_lattice_ties_pick_the_reference_route():
@@ -420,6 +478,10 @@ def test_adjacency_matches_the_per_arc_loop(case):
     arc and enumerating the ids give."""
     net, _ = case
     assert net._out == ref.out_lists(net)
+    into = [[] for _ in net.ids]
+    for (a, b), w in zip(net.arcs.tolist(), net.length.tolist()):
+        into[b].append((a, w))
+    assert net._in == into
     assert net._index == {nid: i for i, nid in enumerate(net.ids)}
 
 

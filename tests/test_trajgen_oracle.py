@@ -311,14 +311,10 @@ def _dataset_bits(fn, nodes, edges, profile, cfg, count, seed):
             rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned)
 
 
-@pytest.mark.parametrize("kept", [roadnet._KEPT_LABELS, 0])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(split_cases())
-def test_generate_dataset_in_rounds_matches_job_at_a_time(kept, case):
-    with mock.patch.object(roadnet, "_KEPT_LABELS", kept):
-        got = _dataset_bits(generate_dataset, *case)
-        want = _dataset_bits(ref.generate_dataset, *case)
-    assert got == want
+def test_generate_dataset_in_rounds_matches_job_at_a_time(case):
+    assert _dataset_bits(generate_dataset, *case) == _dataset_bits(ref.generate_dataset, *case)
 
 
 def test_rounds_retry_skip_and_snap_to_one_node_as_jobs_do():
