@@ -311,9 +311,25 @@ def _dataset_bits(fn, nodes, edges, profile, cfg, count, seed):
             rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned)
 
 
+def _moved(case, east):
+    """The case with every node and density sample `east` meters east and north."""
+    nodes, edges, profile, cfg, count, seed = case
+    nodes = [(nid, x + east, y + east) for nid, x, y in nodes]
+    kdes = {id(k): KdeModel(k.samples + east, k.bandwidth)
+            for k in profile.entry_kde + profile.exit_kde}
+    profile = MobilityProfile(profile.hour_histogram, profile.speed_bins,
+                              [kdes[id(k)] for k in profile.entry_kde],
+                              [kdes[id(k)] for k in profile.exit_kde])
+    return nodes, edges, profile, cfg, count, seed
+
+
+# 2**18 m is the scale of projected eastings: coordinates there keep fewer
+# fraction bits, so arc lengths and distance estimates round differently.
+@pytest.mark.parametrize("east", [0, 2**18])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(split_cases())
-def test_generate_dataset_in_rounds_matches_job_at_a_time(case):
+def test_generate_dataset_in_rounds_matches_job_at_a_time(east, case):
+    case = _moved(case, east)
     assert _dataset_bits(generate_dataset, *case) == _dataset_bits(ref.generate_dataset, *case)
 
 
