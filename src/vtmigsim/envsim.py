@@ -17,6 +17,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,7 +118,7 @@ class PremigrationEnv:
     queued cycles; `bw_up` and `bw_down` (E,), Hz; `noise` (E,), receiver
     noise, W; and `backhaul` (E, E), bits/s from row RSU to column RSU, 0
     where there is no link. Per vehicle: `tx_power` (V,), W; `cycles_per_bit`
-    (V,); `request_bits` (V,), the uplink request size; `result_bits` (V, E),
+    (V,), >= 0; `request_bits` (V,), the uplink request size; `result_bits` (V, E),
     the result size from each RSU; and `task_bits` (horizon, V), the task size
     of each slot. The V tracks are one column of points: vehicle v follows
     rows `track_offsets[v]` to `track_offsets[v + 1]` of `track_t` (N,), s,
@@ -295,6 +296,40 @@ class PremigrationEnv:
         return np.divide(d_mig, bw, out=np.zeros(d_mig.shape), where=used)
 
     @staticmethod
+    def commit_work(loads, max_load, serving, requested, cycles_per_bit, xi_local, xi_mig_req,
+                    remap_bits):
+        """(pending loads, final targets, remapped, migrated bits) once each
+        vehicle, in id order, adds its local cycles to its serving RSU, then its
+        migrated cycles to its target, or to the serving RSU with the bits
+        `remap_bits()` gives if they would take another target past max_load.
+        Every addend is >= 0, so each load compared is at most the final one:
+        the loop is skipped when every RSU ends within its max_load with the
+        requested targets. np.add.at adds in index order, to the loop's bits.
+        """
+        local_cycles, req_cycles = xi_local * cycles_per_bit, xi_mig_req * cycles_per_bit
+        pending = loads.copy()
+        np.add.at(pending, np.column_stack((serving, requested)).ravel(),
+                  np.column_stack((local_cycles, req_cycles)).ravel())
+        if (pending <= max_load).all():
+            return pending, requested, np.zeros(len(requested), dtype=bool), xi_mig_req
+        xi_mig_serv = remap_bits()
+        local, req, serv, cap, pending, final = (x.tolist() for x in (
+            local_cycles, req_cycles, xi_mig_serv * cycles_per_bit, max_load, loads, requested))
+        remapped = [False] * len(final)
+        for v, s in enumerate(serving.tolist()):  # plain floats: sequential by definition
+            a = final[v]
+            incoming = req[v]
+            if a != s and pending[a] + incoming > cap[a]:
+                a = final[v] = s
+                remapped[v] = True
+                incoming = serv[v]
+            pending[s] += local[v]
+            pending[a] += incoming
+        remapped = np.array(remapped)
+        return (np.array(pending), np.array(final), remapped,
+                np.where(remapped, xi_mig_serv, xi_mig_req))
+
+    @staticmethod
     def rendering_sizes(
         d_task,
         alpha: float,
@@ -399,38 +434,13 @@ class PremigrationEnv:
         # serving RSU; the local share does not depend on the target. At
         # slot 0 the previous choices are -1, so nothing is reused.
         same_serving = serving == self.prev_serving
-        xi_local, xi_mig_req, d_local = self.rendering_sizes(
-            d_task, cfg.alpha, cfg.mu, same_serving, requested == self.prev_action,
-            self.prev_local_bits, self.prev_mig_bits,
+        sizes = partial(self.rendering_sizes, d_task, cfg.alpha, cfg.mu, same_serving,
+                        prev_local_bits=self.prev_local_bits, prev_mig_bits=self.prev_mig_bits)
+        xi_local, xi_mig_req, d_local = sizes(requested == self.prev_action)
+        pending, final_action, remapped, xi_mig = self.commit_work(
+            self.loads, self.max_load, serving, requested, self.cycles_per_bit, xi_local,
+            xi_mig_req, lambda: sizes(serving == self.prev_action)[1],
         )
-        _, xi_mig_serv, _ = self.rendering_sizes(
-            d_task, cfg.alpha, cfg.mu, same_serving, serving == self.prev_action,
-            self.prev_local_bits, self.prev_mig_bits,
-        )
-
-        # Vehicles commit work in id order; feasibility is checked against the
-        # load already pending on the target this slot. Plain floats: the loop
-        # is sequential by definition.
-        f_v = self.cycles_per_bit
-        local_cycles = (xi_local * f_v).tolist()
-        req_cycles = (xi_mig_req * f_v).tolist()
-        serv_cycles = (xi_mig_serv * f_v).tolist()
-        max_load = self.max_load.tolist()
-        pending = self.loads.tolist()
-        final = requested.tolist()
-        remapped = [False] * self.V
-        for v, s in enumerate(serving.tolist()):
-            a = final[v]
-            incoming = req_cycles[v]
-            if a != s and pending[a] + incoming > max_load[a]:
-                a = final[v] = s
-                remapped[v] = True
-                incoming = serv_cycles[v]
-            pending[s] += local_cycles[v]
-            pending[a] += incoming
-        final_action = np.array(final)
-        remapped = np.array(remapped)
-        xi_mig = np.where(remapped, xi_mig_serv, xi_mig_req)
         stability = (final_action == self.prev_action).astype(float)
 
         # Contention: vehicles sharing a pre-migration target this slot.
@@ -464,7 +474,7 @@ class PremigrationEnv:
 
         # Queue dynamics: drain at capacity, add this slot's work and random
         # background arrivals, clamp into [0, max_load].
-        assigned = np.array(pending) - self.loads
+        assigned = pending - self.loads
         drained = np.maximum(0.0, self.loads + assigned - self.compute * cfg.slot_seconds)
         if cfg.background_mean > 0:
             lam = cfg.background_mean / cfg.background_unit

@@ -12,7 +12,6 @@ advantages that marginalize one agent's own action under its policy.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,7 +51,10 @@ class SwitchController:
     The threshold follows thr = thr0 + server_calls * change, i.e. it moves by
     `change` after every server activation. When the choice alternates more
     than flutter_limit times within the window, the controller enters a hold
-    of hold_len slots that pins the server path with dual training.
+    of hold_len slots that pins the server path with dual training. It counts
+    alternations among the last window - 1 recorded choices (the one at window
+    1) and the new one, from `last`, the last recorded choice, and `flags`:
+    whether each of the last window - 2 differed from the one before it.
     """
 
     thr0: float
@@ -64,12 +66,14 @@ class SwitchController:
     server_calls: int = field(init=False)
     hold_remaining: int = field(init=False)
     entropy_window: deque = field(init=False)
-    switch_log: deque = field(init=False)
+    last: Optional[str] = field(init=False)
+    flags: deque = field(init=False)
 
     def __post_init__(self) -> None:
         self.calls = self.server_calls = self.hold_remaining = 0
         self.entropy_window = deque(maxlen=self.window)
-        self.switch_log = deque(maxlen=self.window)
+        self.last = None
+        self.flags = deque(maxlen=max(self.window - 2, 0))
 
     def select(self, latest_entropy: float) -> tuple[str, bool]:
         """Pick the path for this call; returns (choice, dual_training)."""
@@ -84,15 +88,23 @@ class SwitchController:
             mean_entropy = sum(self.entropy_window) / len(self.entropy_window)
             choice = SERVER if mean_entropy > self.thr else CLIENT
             dual = False
-            recent = list(self.switch_log)[-(self.window - 1):] + [choice]
-            alternations = sum(1 for a, b in zip(recent, recent[1:]) if a != b)
+            alternations = sum(self.flags) + (self.last is not None and self.last != choice)
             if alternations > self.flutter_limit:
                 self.hold_remaining = self.hold_len
                 choice, dual = SERVER, True
-        self.switch_log.append(choice)
+        if self.last is not None:
+            self.flags.append(self.last != choice)
+        self.last = choice
         if choice == SERVER:
             self.server_calls += 1
         return choice, dual
+
+    def copy(self) -> SwitchController:
+        """An independent copy: the same settings, counters and windows."""
+        twin = SwitchController.__new__(SwitchController)
+        twin.__dict__.update(vars(self), entropy_window=self.entropy_window.copy(),
+                             flags=self.flags.copy())
+        return twin
 
     @property
     def thr(self) -> float:
@@ -299,9 +311,10 @@ def slot_policy(
     features, client_probs = actor.forward_client(obs)
     entropy = entropy_of(client_probs)
     if mode == "split":
-        picks = [c.select(e) for c, e in zip(controllers, entropy)]
-        model = np.array([choice == SERVER for choice, _ in picks], dtype=int)
-        dual = np.array([d for _, d in picks], dtype=bool)
+        model, dual = np.empty(len(obs), int), np.empty(len(obs), bool)
+        for v, (c, e) in enumerate(zip(controllers, entropy.tolist())):
+            choice, dual[v] = c.select(e)
+            model[v] = choice == SERVER
     else:
         model = np.full(len(obs), int(mode == "server"))
         dual = np.zeros(len(obs), dtype=bool)
@@ -312,22 +325,16 @@ def slot_policy(
     return client_probs, entropy, probs, model, dual
 
 
-def collect_episode(
-    env,
-    bundle: PolicyBundle,
-    mode: str,
-    action_rng: np.random.Generator,
-    env_seed: int,
-) -> RolloutBuffer:
+def collect_episode(env, bundle: PolicyBundle, mode: str, action_rng: np.random.Generator,
+                    env_seed: int) -> RolloutBuffer:
     """One episode; per slot one client and at most one server forward for all
     agents, and one record in RolloutBuffer field order, each field stacked at the end."""
     obs = env.reset(env_seed)
     records = []
     done = False
     while not done:
-        client_probs, entropy, probs, model, dual = slot_policy(
-            bundle.actor, bundle.controllers, mode, obs
-        )
+        client_probs, entropy, probs, model, dual = slot_policy(bundle.actor, bundle.controllers,
+                                                                mode, obs)
         actions = sample_actions(probs, action_rng.random(len(obs)))
         result = env.step(actions)
         m = result.metrics
@@ -383,13 +390,8 @@ def _update_policy(
     return paths
 
 
-def _update_critics(
-    bundle: PolicyBundle,
-    opts: _Optimizers,
-    buffer: RolloutBuffer,
-    X: np.ndarray,
-    idx: np.ndarray,
-) -> float:
+def _update_critics(bundle: PolicyBundle, opts: _Optimizers, buffer: RolloutBuffer,
+                    X: np.ndarray, idx: np.ndarray) -> float:
     """One step of each critic on minibatch rows idx; returns their mean loss.
 
     Critic j of C serves the contiguous block of agents v with v·C // V = j:
@@ -435,11 +437,7 @@ def report_row(s: EpisodeStats) -> tuple:
 def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) -> EpisodeStats:
     active = bundle.actor.path_params[buffer.model_used]
     switches = int(np.count_nonzero(buffer.model_used[1:] != buffer.model_used[:-1]))
-    thr = (
-        float(np.mean([c.thr for c in bundle.controllers]))
-        if bundle.controllers
-        else 0.0
-    )
+    thr = float(np.mean([c.thr for c in bundle.controllers])) if bundle.controllers else 0.0
     return EpisodeStats(
         episode=episode,
         mean_reward=float(buffer.rewards.mean()),
@@ -454,16 +452,9 @@ def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) ->
     )
 
 
-def train_episode(
-    env,
-    bundle: PolicyBundle,
-    cfg: TrainConfig,
-    opts: _Optimizers,
-    action_rng: np.random.Generator,
-    shuffle_rng: np.random.Generator,
-    env_seed: int,
-    episode: int,
-) -> EpisodeStats:
+def train_episode(env, bundle: PolicyBundle, cfg: TrainConfig, opts: _Optimizers,
+                  action_rng: np.random.Generator, shuffle_rng: np.random.Generator,
+                  env_seed: int, episode: int) -> EpisodeStats:
     buffer = collect_episode(env, bundle, cfg.mode, action_rng, env_seed)
     X = critic_inputs(buffer, bundle.actor.n_actions)
     buffer.qhat = compute_qhat(buffer, bundle, X, cfg.gamma, cfg.lam)
@@ -489,10 +480,7 @@ def train_episode(
                         "policy_losses": p_losses,
                         "qhat_range": [float(buffer.qhat.min()), float(buffer.qhat.max())],
                         "adv_range": [float(buffer.adv.min()), float(buffer.adv.max())],
-                        "reward_range": [
-                            float(buffer.rewards.min()),
-                            float(buffer.rewards.max()),
-                        ],
+                        "reward_range": [float(buffer.rewards.min()), float(buffer.rewards.max())],
                     },
                 )
     return _episode_stats(episode, buffer, bundle)
@@ -514,9 +502,7 @@ def train(
     stats: list[EpisodeStats] = []
     for episode in range(start_episode, start_episode + cfg.episodes):
         env_seed = cfg.seed * 1_000_003 + episode
-        s = train_episode(
-            env, bundle, cfg, opts, action_rng, shuffle_rng, env_seed, episode
-        )
+        s = train_episode(env, bundle, cfg, opts, action_rng, shuffle_rng, env_seed, episode)
         stats.append(s)
         if on_episode is not None:
             on_episode(s)
@@ -575,7 +561,7 @@ def greedy_act_fn(
     if kind == "split":
         if bundle.controllers is None:
             raise ValueError("bundle has no controllers; was it trained in split mode?")
-        controllers = copy.deepcopy(bundle.controllers)
+        controllers = [c.copy() for c in bundle.controllers]
     params = bundle.actor.path_params
 
     def act(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:

@@ -268,14 +268,15 @@ def read_columns(source: Iterable[str], header: list[str], what: str, fields) ->
     `_column`; one array per field, in that order. Each column is parsed whole.
     Only when that fails are the rows read again one by one, so that the
     ParseError names the first bad row (another width, or its first bad field,
-    or a row the csv module cannot read) and its line.
+    or a row the csv module cannot read) and its line: its record number, the
+    header being line 1, so that a record spanning lines counts once.
     """
     reader = csv.reader(source)
     rows, failure = [], None
     try:
         rows.extend(reader)
     except csv.Error as exc:  # raised after the rows before it, as a row-by-row read does
-        failure = ParseError(f"line {reader.line_num}: {exc}")
+        failure = ParseError(f"line {len(rows) + 1}: {exc}")
     first, *rows = rows or [None]
     if first is None and failure:
         raise failure

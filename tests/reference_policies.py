@@ -1,4 +1,5 @@
-"""Per-agent reference of the evaluation action functions, kept as an oracle.
+"""Per-agent reference of the evaluation action functions and of the switch
+controller, kept as oracles.
 
 This is greedy evaluation and the heuristics as they ran one vehicle at a
 time: act(agent, obs (O,), slot) -> (action, active params), with one
@@ -6,18 +7,71 @@ single-observation forward per agent through an unstacked view of the
 stacked actor, and one scalar RNG draw per vehicle for random migration.
 The per-slot action functions of `vtmigsim.policies` must reproduce it bit
 for bit. `per_slot` adapts a reference function to the per-slot contract so
-that both run through `msrl.run_episodes`.
+that both run through `msrl.run_episodes`. `SwitchController` is the entropy
+gate as it counted alternations over a log of its recorded choices.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from vtmigsim.msrl import PolicyBundle
-from vtmigsim.neuralcore import SERVER, DenseNet, SplitActor, entropy_of
+from vtmigsim.neuralcore import CLIENT, SERVER, DenseNet, SplitActor, entropy_of
 from vtmigsim.policies import FULL_MIGRATION, LEARNED_KINDS, RANDOM_MIGRATION, nearby_radius
+
+
+@dataclass
+class SwitchController:
+    """`msrl.SwitchController` with a log of the last `window` recorded choices:
+    the alternations are counted over the last window - 1 of them (the whole
+    log, at window 1) followed by the new choice."""
+
+    thr0: float
+    change: float
+    window: int
+    hold_len: int
+    flutter_limit: int
+    calls: int = field(init=False)
+    server_calls: int = field(init=False)
+    hold_remaining: int = field(init=False)
+    entropy_window: deque = field(init=False)
+    switch_log: deque = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.calls = self.server_calls = self.hold_remaining = 0
+        self.entropy_window = deque(maxlen=self.window)
+        self.switch_log = deque(maxlen=self.window)
+
+    def select(self, latest_entropy: float) -> tuple[str, bool]:
+        if not math.isfinite(latest_entropy):
+            raise ValueError("entropy must be finite")
+        self.entropy_window.append(float(latest_entropy))
+        self.calls += 1
+        if self.hold_remaining > 0:
+            self.hold_remaining -= 1
+            choice, dual = SERVER, True
+        else:
+            mean_entropy = sum(self.entropy_window) / len(self.entropy_window)
+            choice = SERVER if mean_entropy > self.thr else CLIENT
+            dual = False
+            recent = list(self.switch_log)[-(self.window - 1):] + [choice]
+            alternations = sum(1 for a, b in zip(recent, recent[1:]) if a != b)
+            if alternations > self.flutter_limit:
+                self.hold_remaining = self.hold_len
+                choice, dual = SERVER, True
+        self.switch_log.append(choice)
+        if choice == SERVER:
+            self.server_calls += 1
+        return choice, dual
+
+    @property
+    def thr(self) -> float:
+        return self.thr0 + self.server_calls * self.change
 
 
 def agent_net(net: DenseNet, v: int) -> DenseNet:

@@ -121,11 +121,14 @@ def out_lists(net):
 
 
 def _records(reader):
-    """The rows of a csv reader; a row it cannot read is a ParseError naming its line."""
+    """The rows of a csv reader; a row it cannot read is a ParseError naming its
+    line, counted in records, as every other ParseError is."""
+    n = 0
     try:
-        yield from reader
+        for n, row in enumerate(reader, start=1):
+            yield row
     except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+        raise ParseError(f"line {n + 1}: {exc}") from None
 
 
 def csv_rows(source, header, what):

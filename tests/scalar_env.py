@@ -85,6 +85,32 @@ def position_loop(tracks, slots, slot_seconds):
     return out
 
 
+def commit_loop(loads, max_load, serving, requested, cycles_per_bit, xi_local, xi_mig_req,
+                xi_mig_serv):
+    """`PremigrationEnv.commit_work` as the step ran it on every slot: the
+    sequential commit in plain floats, with the remap sizes given up front."""
+    f_v = cycles_per_bit
+    local_cycles = (xi_local * f_v).tolist()
+    req_cycles = (xi_mig_req * f_v).tolist()
+    serv_cycles = (xi_mig_serv * f_v).tolist()
+    max_load = max_load.tolist()
+    pending = loads.tolist()
+    final = requested.tolist()
+    remapped = [False] * len(final)
+    for v, s in enumerate(serving.tolist()):
+        a = final[v]
+        incoming = req_cycles[v]
+        if a != s and pending[a] + incoming > max_load[a]:
+            a = final[v] = s
+            remapped[v] = True
+            incoming = serv_cycles[v]
+        pending[s] += local_cycles[v]
+        pending[a] += incoming
+    remapped = np.array(remapped)
+    return (np.array(pending), np.array(final), remapped,
+            np.where(remapped, xi_mig_serv, xi_mig_req))
+
+
 @dataclass
 class SlotMetrics:
     """Per-vehicle outcome of one slot, in `envsim.SLOT_METRICS` field order."""

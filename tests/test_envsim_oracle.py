@@ -14,12 +14,13 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from helpers import RSU_POSITIONS, make_env
 from reference_roadnet import GeoPoint
-from scalar_env import RsuSpec, ScalarEnv, SlotMetrics, VehicleSpec, env_columns, position_loop
+from scalar_env import (RsuSpec, ScalarEnv, SlotMetrics, VehicleSpec, commit_loop, env_columns,
+                        position_loop)
 
 from vtmigsim.envsim import ChannelParams, EnvConfig, PremigrationEnv
 from vtmigsim.trajgen import Trajectory
@@ -218,3 +219,55 @@ def test_position_matches_the_per_vehicle_loop(trajs, slot_seconds, slots):
     got = PremigrationEnv.position(env, slots)
     want = position_loop(trajs, slots, slot_seconds)
     assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+
+
+def bits_of(*arrays):
+    return [a.dtype.str + a.tobytes().hex() for a in arrays]
+
+
+@st.composite
+def commits(draw):
+    """One slot's commit inputs with loads near every RSU's max_load, so that
+    some slots stay within every cap and others pass one. A cap may sit exactly
+    on its RSU's final load with the requested targets, or one ulp below it;
+    now and then a vehicle's cycles per bit are inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rsu, n_veh = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    max_load = rng.uniform(1e8, 1e10, n_rsu)
+    loads = max_load * rng.choice([0.0, 0.5, rng.uniform(0.8, 1.0)], n_rsu)
+    share = draw(st.sampled_from([1e-4, 0.02, 0.1, 0.5])) / n_veh
+    f_v = rng.choice([0.0, 1.0, rng.uniform(10.0, 1e3)], n_veh)
+    if draw(st.integers(0, 9)) == 0:  # inf cycles, NaN where no bits: past or outside every cap
+        f_v[rng.integers(n_veh)] = np.inf
+    xi = [np.where(rng.random(n_veh) < 0.2, 0.0, rng.uniform(0.0, share, n_veh)) * max_load.max()
+          / np.maximum(f_v, 1.0) for _ in range(3)]
+    serving, requested = rng.integers(0, n_rsu, (2, n_veh))
+    if draw(st.booleans()):
+        requested = np.where(rng.random(n_veh) < 0.5, serving, requested)
+    edge = draw(st.sampled_from(["none", "equal", "below"]))
+    if edge != "none":
+        with np.errstate(invalid="ignore"):
+            pending = commit_loop(loads, np.full(n_rsu, np.inf), serving, requested, f_v, *xi)[0]
+        e = rng.integers(n_rsu)
+        if np.isfinite(pending[e]):
+            max_load[e] = pending[e] if edge == "equal" else math.nextafter(pending[e], -math.inf)
+    return loads, max_load, serving, requested, f_v, *xi
+
+
+@settings(max_examples=400, deadline=None)
+@given(commits())
+def test_commit_work_matches_the_sequential_loop(commit):
+    """Loads, final targets, remap flags and migrated bits, bit for bit; the
+    remap sizes are asked for only when some RSU does not end within its
+    max_load with the requested targets."""
+    *args, xi_mig_serv = commit
+    loads, max_load, serving, requested = (a.copy() for a in args[:4])
+    asked = []
+    with np.errstate(invalid="ignore"):  # 0 bits at inf cycles per bit
+        got = PremigrationEnv.commit_work(*args, lambda: asked.append(1) or xi_mig_serv)
+        want = commit_loop(*args, xi_mig_serv)
+        uncapped = commit_loop(loads, np.full(len(loads), np.inf), *args[2:], xi_mig_serv)[0]
+    assert bits_of(*got) == bits_of(*want)
+    assert len(asked) == (not (uncapped <= max_load).all())
+    event("loop" if asked else "vector")
+    assert bits_of(loads, max_load, serving, requested) == bits_of(*args[:4])  # no input written

@@ -168,7 +168,8 @@ def episode_env(n_veh=4, horizon=12):
 
 def controller_state(bundle):
     return [
-        (c.thr, c.calls, c.server_calls, c.hold_remaining, list(c.entropy_window), list(c.switch_log))
+        (c.thr, c.calls, c.server_calls, c.hold_remaining, list(c.entropy_window), c.last,
+         list(c.flags))
         for c in bundle.controllers or []
     ]
 

@@ -115,6 +115,40 @@ def test_per_slot_act_matches_per_agent_reference(tmp_path, monkeypatch, scenari
         assert any(duals)
 
 
+def controller_state(c):
+    return c.calls, c.server_calls, c.hold_remaining, list(c.entropy_window), c.last, list(c.flags)
+
+
+def test_split_evaluation_runs_on_independent_copies_of_the_controllers():
+    env = corner_env()
+    cfg = msrl.TrainConfig(seed=4, mode="split", thr0=1.32, change=1e-4, window=3, hold=2,
+                           flutter_limit=1)
+    bundle = msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
+    bundle.actor.client_head.biases[0][...] = np.random.default_rng(5).normal(
+        scale=0.3, size=(env.V, env.E))
+    for entropy in (1.4, 1.2, 1.4, 1.2, 1.2):  # a flutter hold and its end
+        for c in bundle.controllers:
+            c.select(entropy)
+    before = [controller_state(c) for c in bundle.controllers]
+    first, second = msrl.greedy_act_fn(bundle, SPLIT), msrl.greedy_act_fn(bundle, SPLIT)
+    got = run_recorded(env, first, 2, 100)
+    assert [controller_state(c) for c in bundle.controllers] == before
+    # The second function's copies start where the bundle's controllers stand,
+    # whatever the first function's copies did.
+    want = run_recorded(env, second, 2, 100)
+    assert got[0] == want[0]
+    assert [(a.tolist(), p.tolist()) for a, p in got[1]] == [
+        (a.tolist(), p.tolist()) for a, p in want[1]]
+    assert len({p for _, params in got[1] for p in params.tolist()}) == 2  # both paths ran
+
+    c = bundle.controllers[0]
+    twin = c.copy()
+    assert vars(twin) == vars(c)
+    assert twin.entropy_window is not c.entropy_window and twin.flags is not c.flags
+    twin.select(5.0)
+    assert controller_state(c) == before[0] != controller_state(twin)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from reference_roadnet import GeoPoint, adjacency, arc_table
+from reference_roadnet import GeoPoint, adjacency, arc_table, read_fields
 from vtmigsim.roadnet import (
     NoEdgesError,
     ParseError,
@@ -12,6 +13,7 @@ from vtmigsim.roadnet import (
     ValidationError,
     load_network,
     map_match,
+    read_columns,
     shortest_path,
 )
 from vtmigsim.trajgen import read_trajectories_csv
@@ -163,6 +165,20 @@ def test_csv_parse_error_text(name):
     with pytest.raises(ParseError) as got:
         load_network(lines, edges) if edges is not None else read_trajectories_csv(lines)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("read", [read_columns, read_fields])
+def test_a_record_spanning_lines_counts_once(read):
+    """A quoted field that spans two lines makes one record, so the fourth
+    physical line below is line 3, whether it is short or cannot be read."""
+    head = ["a,b\n", '1,"2\n', '"\n']
+    limit = csv.field_size_limit()
+    for row, message in (("x\n", "line 3: expected 2 t fields, got 1"),
+                         ("1," + "1" * (limit + 1) + "\n",
+                          f"line 3: field larger than field limit ({limit})")):
+        with pytest.raises(ParseError) as got:
+            read(head + [row], ["a", "b"], "t", [(0, float, "a"), (1, float, "b")])
+        assert str(got.value) == message
 
 
 def test_csv_accepts_spaced_headers_quotes_and_empty_lengths():
