@@ -130,6 +130,8 @@ class PremigrationEnv:
     trailing x/y axis), `serving` (nearest RSU), `t_up` (uplink request
     latency) and `t_down_serving` (downlink result latency from the serving
     RSU). `step` reads them and evaluates only what depends on the actions.
+    The episode state is `t`, `loads`, `prev_action`, `latency_scale` and the
+    RNG; last slot's serving RSU and task sizes are read from the tables.
     The channel helpers and `transmission_latencies` broadcast their
     arguments, one link per element. Their hypot, pow, log2 and the error
     rate's exp apply Python's scalar `math` kernels element-wise, because
@@ -373,9 +375,6 @@ class PremigrationEnv:
         self.t = 0
         self.loads = np.full(self.E, min(self.cfg.init_load, float(self.max_load.min())), dtype=float)
         self.prev_action = np.full(self.V, -1, dtype=int)
-        self.prev_serving = np.full(self.V, -1, dtype=int)
-        self.prev_local_bits = np.zeros(self.V)
-        self.prev_mig_bits = np.zeros(self.V)
         self.latency_scale = 1.0
         if self.cfg.warmup_slots > 0:
             self.latency_scale = self._calibrate_latency_scale(seed)
@@ -431,12 +430,13 @@ class PremigrationEnv:
         serving = self.serving[t]
         d_task = self.task_bits[t]
         # Rendering sizes for the requested target and for a remap to the
-        # serving RSU; the local share does not depend on the target. At
-        # slot 0 the previous choices are -1, so nothing is reused.
-        same_serving = serving == self.prev_serving
+        # serving RSU; the local share does not depend on the target. Last
+        # slot's serving RSU and shares come from the tables; slot 0 reuses none.
+        last = self.task_bits[t - 1]
+        same_serving = serving == self.serving[t - 1] if t else np.zeros(self.V, dtype=bool)
         sizes = partial(self.rendering_sizes, d_task, cfg.alpha, cfg.mu, same_serving,
-                        prev_local_bits=self.prev_local_bits, prev_mig_bits=self.prev_mig_bits)
-        xi_local, xi_mig_req, d_local = sizes(requested == self.prev_action)
+                        prev_local_bits=last - cfg.alpha * last, prev_mig_bits=cfg.alpha * last)
+        xi_local, xi_mig_req, _ = sizes(requested == self.prev_action)
         pending, final_action, remapped, xi_mig = self.commit_work(
             self.loads, self.max_load, serving, requested, self.cycles_per_bit, xi_local,
             xi_mig_req, lambda: sizes(serving == self.prev_action)[1],
@@ -483,9 +483,6 @@ class PremigrationEnv:
         self.loads = np.minimum(drained, self.max_load)
 
         self.prev_action = final_action
-        self.prev_serving = serving
-        self.prev_local_bits = d_local
-        self.prev_mig_bits = mig_bits
         self.t = t + 1
         done = self.t >= cfg.horizon
         observations = self._observations((final_action, err, stability, contention, t_total))

@@ -179,7 +179,7 @@ def build_profile(segments: Sequence[Trajectory], cfg: GenConfig) -> MobilityPro
     all_speeds, speeds = _by_hour(v[moving], hour[a][moving])
     if all_speeds.size == 0:
         raise ValueError("no positive-speed legs in any segment")
-    speed_bins = [bucket if bucket.size else all_speeds.copy() for bucket in speeds]
+    speed_bins = [bucket if bucket.size else all_speeds for bucket in speeds]
 
     kdes = []
     for ends in (first, last):

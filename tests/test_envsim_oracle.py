@@ -9,12 +9,13 @@ byte and every other output with `==`: the two implementations do the same
 operations on the same doubles.
 """
 
+import copy
 import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from helpers import RSU_POSITIONS, make_env
@@ -145,6 +146,37 @@ def test_step_matches_scalar_reference(scenario, seed, crowd):
         assert np.array_equal(env.loads, ref.loads)
         assert_invariants(env, result)
         done = result.done
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios(), seed=st.integers(0, 2**16), split=st.integers(0, 2**16))
+def test_episode_state_is_t_loads_prev_action_scale_and_rng(scenario, seed, split):
+    """A fresh env of the same columns, reset under another seed and then given
+    only `t`, `loads`, `prev_action`, `latency_scale` and a copy of the
+    generator, finishes the episode with the bytes of the env it came from. At
+    the first slot it takes over, every vehicle keeps its target and some
+    vehicle keeps its serving RSU with mu > 0, so last slot's shares are reused."""
+    _, _, _, cfg = scenario
+    assume(cfg.horizon > 1 and cfg.mu > 0)
+    t = 1 + split % (cfg.horizon - 1)
+    columns = env_columns(*scenario)
+    env = PremigrationEnv(**columns)
+    assume(((env.serving[t] == env.serving[t - 1]) & (env.task_bits[t - 1] > 0)).any())
+    env.reset(seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(t):
+        env.step(rng.integers(0, env.E, size=env.V))
+    fresh = PremigrationEnv(**columns)
+    fresh.reset(seed + 1)
+    fresh.t, fresh.loads, fresh.prev_action = env.t, env.loads.copy(), env.prev_action.copy()
+    fresh.latency_scale, fresh._rng = env.latency_scale, copy.deepcopy(env._rng)
+    actions = env.prev_action
+    for _ in range(t, cfg.horizon):
+        got, want = fresh.step(actions), env.step(actions)
+        assert got.metrics.tobytes() == want.metrics.tobytes()
+        assert got.observations.tobytes() == want.observations.tobytes()
+        assert got.done == want.done
+        actions = rng.integers(0, env.E, size=env.V)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

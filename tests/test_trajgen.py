@@ -180,9 +180,10 @@ def test_profile_histogram_normalized():
 def test_profile_fallback_hours_use_all_day_models():
     seg = traj([(8 * 3600, 0, 0), (8 * 3600 + 10, 100, 0)])
     profile = build_profile([seg], CFG)
-    # hour 3 saw no endpoints: falls back to the all-day model
-    assert profile.entry_kde[3] is profile.entry_kde[3]
+    # hours 0 and 3 saw no endpoints or legs: both share the all-day model and pool
+    assert profile.entry_kde[3] is profile.entry_kde[0]
     assert len(profile.entry_kde[3].samples) == 1
+    assert profile.speed_bins[3] is profile.speed_bins[0]
     assert profile.speed_bins[3].tolist() == [10.0]
 
 
