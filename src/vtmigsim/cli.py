@@ -116,16 +116,17 @@ def _build_env(
     scenario: dict[str, str], kind: str, train_kv: dict[str, str],
     sweep: Optional[tuple[str, str]] = None,
 ) -> envsim.PremigrationEnv:
-    """The env of `kind`'s episodes; `train.reward_mode` overrides `env.reward_mode`.
+    """The env of `kind`'s episodes: the scenario as written, checked by `build_env`,
+    then `policies.env_overrides(kind)` and `train.reward_mode` in place of `env.reward_mode`.
 
     `sweep` = (key, value) goes through `envsim.apply_sweep`. A swept key that `build_env`
     does not read is a config error."""
     cfg = ReadLog(scenario if sweep is None else envsim.apply_sweep(scenario, *sweep))
+    overrides = policies.env_overrides(kind)
     if "train.reward_mode" in train_kv:
-        cfg["env.reward_mode"] = check("train.reward_mode", train_kv["train.reward_mode"],
-                                       envsim.REWARD_MODES)
-    cfg.update(policies.env_overrides(kind))
-    env = envsim.build_env(cfg)
+        overrides["reward_mode"] = check("train.reward_mode", train_kv["train.reward_mode"],
+                                         envsim.REWARD_MODES)
+    env = envsim.build_env(cfg, **overrides)
     if sweep is not None and sweep[0] not in cfg.read:
         raise ConfigError(f"--sweep-param {sweep[0]!r} is not a scenario key that the env reads")
     return env
@@ -373,9 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except msrl.TrainAbort as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -332,26 +332,18 @@ class PremigrationEnv:
                 np.where(remapped, xi_mig_serv, xi_mig_req))
 
     @staticmethod
-    def rendering_sizes(
-        d_task,
-        alpha: float,
-        mu: float,
-        same_serving,
-        same_target,
-        prev_local_bits,
-        prev_mig_bits,
-    ):
-        """Rendering bit volumes (local share, migrated share, remaining D_L).
+    def rendering_sizes(d_local, d_mig, mu: float, same_serving, same_target, prev_local_bits,
+                        prev_mig_bits):
+        """Rendering bit volumes (local share, migrated share) of a task split
+        into `d_local` bits kept at the serving RSU and `d_mig` pre-migrated.
 
         A stable serving RSU reuses mu of last slot's local share; a stable
         pre-migration target reuses mu of last slot's migrated share. Sizes
         clamp at zero. Scalars or per-vehicle arrays.
         """
-        d_mig = alpha * d_task
-        d_local = d_task - d_mig
         xi_local = d_local - np.where(same_serving, mu * prev_local_bits, 0.0)
         xi_mig = d_mig - np.where(same_target, mu * prev_mig_bits, 0.0)
-        return np.maximum(0.0, xi_local), np.maximum(0.0, xi_mig), d_local
+        return np.maximum(0.0, xi_local), np.maximum(0.0, xi_mig)
 
     def processing_latencies(self, v, serving, target, xi_local, xi_mig, t_mig, loads):
         """(serving-side, target-side, combined parallel) processing latency."""
@@ -429,14 +421,16 @@ class PremigrationEnv:
         cfg = self.cfg
         serving = self.serving[t]
         d_task = self.task_bits[t]
+        mig_bits = cfg.alpha * d_task
         # Rendering sizes for the requested target and for a remap to the
         # serving RSU; the local share does not depend on the target. Last
         # slot's serving RSU and shares come from the tables; slot 0 reuses none.
         last = self.task_bits[t - 1]
+        last_mig = cfg.alpha * last
         same_serving = serving == self.serving[t - 1] if t else np.zeros(self.V, dtype=bool)
-        sizes = partial(self.rendering_sizes, d_task, cfg.alpha, cfg.mu, same_serving,
-                        prev_local_bits=last - cfg.alpha * last, prev_mig_bits=cfg.alpha * last)
-        xi_local, xi_mig_req, _ = sizes(requested == self.prev_action)
+        sizes = partial(self.rendering_sizes, d_task - mig_bits, mig_bits, cfg.mu, same_serving,
+                        prev_local_bits=last - last_mig, prev_mig_bits=last_mig)
+        xi_local, xi_mig_req = sizes(requested == self.prev_action)
         pending, final_action, remapped, xi_mig = self.commit_work(
             self.loads, self.max_load, serving, requested, self.cycles_per_bit, xi_local,
             xi_mig_req, lambda: sizes(serving == self.prev_action)[1],
@@ -446,7 +440,6 @@ class PremigrationEnv:
         # Contention: vehicles sharing a pre-migration target this slot.
         # shared[w, v] marks w as a co-targeter of v; the column sums run in
         # vehicle order.
-        mig_bits = cfg.alpha * d_task
         shared = final_action[:, None] == final_action
         np.fill_diagonal(shared, False)
         contention = shared.any(axis=0).astype(float)
@@ -455,7 +448,8 @@ class PremigrationEnv:
         every = np.arange(self.V)
         moved = np.flatnonzero(final_action != serving)
         t_down = self.t_down_serving[t].copy()
-        t_down[moved] += self.transmission_latencies(t, moved, final_action[moved])[1]
+        if len(moved):
+            t_down[moved] += self.transmission_latencies(t, moved, final_action[moved])[1]
         t_mig = self.migration_latency(every, t, serving, final_action)
         t_proc_s, t_proc_t, t_proc = self.processing_latencies(
             every, serving, final_action, xi_local, xi_mig, t_mig, self.loads
@@ -541,12 +535,14 @@ def apply_sweep(scenario: dict[str, str], param: str, value: str) -> dict[str, s
     return out
 
 
-def build_env(cfg: dict[str, str]) -> PremigrationEnv:
+def build_env(cfg: dict[str, str], **overrides) -> PremigrationEnv:
     """Assemble an environment from a flat scenario config.
 
     Reads the RSU keys (backhaul pairs, positions, `UNIT_KEYS["rsu"]`), then the
     CSV named by `veh.traj_csv` (vehicle i takes its i-th trajectory in file
-    order, cycling when fewer are available), then `UNIT_KEYS["veh"]`.
+    order, cycling when fewer are available), then `UNIT_KEYS["veh"]`, then the
+    `EnvConfig` keys. `overrides` replace `EnvConfig` fields only after the
+    scenario's values passed their checks, so no override hides a bad value.
     """
     n_rsu = check("rsu.count", get_int(cfg, "rsu.count"), ">= 1")
     n_veh = check("veh.count", get_int(cfg, "veh.count"), ">= 1")
@@ -570,7 +566,7 @@ def build_env(cfg: dict[str, str]) -> PremigrationEnv:
     tracks = [trajectories[i % len(trajectories)] for i in range(n_veh)]
 
     channel = read_config(ChannelParams, cfg, "channel")
-    env_cfg = read_config(EnvConfig, cfg, "env")
+    env_cfg = replace(read_config(EnvConfig, cfg, "env"), **overrides)
     return PremigrationEnv(
         rsu_xy=rsu_xy, **rsu, backhaul=backhaul, tx_power=veh["power"],
         cycles_per_bit=veh["cycles_per_bit"], request_bits=veh["request_bits"],

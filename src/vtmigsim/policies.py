@@ -31,10 +31,14 @@ LEARNED_KINDS = {SPLIT: "split", LOCAL_EDGE: "server", LOCAL: "client"}
 FULL_MIGRATION_ALPHA = 0.99
 
 
-def env_overrides(kind: str) -> dict[str, str]:
-    """Scenario-config overrides a policy requires for its episodes."""
+def env_overrides(kind: str) -> dict[str, object]:
+    """`EnvConfig` field values that a policy's episodes use instead of the
+    scenario's, which `envsim.build_env` has checked first. The heuristics read
+    no observation, so they skip the warm-up that sets the latency scale."""
     if kind == FULL_MIGRATION:
-        return {"env.alpha": str(FULL_MIGRATION_ALPHA)}
+        return {"warmup_slots": 0, "alpha": FULL_MIGRATION_ALPHA}
+    if kind == RANDOM_MIGRATION:
+        return {"warmup_slots": 0}
     return {}
 
 

@@ -179,6 +179,112 @@ def test_compare_reads_the_checkpoint_once(tmp_path, monkeypatch):
     assert loads == [ckpt]
 
 
+def _run_argv(command, scenario, kind, out):
+    """`eval` or `compare` of one policy kind for two episodes, without a checkpoint."""
+    argv = {
+        "eval": ["eval", "--policy", kind, "--episodes", "2"],
+        "compare": ["compare", "--policy", kind, "--episodes", "2",
+                    "--sweep-param", "rsu.max_load", "--sweep-values", "3e10,5e10"],
+    }[command]
+    return argv + ["--scenario", scenario, "--out", str(out)]
+
+
+def _edited_scenario(tmp_path, add=(), drop=None):
+    """`write_cli_scenario`'s scenario without the line that sets key `drop`, and
+    with the lines `add` appended (a later line sets a key again)."""
+    path = Path(write_cli_scenario(tmp_path))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(x for x in lines if x.split(" = ")[0] != drop)
+                    + "".join(line + "\n" for line in add), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("kind", ["split", "local_edge", "local", "full_migration",
+                                  "random_migration"])
+@pytest.mark.parametrize("line, message", [
+    ("env.alpha = 5", "key 'env.alpha' must be in [0, 1), got 5.0"),
+    ("env.warmup_slots = -3", "key 'env.warmup_slots' must be >= 0, got -3"),
+], ids=["alpha_5", "warmup_slots_negative"])
+def test_a_policy_override_never_hides_an_invalid_value(tmp_path, capsys, command, kind, line,
+                                                         message):
+    """full_migration replaces env.alpha, and the heuristics env.warmup_slots, only
+    after the scenario's own values passed their checks."""
+    out = tmp_path / "out"
+    assert cli.main(_run_argv(command, _edited_scenario(tmp_path, [line]), kind, out)) == (
+        cli.EXIT_CONFIG)
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("kind", ["full_migration", "random_migration"])
+def test_heuristic_outputs_do_not_depend_on_the_warmup(tmp_path, command, kind):
+    """The heuristics read no observation, so the latency scale that the warm-up
+    sets cannot reach their outputs."""
+    outputs = []
+    for slots in (0, 4):
+        out = tmp_path / f"w{slots}"
+        scenario = _edited_scenario(tmp_path, [f"env.warmup_slots = {slots}"])
+        assert cli.main(_run_argv(command, scenario, kind, out)) == cli.EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_only_learned_kinds_calibrate_the_latency_scale(tmp_path, monkeypatch):
+    scenario = write_cli_scenario(tmp_path)  # env.warmup_slots = 4
+    calls = []
+    calibrate = envsim.PremigrationEnv._calibrate_latency_scale
+    monkeypatch.setattr(envsim.PremigrationEnv, "_calibrate_latency_scale",
+                        lambda env, seed: calls.append(seed) or calibrate(env, seed))
+    for command in ("eval", "compare"):
+        for kind in ("full_migration", "random_migration"):
+            argv = _run_argv(command, scenario, kind, tmp_path / f"{command}_{kind}")
+            assert cli.main(argv) == cli.EXIT_OK
+    assert calls == []
+    # One calibration per episode: 2 in eval, 2 per sweep value in compare.
+    assert cli.main(_run_argv("eval", scenario, "split", tmp_path / "e")) == cli.EXIT_OK
+    assert calls == [0, 1]
+    calls.clear()
+    assert cli.main(_run_argv("compare", scenario, "split", tmp_path / "c")) == cli.EXIT_OK
+    assert calls == [0, 1, 1000, 1001]
+
+
+_SWEEP = ["--sweep-param", "rsu.max_load", "--sweep-values"]
+
+
+@pytest.mark.parametrize("argv, add, drop, message", [
+    (["compare", "--policy", "split,nearest", *_SWEEP, "5e10"], [], None,
+     "unknown policy kind 'nearest'"),
+    (["compare", *_SWEEP, " , "], [], None, "empty sweep value list"),
+    (["train", "--policy", "full_migration"], [], None,
+     "cannot train policy kind 'full_migration'"),
+    (["trajgen"], [], None, "input produced no usable segments"),
+    (["train"], ["veh.traj_csv = {tmp}/empty.csv"], None,
+     "no trajectories available for vehicles"),
+    (["train"], [], "rsu.compute", "missing required key 'rsu.compute'"),
+    (["train"], [], "rsu.count", "missing required key 'rsu.count'"),
+    (["train"], ["rsu.compute = lots"], None, "key 'rsu.compute': cannot parse float from 'lots'"),
+    (["train"], ["veh.count = three"], None, "key 'veh.count': cannot parse int from 'three'"),
+], ids=["compare_unknown_kind", "compare_empty_sweep", "train_heuristic", "trajgen_no_segments",
+        "no_trajectories", "float_missing", "int_missing", "float_unparsable", "int_unparsable"])
+def test_config_error_exits_2_with_its_message_before_output(tmp_path, capsys, argv, add, drop,
+                                                             message):
+    (tmp_path / "empty.csv").write_text("vehicle_id,t,x,y\n", encoding="utf-8")
+    points = tmp_path / "points.csv"  # two one-point tracks: no segment of two points
+    points.write_text("vehicle_id,t,x,y\n0,0,0,0\n1,5,200,0\n", encoding="utf-8")
+    if argv == ["trajgen"]:
+        argv = argv + ["--gen-cfg",
+                       _write_gen_cfg(tmp_path, f"gen.synthetic = 0\ngen.input = {points}\n")]
+    else:
+        add = [line.format(tmp=tmp_path) for line in add]
+        argv = argv + ["--scenario", _edited_scenario(tmp_path, add, drop), "--episodes", "1"]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("meta/episode 0 0\n", "checkpoint tensor meta/episode has shape (0, 0), expected (1, 1)"),
     ("x/W0 1 1\n0\n", "checkpoint has no tensor meta/episode"),
@@ -244,6 +350,8 @@ def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message)
      "env.background_mean / env.background_unit must be <= 9.223372006484771e+18, got 2e+21"),
     ("", "train.reward_mode = latncy\n",
      "key 'train.reward_mode' must be one of ('latency', 'qoe'), got 'latncy'"),
+    ("env.reward_mode = latncy", "train.reward_mode = qoe\n",
+     "key 'env.reward_mode' must be one of ('latency', 'qoe'), got 'latncy'"),
     ("rsu.count = 0", "", "key 'rsu.count' must be >= 1, got 0"),
     ("veh.count = -1", "", "key 'veh.count' must be >= 1, got -1"),
 ], ids=["lambda1_nan", "lr_nan", "thr0_minus_inf", "window_0", "lr_negative", "hold_negative",
@@ -256,6 +364,7 @@ def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message)
         "carrier_negative", "light_speed_0", "slot_seconds_negative", "slot_seconds_0",
         "warmup_slots_negative", "backhaul_default_0", "one_backhaul_negative",
         "rsu_out_of_reach", "background_beyond_poisson_limit", "train_reward_mode_unknown",
+        "env_reward_mode_unknown_under_train_reward_mode",
         "rsu_count_0", "veh_count_negative"])
 def test_invalid_setting_exits_2_before_training(tmp_path, capsys, scenario_line, train_text,
                                                  message):

@@ -124,26 +124,26 @@ def test_migration_self_is_free():
 # --- rendering sizes ---
 
 def test_rendering_reuse_case():
-    xi_local, _, d_local = PremigrationEnv.rendering_sizes(
-        d_task=10e6, alpha=0.4, mu=0.5,
+    xi_local, xi_mig = PremigrationEnv.rendering_sizes(
+        d_local=6e6, d_mig=4e6, mu=0.5,
         same_serving=True, same_target=False,
-        prev_local_bits=6e6, prev_mig_bits=0.0,
+        prev_local_bits=6e6, prev_mig_bits=2e6,
     )
-    assert d_local == pytest.approx(6e6)
     assert xi_local == pytest.approx(3e6)
+    assert xi_mig == pytest.approx(4e6)
 
 
 def test_rendering_no_reuse_on_serving_change():
-    xi_local, _, d_local = PremigrationEnv.rendering_sizes(
-        10e6, 0.4, 0.5, same_serving=False, same_target=False,
+    xi_local, _ = PremigrationEnv.rendering_sizes(
+        6e6, 4e6, 0.5, same_serving=False, same_target=False,
         prev_local_bits=6e6, prev_mig_bits=0.0,
     )
-    assert xi_local == d_local == pytest.approx(6e6)
+    assert xi_local == pytest.approx(6e6)
 
 
 def test_rendering_clamped_nonnegative():
-    xi_local, xi_mig, _ = PremigrationEnv.rendering_sizes(
-        1e6, 0.5, 1.0, True, True, prev_local_bits=1e7, prev_mig_bits=1e7
+    xi_local, xi_mig = PremigrationEnv.rendering_sizes(
+        0.5e6, 0.5e6, 1.0, True, True, prev_local_bits=1e7, prev_mig_bits=1e7
     )
     assert xi_local == 0.0 and xi_mig == 0.0
 
