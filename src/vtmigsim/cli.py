@@ -239,9 +239,11 @@ def _load_bundle_for(
 
 
 def cmd_eval(args) -> int:
+    kind = args.policy
+    if kind not in policies.KINDS:
+        raise ConfigError(f"unknown policy kind {kind!r}")
     scenario = load_kv(args.scenario)
     train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
-    kind = args.policy
     env = _build_env(scenario, kind, train_kv)
     bundle = _load_bundle_for(kind, args, train_kv, env, _read_checkpoint(args, [kind]))
     rng = np.random.default_rng([args.seed, 11])

@@ -3,12 +3,18 @@
 Provides the split policy network (a small client-side stack and a larger
 server-side stack, each with its own action head), a centralized action-value
 network, reverse-mode gradients for each forward path, an adaptive-moment
-optimizer, and a plain-text checkpoint format.
+optimizer, and a plain-text checkpoint format. A checkpoint's first load
+caches its parse in a binary sidecar next to it, which later loads return
+once it matches the text's SHA-256.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
+import os
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -289,8 +295,16 @@ class Adam:
 # --- checkpoint format ---
 # Line 1: "MSRL-CKPT v1". Then per tensor: "name rows cols" followed by `rows`
 # lines of `cols` decimal floats. %.17g preserves float64 exactly.
+#
+# `load_checkpoint` caches its parse in a binary sidecar, `<path>.f8`, keyed
+# by the SHA-256 of the text like a checked-hash .pyc (PEP 552). Line 1:
+# "MSRL-CKPT-F8 v1". Line 2: the text's SHA-256 and the body's, in hex. The
+# body: one line "name rows cols" per tensor, an empty line, then every
+# tensor's values as little-endian float64, in that order.
 
 CKPT_MAGIC = "MSRL-CKPT v1"
+_SIDECAR_SUFFIX = ".f8"
+_SIDECAR_MAGIC = b"MSRL-CKPT-F8 v1\n"
 
 
 def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -306,29 +320,99 @@ def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> Non
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """The tensors of checkpoint `path`; a malformed file is a ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        out: dict[str, np.ndarray] = {}
-        line = 1  # the number of the last line read
-        while header := fh.readline():
-            line += 1
-            if not header.strip():
-                continue
-            r = -1  # the row being read; -1 while reading the header
+    """The tensors of checkpoint `path`; a malformed file is a ValueError naming it.
+
+    A load returns the values of the sidecar `<path>.f8` when it was made from
+    a text of the same SHA-256 and its own digest holds. Otherwise it parses
+    the text and then writes the sidecar, ignoring an OSError on that write.
+    A text that cannot be read twice, from a pipe say, is parsed with no sidecar."""
+    with open(path, "rb") as fh:
+        text = hashlib.sha256() if fh.seekable() else None
+        if text:
+            while block := fh.read(1 << 20):
+                text.update(block)
+            sidecar = os.fsdecode(path) + _SIDECAR_SUFFIX
             try:
-                name, rows_s, cols_s = header.split()
-                data = np.empty((int(rows_s), int(cols_s)))
-                rows, cols = data.shape
-                for r in range(rows):
-                    fields = fh.readline().split()
-                    if len(fields) != cols:
-                        raise ValueError(f"tensor {name}: row {r} has {len(fields)} values, wanted {cols}")
-                    data[r] = fields  # numpy parses each decimal string as float() does
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line + r + 1}: {exc}") from None
-            line += rows
-            out[name] = data
+                return _read_sidecar(sidecar, text.hexdigest())
+            except (OSError, ValueError):
+                fh.seek(0)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text_fh:
+            out = _parse_checkpoint(path, text_fh)
+    if text:
+        _write_sidecar(sidecar, text.hexdigest(), out)
     return out
+
+
+def _parse_checkpoint(path: str, fh) -> dict[str, np.ndarray]:
+    magic = fh.readline().rstrip("\n")
+    if magic != CKPT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    out: dict[str, np.ndarray] = {}
+    line = 1  # the number of the last line read
+    while header := fh.readline():
+        line += 1
+        if not header.strip():
+            continue
+        r = -1  # the row being read; -1 while reading the header
+        try:
+            name, rows_s, cols_s = header.split()
+            data = np.empty((int(rows_s), int(cols_s)))
+            rows, cols = data.shape
+            for r in range(rows):
+                fields = fh.readline().split()
+                if len(fields) != cols:
+                    raise ValueError(f"tensor {name}: row {r} has {len(fields)} values, wanted {cols}")
+                data[r] = fields  # numpy parses each decimal string as float() does
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line + r + 1}: {exc}") from None
+        line += rows
+        out[name] = data
+    return out
+
+
+def _read_sidecar(path: str, text_digest: str) -> dict[str, np.ndarray]:
+    """The tensors that sidecar `path` holds, as views of one array; a ValueError
+    unless it was made from the text of SHA-256 `text_digest` and is whole."""
+    with open(path, "rb") as fh:
+        if fh.readline(64) != _SIDECAR_MAGIC:
+            raise ValueError("not a checkpoint sidecar")
+        keyed, body_digest = fh.readline(256).decode().split()
+        if keyed != text_digest:
+            raise ValueError("sidecar of another text")
+        body = hashlib.sha256()
+        shapes: dict[str, tuple[int, int]] = {}
+        while (entry := fh.readline(4096)) != b"\n":
+            body.update(entry)
+            name, rows, cols = entry.decode().split()
+            shapes[name] = (int(rows), int(cols))
+        body.update(entry)
+        sizes = [rows * cols for rows, cols in shapes.values()]
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * sum(sizes):
+            raise ValueError("payload size differs from the index")
+        payload = np.fromfile(fh, "<f8")
+    body.update(memoryview(payload))
+    if body.hexdigest() != body_digest:
+        raise ValueError("sidecar digest mismatch")
+    ends = np.cumsum([0, *sizes]).tolist()
+    return {name: payload[a:b].reshape(shape)
+            for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
+
+
+def _write_sidecar(path: str, text_digest: str, tensors: dict[str, np.ndarray]) -> None:
+    """Write the sidecar of `tensors`, parsed from a text of SHA-256 `text_digest`,
+    through a per-process temporary file; an OSError leaves no sidecar."""
+    values = [np.ascontiguousarray(a, dtype="<f8") for a in tensors.values()]
+    index = "".join(f"{name} {a.shape[0]} {a.shape[1]}\n" for name, a in tensors.items())
+    body = hashlib.sha256(index.encode() + b"\n")
+    for a in values:
+        body.update(memoryview(a))
+    tmp = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_SIDECAR_MAGIC + f"{text_digest} {body.hexdigest()}\n{index}\n".encode())
+            for a in values:
+                a.tofile(fh)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)

@@ -256,6 +256,8 @@ _SWEEP = ["--sweep-param", "rsu.max_load", "--sweep-values"]
 @pytest.mark.parametrize("argv, add, drop, message", [
     (["compare", "--policy", "split,nearest", *_SWEEP, "5e10"], [], None,
      "unknown policy kind 'nearest'"),
+    # The kind is checked before the scenario is read, so its bad alpha does not hide it.
+    (["eval", "--policy", "nearest"], ["env.alpha = 5"], None, "unknown policy kind 'nearest'"),
     (["compare", *_SWEEP, " , "], [], None, "empty sweep value list"),
     (["train", "--policy", "full_migration"], [], None,
      "cannot train policy kind 'full_migration'"),
@@ -266,10 +268,15 @@ _SWEEP = ["--sweep-param", "rsu.max_load", "--sweep-values"]
     (["train"], [], "rsu.count", "missing required key 'rsu.count'"),
     (["train"], ["rsu.compute = lots"], None, "key 'rsu.compute': cannot parse float from 'lots'"),
     (["train"], ["veh.count = three"], None, "key 'veh.count': cannot parse int from 'three'"),
-], ids=["compare_unknown_kind", "compare_empty_sweep", "train_heuristic", "trajgen_no_segments",
-        "no_trajectories", "float_missing", "int_missing", "float_unparsable", "int_unparsable"])
+    (["train"], ["rsu.compute 1e10"], None,
+     "line {last}: expected 'key = value', got 'rsu.compute 1e10'"),
+    (["train"], [" = 1e10"], None, "line {last}: empty key"),
+], ids=["compare_unknown_kind", "eval_unknown_kind", "compare_empty_sweep", "train_heuristic", "trajgen_no_segments",
+        "no_trajectories", "float_missing", "int_missing", "float_unparsable", "int_unparsable",
+        "kv_no_equals", "kv_empty_key"])
 def test_config_error_exits_2_with_its_message_before_output(tmp_path, capsys, argv, add, drop,
                                                              message):
+    """`{last}` in the message is the number of the scenario's last line."""
     (tmp_path / "empty.csv").write_text("vehicle_id,t,x,y\n", encoding="utf-8")
     points = tmp_path / "points.csv"  # two one-point tracks: no segment of two points
     points.write_text("vehicle_id,t,x,y\n0,0,0,0\n1,5,200,0\n", encoding="utf-8")
@@ -278,7 +285,9 @@ def test_config_error_exits_2_with_its_message_before_output(tmp_path, capsys, a
                        _write_gen_cfg(tmp_path, f"gen.synthetic = 0\ngen.input = {points}\n")]
     else:
         add = [line.format(tmp=tmp_path) for line in add]
-        argv = argv + ["--scenario", _edited_scenario(tmp_path, add, drop), "--episodes", "1"]
+        scenario = _edited_scenario(tmp_path, add, drop)
+        message = message.format(last=len(Path(scenario).read_text(encoding="utf-8").splitlines()))
+        argv = argv + ["--scenario", scenario, "--episodes", "1"]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"

@@ -1,9 +1,16 @@
 import math
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grad_check
+from vtmigsim import neuralcore
 from vtmigsim.neuralcore import (
     Adam,
     CKPT_MAGIC,
@@ -311,6 +318,7 @@ def test_checkpoint_rejects_a_short_row(tmp_path):
     path.write_text(f"{CKPT_MAGIC}\nx/W0 2 3\n1 2 3\n4 5\n")
     with pytest.raises(ValueError, match="tensor x/W0: row 1 has 2 values, wanted 3"):
         load_checkpoint(str(path))
+    assert os.listdir(tmp_path) == ["short.txt"]  # no sidecar
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -318,6 +326,129 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_text("NOT-A-CKPT\n")
     with pytest.raises(ValueError):
         load_checkpoint(str(path))
+    assert os.listdir(tmp_path) == ["bad.txt"]  # no sidecar
+
+
+# --- the checkpoint's binary sidecar ---
+
+def _parsed(tensors):
+    """What the text parse of `save_checkpoint(tensors)` gives: each value through
+    %.17g and float(), a later tensor of the same name in the earlier's place."""
+    out = {}
+    for name, arr in tensors:
+        mat = np.atleast_2d(arr)
+        out[name] = np.array([[float("%.17g" % x) for x in row] for row in mat.tolist()]
+                             ).reshape(mat.shape)
+    return out
+
+
+def _assert_same(got, want):
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == np.float64 and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+_EXTREMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+             -1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+_TENSORS = st.lists(
+    st.tuples(
+        st.sampled_from(["a/W0", "a/b0", "critic1/W2", "meta/episode", "\u00e9/x"]),
+        st.integers(0, 3).flatmap(lambda rows: st.integers(0, 3).flatmap(
+            lambda cols: st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()),
+                                  min_size=rows * cols, max_size=rows * cols).map(
+                lambda xs: np.array(xs, dtype=float).reshape(rows, cols)))),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TENSORS)
+def test_sidecar_loads_give_the_bits_of_the_text_parse(tensors):
+    """A miss parses the text and writes the sidecar; a hit returns what the
+    sidecar holds. Both give the parse: same names, order, shapes and bits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.txt")
+        save_checkpoint(path, tensors)
+        text = Path(path).read_bytes()
+        want = _parsed(tensors)
+        _assert_same(load_checkpoint(path), want)
+        made = os.stat(path + ".f8")
+        _assert_same(load_checkpoint(path), want)
+        again = os.stat(path + ".f8")
+        assert (again.st_ino, again.st_mtime_ns) == (made.st_ino, made.st_mtime_ns)  # not rewritten
+        assert Path(path).read_bytes() == text
+        assert sorted(os.listdir(tmp)) == ["ckpt.txt", "ckpt.txt.f8"]
+
+
+def _flip(offset):
+    def fault(path):
+        data = bytearray(Path(path).read_bytes())
+        data[offset] ^= 0x01
+        Path(path).write_bytes(bytes(data))
+    return fault
+
+
+_SIDECAR_FAULTS = {
+    "truncated": lambda path: os.truncate(path, os.path.getsize(path) // 2),
+    "payload_byte": _flip(-1),
+    "index_byte": _flip(len(b"MSRL-CKPT-F8 v1\n") + 2 * 65),  # the first name's first byte
+    "other_checkpoints": lambda path: shutil.copyfile(
+        os.path.join(os.path.dirname(path), "other.txt.f8"), path),
+    "garbage": lambda path: Path(path).write_bytes(os.urandom(300)),
+}
+
+
+@pytest.mark.parametrize("fault", ["text_edited", *_SIDECAR_FAULTS])
+def test_a_sidecar_that_does_not_match_is_parsed_around_and_rewritten(tmp_path, monkeypatch, fault):
+    rng = np.random.default_rng(17)
+    tensors = [("a/W0", rng.normal(size=(4, 3))), ("a/b0", rng.normal(size=(1, 4))),
+               ("meta/episode", np.array([[3.0]]))]
+    other = [("a/W0", rng.normal(size=(4, 3)))]
+    path, other_path = str(tmp_path / "ckpt.txt"), str(tmp_path / "other.txt")
+    save_checkpoint(other_path, other)
+    load_checkpoint(other_path)
+    save_checkpoint(path, tensors)
+    load_checkpoint(path)
+    if fault == "text_edited":
+        tensors = other
+        save_checkpoint(path, tensors)
+    else:
+        _SIDECAR_FAULTS[fault](path + ".f8")
+    _assert_same(load_checkpoint(path), _parsed(tensors))
+    # The sidecar left behind is valid: the next load is a hit, with no parse.
+    monkeypatch.setattr(neuralcore, "_parse_checkpoint", None)
+    _assert_same(load_checkpoint(path), _parsed(tensors))
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.txt", "ckpt.txt.f8", "other.txt", "other.txt.f8"]
+
+
+def test_a_failed_sidecar_write_still_returns_the_tensors(tmp_path, monkeypatch):
+    """File modes do not stop root, so the write fails through a patched os.replace."""
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    tensors = [("a/W0", np.arange(6.0).reshape(2, 3))]
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(path, tensors)
+    _assert_same(load_checkpoint(path), _parsed(tensors))
+    assert os.listdir(tmp_path) == ["ckpt.txt"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_checkpoint_read_from_a_pipe_is_parsed_with_no_sidecar(tmp_path):
+    tensors = [("a/W0", np.arange(6.0).reshape(2, 3) / 7)]
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(path, tensors)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, Path(path).read_bytes())  # far below a pipe's buffer
+        os.close(write_end)
+        _assert_same(load_checkpoint(f"/dev/fd/{read_end}"), _parsed(tensors))
+    finally:
+        os.close(read_end)
+    assert os.listdir(tmp_path) == ["ckpt.txt"]
 
 
 def test_critic_shapes():
