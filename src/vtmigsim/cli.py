@@ -173,10 +173,8 @@ def cmd_train(args) -> int:
     ckpt_every = get_int(train_kv, "train.ckpt_every", 50)
 
     def save_ckpt(name: str, bundle_now, episode: int) -> None:
-        path = os.path.join(args.out, name)
-        tmp = path + ".partial"
-        neuralcore.save_checkpoint(tmp, msrl.bundle_tensors(bundle_now, episode))
-        os.replace(tmp, path)
+        neuralcore.save_checkpoint(os.path.join(args.out, name),
+                                   msrl.bundle_tensors(bundle_now, episode))
 
     def train_reporting(fh):
         """msrl.train, streaming one report row per episode to `fh`."""

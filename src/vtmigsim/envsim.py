@@ -281,14 +281,13 @@ class PremigrationEnv:
         t_down = np.divide(result, self.bw_down[es] * se, out=np.zeros(se.shape), where=result != 0)
         return t_up, t_down
 
-    def migration_latency(self, v, slot: int, from_e, to_e) -> np.ndarray:
-        """Backhaul transfer time of each pre-migrated share; zero on self or zero size.
+    def migration_latency(self, mig_bits, from_e, to_e) -> np.ndarray:
+        """Backhaul transfer time of each pre-migrated share of `mig_bits`; zero on self or zero size.
 
         Raises ValueError naming the first (from, to) pair in use that has no
         positive backhaul bandwidth.
         """
-        d_mig = self.cfg.alpha * self.task_bits[slot, v]
-        d_mig, from_e, to_e = np.broadcast_arrays(d_mig, from_e, to_e)
+        d_mig, from_e, to_e = np.broadcast_arrays(mig_bits, from_e, to_e)
         used = (from_e != to_e) & (d_mig != 0.0)
         bw = self.backhaul[from_e, to_e]
         missing = used & (bw <= 0)
@@ -450,7 +449,7 @@ class PremigrationEnv:
         t_down = self.t_down_serving[t].copy()
         if len(moved):
             t_down[moved] += self.transmission_latencies(t, moved, final_action[moved])[1]
-        t_mig = self.migration_latency(every, t, serving, final_action)
+        t_mig = self.migration_latency(mig_bits, serving, final_action)
         t_proc_s, t_proc_t, t_proc = self.processing_latencies(
             every, serving, final_action, xi_local, xi_mig, t_mig, self.loads
         )

@@ -3,9 +3,9 @@
 Provides the split policy network (a small client-side stack and a larger
 server-side stack, each with its own action head), a centralized action-value
 network, reverse-mode gradients for each forward path, an adaptive-moment
-optimizer, and a plain-text checkpoint format. A checkpoint's first load
-caches its parse in a binary sidecar next to it, which later loads return
-once it matches the text's SHA-256.
+optimizer, and a plain-text checkpoint format. Saving a checkpoint also writes
+a binary sidecar of its values, which a load returns once it matches the
+text's SHA-256; a load that finds none parses the text and writes one.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class Adam:
 # Line 1: "MSRL-CKPT v1". Then per tensor: "name rows cols" followed by `rows`
 # lines of `cols` decimal floats. %.17g preserves float64 exactly.
 #
-# `load_checkpoint` caches its parse in a binary sidecar, `<path>.f8`, keyed
-# by the SHA-256 of the text like a checked-hash .pyc (PEP 552). Line 1:
+# `save_checkpoint` also writes a binary sidecar, `<path>.f8`, keyed by the text's
+# SHA-256 like a checked-hash .pyc (PEP 552); a load without one writes it. Line 1:
 # "MSRL-CKPT-F8 v1". Line 2: the text's SHA-256 and the body's, in hex. The
 # body: one line "name rows cols" per tensor, an empty line, then every
 # tensor's values as little-endian float64, in that order.
@@ -308,15 +308,31 @@ _SIDECAR_MAGIC = b"MSRL-CKPT-F8 v1\n"
 
 
 def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CKPT_MAGIC + "\n")
-        for name, array in tensors:
-            mat = np.atleast_2d(np.asarray(array, dtype=float))
-            rows, cols = mat.shape
-            row_format = " ".join(["%.17g"] * cols) + "\n"
-            fh.write(f"{name} {rows} {cols}\n")
-            for row in mat:
-                fh.write(row_format % tuple(row.tolist()))
+    """Write checkpoint `path` and its sidecar through per-process .partial files, placing the
+    sidecar first and ignoring its failure; an empty, spaced or repeated name raises first."""
+    mats: dict[str, np.ndarray] = {}
+    for name, array in tensors:
+        if name.split() != [name] or name in mats:
+            raise ValueError(f"checkpoint tensor name {name!r} is empty, holds whitespace or repeats")
+        mats[name] = np.atleast_2d(np.asarray(array, dtype=float))
+    text, tmp = hashlib.sha256(), f"{path}.{os.getpid()}.partial"
+    with open(tmp, "wb") as fh:
+        for data in _checkpoint_text(mats):
+            text.update(data)
+            fh.write(data)
+    _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
+    os.replace(tmp, path)
+
+
+def _checkpoint_text(mats: dict[str, np.ndarray]) -> Iterable[bytes]:
+    """The text of `mats` as UTF-8, in pieces of whole rows, at most 4096 values or one row."""
+    yield f"{CKPT_MAGIC}\n".encode()
+    for name, mat in mats.items():
+        yield "{} {} {}\n".format(name, *mat.shape).encode()
+        row_format = " ".join(["%.17g"] * mat.shape[1]) + "\n"
+        step = max(1, 4096 // max(mat.shape[1], 1))
+        for block in (mat[r : r + step] for r in range(0, len(mat), step)):
+            yield (row_format * len(block) % tuple(block.ravel().tolist())).encode()
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
@@ -348,6 +364,7 @@ def _parse_checkpoint(path: str, fh) -> dict[str, np.ndarray]:
     if magic != CKPT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
     out: dict[str, np.ndarray] = {}
+    header_lines: dict[str, int] = {}  # the line of each tensor's header
     line = 1  # the number of the last line read
     while header := fh.readline():
         line += 1
@@ -356,6 +373,8 @@ def _parse_checkpoint(path: str, fh) -> dict[str, np.ndarray]:
         r = -1  # the row being read; -1 while reading the header
         try:
             name, rows_s, cols_s = header.split()
+            if header_lines.setdefault(name, line) != line:
+                raise ValueError(f"tensor {name} repeats the tensor of line {header_lines[name]}")
             data = np.empty((int(rows_s), int(cols_s)))
             rows, cols = data.shape
             for r in range(rows):
@@ -399,19 +418,18 @@ def _read_sidecar(path: str, text_digest: str) -> dict[str, np.ndarray]:
 
 
 def _write_sidecar(path: str, text_digest: str, tensors: dict[str, np.ndarray]) -> None:
-    """Write the sidecar of `tensors`, parsed from a text of SHA-256 `text_digest`,
-    through a per-process temporary file; an OSError leaves no sidecar."""
-    values = [np.ascontiguousarray(a, dtype="<f8") for a in tensors.values()]
+    """Write the sidecar of `tensors`, the values of a text of SHA-256 `text_digest`, through
+    a per-process temporary file, each NaN as "nan" parses; an OSError leaves no sidecar."""
+    payload = np.concatenate([np.empty(0), *(a.ravel() for a in tensors.values())], dtype="<f8")
+    payload[np.isnan(payload)] = np.nan
     index = "".join(f"{name} {a.shape[0]} {a.shape[1]}\n" for name, a in tensors.items())
     body = hashlib.sha256(index.encode() + b"\n")
-    for a in values:
-        body.update(memoryview(a))
+    body.update(memoryview(payload))
     tmp = f"{path}.{os.getpid()}.partial"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_SIDECAR_MAGIC + f"{text_digest} {body.hexdigest()}\n{index}\n".encode())
-            for a in values:
-                a.tofile(fh)
+            fh.write(memoryview(payload))
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):

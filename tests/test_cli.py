@@ -35,6 +35,14 @@ def test_commands_that_succeed_exit_0(tmp_path):
         assert (tmp_path / output).exists()
 
 
+def test_train_writes_the_checkpoint_its_sidecar_and_the_report(tmp_path):
+    scenario = write_cli_scenario(tmp_path)
+    out = tmp_path / "t"
+    assert cli.main(["train", "--scenario", scenario, "--out", str(out), "--episodes", "1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ckpt_final.txt", "ckpt_final.txt.f8", "train_report.csv"]
+
+
 @pytest.mark.parametrize("problem", ["missing_scenario", "unknown_policy", "bad_sweep"])
 def test_bad_input_exits_2(tmp_path, capsys, problem):
     scenario = write_cli_scenario(tmp_path)
@@ -300,11 +308,13 @@ def test_config_error_exits_2_with_its_message_before_output(tmp_path, capsys, a
     ("meta/episode 1\n", "line 2: not enough values to unpack (expected 3, got 2)"),
     ("meta/episode 1 1\nabc\n", "line 3: could not convert string to float: 'abc'"),
     ("meta/episode -1 1\n", "line 2: negative dimensions are not allowed"),
+    ("meta/episode 1 1\n0\nmeta/episode 1 1\n7\n",
+     "line 4: tensor meta/episode repeats the tensor of line 2"),
     *((f"meta/episode 1 1\n0\nmeta/agents 1 1\n{value}\n",
        f"checkpoint tensor meta/agents must be an integer >= 1, got {shown}")
       for value, shown in (("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("2.5", "2.5"))),
 ], ids=["meta_empty", "meta_missing", "header_short", "row_unparsable", "rows_negative",
-        "agents_inf", "agents_nan", "agents_negative", "agents_fraction"])
+        "tensor_repeated", "agents_inf", "agents_nan", "agents_negative", "agents_fraction"])
 def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message):
     scenario = write_cli_scenario(tmp_path)
     ckpt = tmp_path / "ckpt.txt"

@@ -105,20 +105,26 @@ def test_link_out_of_reach_at_its_farthest_slot_is_rejected_at_build():
 
 # --- migration latency ---
 
+def _migrated_bits(env, v=0, slot=0):
+    """The share of vehicle v's task that `step` migrates at `slot`."""
+    return env.cfg.alpha * env.task_bits[slot, v]
+
+
 def test_migration_zero_alpha():
     env = make_env(alpha=0.0)
-    assert env.migration_latency(0, 0, 0, 1) == 0.0
+    assert env.migration_latency(_migrated_bits(env), 0, 1) == 0.0
 
 
 def test_migration_arithmetic():
     env = make_env(alpha=0.5, task_bits=16e6, backhaul=1e8)
     # migrated volume 8e6 bits over 1e8 b/s
-    assert env.migration_latency(0, 0, 0, 1) == pytest.approx(0.08, rel=1e-12)
+    assert _migrated_bits(env) == 8e6
+    assert env.migration_latency(_migrated_bits(env), 0, 1) == pytest.approx(0.08, rel=1e-12)
 
 
 def test_migration_self_is_free():
     env = make_env(alpha=0.9)
-    assert env.migration_latency(0, 0, 1, 1) == 0.0
+    assert env.migration_latency(_migrated_bits(env), 1, 1) == 0.0
 
 
 # --- rendering sizes ---

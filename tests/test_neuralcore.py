@@ -3,6 +3,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,7 +334,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 def _parsed(tensors):
     """What the text parse of `save_checkpoint(tensors)` gives: each value through
-    %.17g and float(), a later tensor of the same name in the earlier's place."""
+    %.17g and float()."""
     out = {}
     for name, arr in tensors:
         mat = np.atleast_2d(arr)
@@ -349,28 +350,38 @@ def _assert_same(got, want):
         assert got[name].tobytes() == arr.tobytes(), name
 
 
+def _bits(x):
+    return int(np.array(x, dtype=np.float64).view(np.uint64))
+
+
 _EXTREMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
              -1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+# Every NaN: either sign, quiet or signalling, any payload.
+_NAN_BITS = st.builds(lambda sign, mantissa: sign << 63 | 0x7FF << 52 | mantissa,
+                      st.integers(0, 1), st.integers(1, (1 << 52) - 1))
+_VALUE_BITS = st.one_of(st.sampled_from(_EXTREMES).map(_bits), st.floats().map(_bits), _NAN_BITS)
 _TENSORS = st.lists(
     st.tuples(
         st.sampled_from(["a/W0", "a/b0", "critic1/W2", "meta/episode", "\u00e9/x"]),
         st.integers(0, 3).flatmap(lambda rows: st.integers(0, 3).flatmap(
-            lambda cols: st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()),
-                                  min_size=rows * cols, max_size=rows * cols).map(
-                lambda xs: np.array(xs, dtype=float).reshape(rows, cols)))),
+            lambda cols: st.lists(_VALUE_BITS, min_size=rows * cols, max_size=rows * cols).map(
+                lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)))),
     ),
     max_size=6,
+    unique_by=lambda tensor: tensor[0],
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(_TENSORS)
 def test_sidecar_loads_give_the_bits_of_the_text_parse(tensors):
-    """A miss parses the text and writes the sidecar; a hit returns what the
-    sidecar holds. Both give the parse: same names, order, shapes and bits."""
+    """With the sidecar that save wrote deleted, a miss parses the text and writes
+    the sidecar; a hit returns what the sidecar holds. Both give the parse: same
+    names, order, shapes and bits."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.txt")
         save_checkpoint(path, tensors)
+        os.remove(path + ".f8")
         text = Path(path).read_bytes()
         want = _parsed(tensors)
         _assert_same(load_checkpoint(path), want)
@@ -379,6 +390,24 @@ def test_sidecar_loads_give_the_bits_of_the_text_parse(tensors):
         again = os.stat(path + ".f8")
         assert (again.st_ino, again.st_mtime_ns) == (made.st_ino, made.st_mtime_ns)  # not rewritten
         assert Path(path).read_bytes() == text
+        assert sorted(os.listdir(tmp)) == ["ckpt.txt", "ckpt.txt.f8"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TENSORS)
+def test_the_sidecar_a_save_writes_is_the_one_a_load_miss_writes(tensors):
+    """The first load after a save is a hit, with no parse. Its sidecar is, byte
+    for byte, the one a load miss writes, for every value the text can hold: a
+    NaN of any sign or payload is stored as the parse of its "nan" returns it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.txt")
+        save_checkpoint(path, tensors)
+        saved = Path(path + ".f8").read_bytes()
+        with mock.patch.object(neuralcore, "_parse_checkpoint", None):
+            _assert_same(load_checkpoint(path), _parsed(tensors))  # a hit
+        os.remove(path + ".f8")
+        load_checkpoint(path)
+        assert Path(path + ".f8").read_bytes() == saved
         assert sorted(os.listdir(tmp)) == ["ckpt.txt", "ckpt.txt.f8"]
 
 
@@ -411,9 +440,9 @@ def test_a_sidecar_that_does_not_match_is_parsed_around_and_rewritten(tmp_path, 
     load_checkpoint(other_path)
     save_checkpoint(path, tensors)
     load_checkpoint(path)
-    if fault == "text_edited":
+    if fault == "text_edited":  # another text under the sidecar of the first
         tensors = other
-        save_checkpoint(path, tensors)
+        shutil.copyfile(other_path, path)
     else:
         _SIDECAR_FAULTS[fault](path + ".f8")
     _assert_same(load_checkpoint(path), _parsed(tensors))
@@ -424,9 +453,14 @@ def test_a_sidecar_that_does_not_match_is_parsed_around_and_rewritten(tmp_path, 
 
 
 def test_a_failed_sidecar_write_still_returns_the_tensors(tmp_path, monkeypatch):
-    """File modes do not stop root, so the write fails through a patched os.replace."""
+    """File modes do not stop root, so the write fails through an os.replace
+    patched to refuse only the sidecar's rename."""
+    replace = os.replace
+
     def refuse(src, dst):
-        raise OSError(28, "No space left on device")
+        if str(dst).endswith(".f8"):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
     tensors = [("a/W0", np.arange(6.0).reshape(2, 3))]
@@ -436,11 +470,45 @@ def test_a_failed_sidecar_write_still_returns_the_tensors(tmp_path, monkeypatch)
     assert os.listdir(tmp_path) == ["ckpt.txt"]
 
 
+def test_a_save_that_fails_while_the_tensors_are_read_leaves_the_old_files(tmp_path):
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(path, [("a/W0", np.arange(6.0).reshape(2, 3))])
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def tensors():
+        yield "a/W0", np.zeros((2, 3))
+        raise RuntimeError("bundle went away")
+
+    with pytest.raises(RuntimeError, match="bundle went away"):
+        save_checkpoint(path, tensors())
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    assert sorted(before) == ["ckpt.txt", "ckpt.txt.f8"]
+
+
+@pytest.mark.parametrize("names", [["a/W0", "b/W0", "a/W0"], [""], ["a W0"], ["a\tW0"], ["a\nW0"],
+                                   ["a\u2003W0"]],
+                         ids=["repeated", "empty", "space", "tab", "newline", "em_space"])
+def test_a_name_the_text_cannot_hold_is_refused_before_any_file(tmp_path, names):
+    with pytest.raises(ValueError, match="is empty, holds whitespace or repeats"):
+        save_checkpoint(str(tmp_path / "ckpt.txt"), [(name, np.ones((1, 1))) for name in names])
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_text_that_repeats_a_tensor_is_refused_naming_both_lines(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(f"{CKPT_MAGIC}\nmeta/episode 1 1\n1\n\nx/W0 1 2\n3 4\nmeta/episode 1 1\n7\n")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value) == f"{path}: line 7: tensor meta/episode repeats the tensor of line 2"
+    assert os.listdir(tmp_path) == ["ckpt.txt"]  # no sidecar
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_checkpoint_read_from_a_pipe_is_parsed_with_no_sidecar(tmp_path):
     tensors = [("a/W0", np.arange(6.0).reshape(2, 3) / 7)]
     path = str(tmp_path / "ckpt.txt")
     save_checkpoint(path, tensors)
+    os.remove(path + ".f8")
     read_end, write_end = os.pipe()
     try:
         os.write(write_end, Path(path).read_bytes())  # far below a pipe's buffer
