@@ -209,67 +209,62 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-# --- eval ---
+# --- eval and compare ---
 
-# The msrl.EvalSummary means, in column order.
+# The means of run_episodes' five columns, in order.
 EVAL_MEANS = ["mean_reward", "mean_qoe", "mean_latency", "mean_err", "mean_active_params"]
 EVAL_HEADER = ["policy", "episodes", *EVAL_MEANS]
 EVAL_ROW = "%s,%d," + ",".join(["%.9g"] * len(EVAL_MEANS)) + "\n"
 
 
-def _read_checkpoint(args, kinds: Sequence[str]) -> Optional[dict]:
-    """The `--checkpoint` tensors, read once per run if a learned kind needs them."""
-    if args.checkpoint and any(kind in policies.LEARNED_KINDS for kind in kinds):
-        return neuralcore.load_checkpoint(args.checkpoint)
-    return None
+def _policy_runner(args, kinds: Sequence[str]) -> Callable[..., np.ndarray]:
+    """The one evaluation path of `eval` and `compare`. It checks `kinds`, reads the
+    scenario, the train config and, if a learned kind needs it, `--checkpoint` once, then
+    returns run(kind, sweep, rng, seed_base, on_slot=None): the `msrl.run_episodes` columns
+    of `--episodes` episodes of `kind` on the env of `sweep`, a (key, value) or None, with
+    the `--checkpoint` bundle, a fresh one without it, or none for a heuristic."""
+    for kind in kinds:
+        if kind not in policies.KINDS:
+            raise ConfigError(f"unknown policy kind {kind!r}")
+    scenario = load_kv(args.scenario)
+    train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
+    needed = args.checkpoint and any(kind in policies.LEARNED_KINDS for kind in kinds)
+    tensors = neuralcore.load_checkpoint(args.checkpoint) if needed else None
 
+    def run(kind, sweep, rng, seed_base, on_slot=None) -> np.ndarray:
+        env = _build_env(scenario, kind, train_kv, sweep)
+        bundle, mode = None, policies.LEARNED_KINDS.get(kind)
+        if mode is not None:
+            cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=mode)
+            bundle = (msrl.make_bundle(env.obs_dim, env.E, env.V, cfg) if tensors is None
+                      else _checkpoint_bundle(args.checkpoint, tensors, cfg, env)[0])
+        act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
+        return msrl.run_episodes(env, act, args.episodes, seed_base, on_slot)
 
-def _load_bundle_for(
-    kind: str, args, train_kv: dict[str, str], env: envsim.PremigrationEnv, tensors
-) -> Optional[msrl.PolicyBundle]:
-    """The `--checkpoint` bundle, a fresh one without it, None for heuristics."""
-    if kind not in policies.LEARNED_KINDS:
-        return None
-    cfg = msrl.train_config_from(train_kv, seed=args.seed, mode=policies.LEARNED_KINDS[kind])
-    if args.checkpoint:
-        return _checkpoint_bundle(args.checkpoint, tensors, cfg, env)[0]
-    return msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
+    return run
 
 
 def cmd_eval(args) -> int:
     kind = args.policy
-    if kind not in policies.KINDS:
-        raise ConfigError(f"unknown policy kind {kind!r}")
-    scenario = load_kv(args.scenario)
-    train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
-    env = _build_env(scenario, kind, train_kv)
-    bundle = _load_bundle_for(kind, args, train_kv, env, _read_checkpoint(args, [kind]))
-    rng = np.random.default_rng([args.seed, 11])
-    act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
-
+    run = _policy_runner(args, [kind])
     rows: list[tuple] = []
 
     def on_slot(ep, slot, metrics):
         records = metrics[envsim.METRICS_FIELDS].tolist()
         rows.extend((ep, slot, v, *record) for v, record in enumerate(records))
 
-    summary = msrl.run_episodes(env, act, args.episodes, args.seed * 1000, on_slot=on_slot)
+    columns = run(kind, None, np.random.default_rng([args.seed, 11]), args.seed * 1000, on_slot)
+    means = columns.reshape(5, -1).mean(axis=1).tolist()
 
     os.makedirs(args.out, exist_ok=True)
-    write_table(
-        os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER, EVAL_ROW,
-        [(kind, args.episodes, *(getattr(summary, m) for m in EVAL_MEANS))],
-    )
+    write_table(os.path.join(args.out, "eval_summary.csv"), EVAL_HEADER, EVAL_ROW,
+                [(kind, args.episodes, *means)])
     write_table(os.path.join(args.out, "eval_metrics.csv"), envsim.METRICS_HEADER,
                 envsim.METRICS_ROW, rows)
-    print(
-        f"eval: policy={kind} episodes={args.episodes} "
-        f"mean_reward={summary.mean_reward:.6g} mean_latency={summary.mean_latency:.6g}"
-    )
+    print(f"eval: policy={kind} episodes={args.episodes} "
+          f"mean_reward={means[0]:.6g} mean_latency={means[2]:.6g}")
     return EXIT_OK
 
-
-# --- compare ---
 
 COMPARE_HEADER = ["policy", "param_value", "metric", "mean", "stderr"]
 COMPARE_ROW = "%s,%.9g,%s,%.9g,%.9g\n"
@@ -277,12 +272,7 @@ COMPARE_METRICS = ("reward", "qoe", "latency", "err_rate", "active_params")  # E
 
 
 def cmd_compare(args) -> int:
-    scenario = load_kv(args.scenario)
-    train_kv = load_kv(args.train_cfg) if args.train_cfg else {}
     kinds = [k.strip() for k in args.policy.split(",")] if args.policy else list(policies.KINDS)
-    for kind in kinds:
-        if kind not in policies.KINDS:
-            raise ConfigError(f"unknown policy kind {kind!r}")
     texts = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
     try:
         values = [float(v) for v in texts]
@@ -290,20 +280,15 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"cannot parse sweep values {args.sweep_values!r}") from None
     if not values:
         raise ConfigError("empty sweep value list")
+    run = _policy_runner(args, kinds)
 
     results: list[tuple] = []
-    tensors = _read_checkpoint(args, kinds)
     for vi, (text, value) in enumerate(zip(texts, values)):
         for kind in kinds:
-            env = _build_env(scenario, kind, train_kv, (args.sweep_param, text))
-            bundle = _load_bundle_for(kind, args, train_kv, env, tensors)
-            rng = np.random.default_rng([args.seed, 13, vi])
-            act = policies.make_act_fn(kind, env, bundle=bundle, rng=rng)
             # Episode seeds are paired across policies at each sweep point.
-            seed_base = args.seed * 100_000 + vi * 1_000
-            runs = [msrl.run_episodes(env, act, 1, seed_base + ep) for ep in range(args.episodes)]
-            for metric, mean in zip(COMPARE_METRICS, EVAL_MEANS):
-                arr = np.array([getattr(s, mean) for s in runs])
+            rng = np.random.default_rng([args.seed, 13, vi])
+            columns = run(kind, (args.sweep_param, text), rng, args.seed * 100_000 + vi * 1_000)
+            for metric, arr in zip(COMPARE_METRICS, columns.mean(axis=2)):  # episode means
                 stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
                 results.append((kind, value, metric, arr.mean(), stderr))
 
@@ -371,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

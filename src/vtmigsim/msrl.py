@@ -511,27 +511,20 @@ def train(
 
 # --- evaluation ---
 
-@dataclass
-class EvalSummary:
-    mean_reward: float
-    mean_qoe: float
-    mean_latency: float
-    mean_err: float
-    mean_active_params: float
-
-
 def run_episodes(
     env,
     act_fn: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
     episodes: int,
     seed_base: int,
     on_slot: Optional[Callable] = None,
-) -> EvalSummary:
-    """Greedy/no-learning rollouts. Once per slot, act_fn(obs (V, O), slot)
-    returns every vehicle's (actions (V,) int, active params (V,)), and
-    on_slot(episode, slot, metrics) receives the slot's (V,) metrics records.
-    Each mean runs over its column's slots in order, vehicles in id order."""
-    columns = []  # per slot (reward, qoe, t_total, err_rate, active params): EvalSummary order
+) -> np.ndarray:
+    """Greedy/no-learning rollouts at seeds seed_base + ep, as one float64 array (5, episodes,
+    slots * V) of each slot's reward, qoe, t_total, err_rate and active params, slots in order,
+    vehicles in id order. Once per slot, act_fn(obs (V, O), slot) returns every vehicle's
+    (actions (V,) int, active params (V,)), and on_slot(episode, slot, metrics) receives the
+    slot's (V,) metrics records. act_fn's state (split controller copies, an RNG) carries
+    across episodes, so N episodes equal N one-episode calls on one act_fn."""
+    columns = []  # per slot (reward, qoe, t_total, err_rate, active params), (V,) each
     for ep in range(episodes):
         obs = env.reset(seed_base + ep)
         done = False
@@ -545,7 +538,7 @@ def run_episodes(
                 on_slot(ep, slot, m)
             obs, done = result.observations, result.done
             slot += 1
-    return EvalSummary(*(float(np.concatenate(c).mean()) for c in zip(*columns)))
+    return np.array([np.concatenate(c) for c in zip(*columns)]).reshape(5, episodes, -1)
 
 
 def greedy_act_fn(

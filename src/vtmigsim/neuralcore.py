@@ -308,20 +308,25 @@ _SIDECAR_MAGIC = b"MSRL-CKPT-F8 v1\n"
 
 
 def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Write checkpoint `path` and its sidecar through per-process .partial files, placing the
-    sidecar first and ignoring its failure; an empty, spaced or repeated name raises first."""
+    """Write checkpoint `path` and its sidecar via per-process .partial files, removed on failure,
+    the sidecar first, its failure ignored; an empty, spaced or repeated name raises first."""
     mats: dict[str, np.ndarray] = {}
     for name, array in tensors:
         if name.split() != [name] or name in mats:
             raise ValueError(f"checkpoint tensor name {name!r} is empty, holds whitespace or repeats")
         mats[name] = np.atleast_2d(np.asarray(array, dtype=float))
     text, tmp = hashlib.sha256(), f"{path}.{os.getpid()}.partial"
-    with open(tmp, "wb") as fh:
-        for data in _checkpoint_text(mats):
-            text.update(data)
-            fh.write(data)
-    _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for data in _checkpoint_text(mats):
+                text.update(data)
+                fh.write(data)
+        _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _checkpoint_text(mats: dict[str, np.ndarray]) -> Iterable[bytes]:

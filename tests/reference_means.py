@@ -1,10 +1,11 @@
 """Per-vehicle reference of the evaluation and training means, kept as an oracle.
 
-These are `msrl.run_episodes`, `msrl._episode_stats` and the eval metrics row
-writer as they ran on one `SlotMetrics` object per vehicle and slot: every
-mean over one flat list of Python floats, slots in order and vehicles in id
-order within a slot. The column means of `vtmigsim.msrl` and the rows that
-`envsim.METRICS_ROW` formats must reproduce them exactly.
+These are eval's means of the `msrl.run_episodes` columns, `msrl._episode_stats`
+and the eval metrics row writer as they ran on one `SlotMetrics` object per
+vehicle and slot: every mean over one flat list of Python floats, slots in
+order and vehicles in id order within a slot. The column means of
+`vtmigsim.msrl` and the rows that `envsim.METRICS_ROW` formats must reproduce
+them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from scalar_env import SlotMetrics
 
 from vtmigsim.envsim import PremigrationEnv
-from vtmigsim.msrl import EpisodeStats, EvalSummary
+from vtmigsim.msrl import EpisodeStats
 
 
 def slot_objects(metrics) -> list[SlotMetrics]:
@@ -46,8 +47,9 @@ def metrics_row(episode: int, slot: int, vehicle: int, m: SlotMetrics) -> list:
     ]
 
 
-def run_episodes(env, act_fn, episodes, seed_base, on_slot=None) -> EvalSummary:
-    """on_slot(episode, slot, vehicle, metrics) runs per vehicle in id order."""
+def run_episodes(env, act_fn, episodes, seed_base, on_slot=None) -> tuple[float, ...]:
+    """The means of reward, qoe, t_total, err_rate and active params;
+    on_slot(episode, slot, vehicle, metrics) runs per vehicle in id order."""
     rewards, qoes, lats, errs, active = [], [], [], [], []
     for ep in range(episodes):
         obs = env.reset(seed_base + ep)
@@ -66,12 +68,12 @@ def run_episodes(env, act_fn, episodes, seed_base, on_slot=None) -> EvalSummary:
                     on_slot(ep, slot, v, m)
             obs, done = result.observations, result.done
             slot += 1
-    return EvalSummary(
-        mean_reward=float(np.mean(rewards)),
-        mean_qoe=float(np.mean(qoes)),
-        mean_latency=float(np.mean(lats)),
-        mean_err=float(np.mean(errs)),
-        mean_active_params=float(np.mean(np.concatenate(active))),
+    return (
+        float(np.mean(rewards)),
+        float(np.mean(qoes)),
+        float(np.mean(lats)),
+        float(np.mean(errs)),
+        float(np.mean(np.concatenate(active))),
     )
 
 

@@ -70,6 +70,19 @@ def test_training_abort_exits_3(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["abort_dump.txt", "train_report.csv.partial"]
 
 
+def test_a_key_error_inside_a_command_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only a ValueError (ConfigError among them) exits 2: a KeyError is a bug."""
+    scenario = write_cli_scenario(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise KeyError("critic_loss")
+
+    monkeypatch.setattr(msrl, "train", broken)
+    argv = ["train", "--scenario", scenario, "--out", str(tmp_path / "out"), "--episodes", "1"]
+    with pytest.raises(KeyError, match="critic_loss"):
+        cli.main(argv)
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     scenario = write_cli_scenario(tmp_path)
     blocker = tmp_path / "file"

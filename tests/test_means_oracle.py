@@ -1,4 +1,4 @@
-"""Evaluation summaries, episode statistics and eval metrics rows against the
+"""Eval's five means, episode statistics and eval metrics rows against the
 per-vehicle reference in `reference_means`, every field with `==`."""
 
 import numpy as np
@@ -46,7 +46,7 @@ def test_eval_summary_and_rows_match_per_vehicle_reference(tmp_path, scenario, k
     act, ref_act = (
         make_act_fn(kind, env, bundle=bundle, rng=np.random.default_rng(7)) for _ in range(2)
     )
-    rows, ref_rows = [], []
+    rows, ref_rows, ref_values = [], [], []
 
     def on_slot(ep, slot, metrics):
         records = metrics[envsim.METRICS_FIELDS].tolist()
@@ -54,10 +54,14 @@ def test_eval_summary_and_rows_match_per_vehicle_reference(tmp_path, scenario, k
 
     def on_vehicle(ep, slot, v, m):
         ref_rows.append(",".join(map(str, ref.metrics_row(ep, slot, v, m))) + "\n")
+        ref_values.append([m.reward, m.qoe, m.t_total, m.err_rate])
 
-    got = msrl.run_episodes(env, act, 2, 100, on_slot)
+    columns = msrl.run_episodes(env, act, 2, 100, on_slot)
     want = ref.run_episodes(env, ref_act, 2, 100, on_vehicle)
-    assert got == want
+    assert columns.shape == (5, 2, env.cfg.horizon * env.V)
+    assert tuple(columns.reshape(5, -1).mean(axis=1).tolist()) == want  # as cmd_eval takes them
+    # Slots in order, vehicles in id order within a slot.
+    assert columns[:4].reshape(4, -1).T.tolist() == ref_values
     assert len(rows) == 2 * env.cfg.horizon * env.V
     assert rows == ref_rows
 

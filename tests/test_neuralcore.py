@@ -485,6 +485,24 @@ def test_a_save_that_fails_while_the_tensors_are_read_leaves_the_old_files(tmp_p
     assert sorted(before) == ["ckpt.txt", "ckpt.txt.f8"]
 
 
+def test_a_save_that_fails_while_the_text_is_written_leaves_no_partial(tmp_path, monkeypatch):
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(path, [("a/W0", np.arange(6.0).reshape(2, 3))])
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    text = neuralcore._checkpoint_text
+
+    def full_disk(mats):
+        yield next(iter(text(mats)))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(neuralcore, "_checkpoint_text", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_checkpoint(path, [("a/W0", np.zeros((2, 3)))])
+    assert not list(tmp_path.glob("*.partial"))
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    assert sorted(before) == ["ckpt.txt", "ckpt.txt.f8"]
+
+
 @pytest.mark.parametrize("names", [["a/W0", "b/W0", "a/W0"], [""], ["a W0"], ["a\tW0"], ["a\nW0"],
                                    ["a\u2003W0"]],
                          ids=["repeated", "empty", "space", "tab", "newline", "em_space"])

@@ -96,7 +96,7 @@ def test_per_slot_act_matches_per_agent_reference(tmp_path, monkeypatch, scenari
     for seed_base in (100, 200):
         got = run_recorded(env, act, 2, seed_base)
         want = run_recorded(env, ref.per_slot(reference), 2, seed_base)
-        assert got[0] == want[0]
+        assert got[0].tolist() == want[0].tolist()
         assert len(got[1]) == len(want[1]) == 2 * env.cfg.horizon
         for (actions, params), (ref_actions, ref_params) in zip(got[1], want[1]):
             assert actions.dtype == ref_actions.dtype and params.dtype == ref_params.dtype
@@ -113,6 +113,47 @@ def test_per_slot_act_matches_per_agent_reference(tmp_path, monkeypatch, scenari
         assert all(c.calls == 0 for c in bundle.controllers)  # evaluation ran on copies
         assert set(np.concatenate(active).tolist()) == set(bundle.actor.path_params.tolist())
         assert any(duals)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_call_of_n_episodes_equals_n_one_episode_calls(monkeypatch, kind):
+    """compare takes per-episode means from one run_episodes call: it must give the
+    arrays of one-episode calls at seed_base + k on one act function, whose split
+    controller copies and random generator carry from one episode to the next."""
+    env = corner_env()
+    bundle = None
+    if kind in LEARNED_KINDS:
+        # thr0 1.33 gives both paths and flutter holds on this scenario.
+        cfg = msrl.TrainConfig(seed=4, mode=LEARNED_KINDS[kind], thr0=1.33, change=1e-4,
+                               window=3, hold=2, flutter_limit=1)
+        bundle = msrl.make_bundle(env.obs_dim, env.E, env.V, cfg)
+        bundle.actor.client_head.biases[0][...] = np.random.default_rng(5).normal(
+            scale=0.3, size=(env.V, env.E))
+    duals = []
+    select = msrl.SwitchController.select
+
+    def spy(self, entropy):
+        choice, dual = select(self, entropy)
+        duals.append(dual)
+        return choice, dual
+
+    monkeypatch.setattr(msrl.SwitchController, "select", spy)
+    one, each, fresh = (
+        make_act_fn(kind, env, bundle=bundle, rng=np.random.default_rng(7)) for _ in range(3))
+    episodes, slots = 3, env.cfg.horizon * env.V
+    columns = msrl.run_episodes(env, one, episodes, 100)
+    assert columns.dtype == np.float64 and columns.shape == (5, episodes, slots)
+    for k in range(episodes):
+        single = msrl.run_episodes(env, each, 1, 100 + k)
+        assert single.shape == (5, 1, slots)
+        assert single.tobytes() == columns[:, k:k + 1].tobytes()
+    if kind == SPLIT:
+        assert any(duals)  # a flutter hold
+        assert set(columns[4].ravel().tolist()) == set(bundle.actor.path_params.tolist())
+    if kind in (SPLIT, RANDOM_MIGRATION):
+        # The carried state matters: a new act function per episode acts otherwise.
+        later = msrl.run_episodes(env, fresh, 1, 100 + episodes - 1)
+        assert later.tobytes() != columns[:, -1:].tobytes()
 
 
 def controller_state(c):
@@ -136,7 +177,7 @@ def test_split_evaluation_runs_on_independent_copies_of_the_controllers():
     # The second function's copies start where the bundle's controllers stand,
     # whatever the first function's copies did.
     want = run_recorded(env, second, 2, 100)
-    assert got[0] == want[0]
+    assert got[0].tolist() == want[0].tolist()
     assert [(a.tolist(), p.tolist()) for a, p in got[1]] == [
         (a.tolist(), p.tolist()) for a, p in want[1]]
     assert len({p for _, params in got[1] for p in params.tolist()}) == 2  # both paths ran
