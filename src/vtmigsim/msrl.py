@@ -178,15 +178,19 @@ class RolloutBuffer:
     logp_old: np.ndarray          # (T, V) log-prob under the acting path
     logp_old_client: np.ndarray   # (T, V) log-prob under the client path
     probs_old: np.ndarray         # (T, V, A) acting distribution
-    rewards: np.ndarray           # (T, V)
     entropies: np.ndarray         # (T, V) client-path entropies
     model_used: np.ndarray        # (T, V) 0 client / 1 server
     dual: np.ndarray              # (T, V) bool
-    qoe: np.ndarray               # (T, V)
-    t_total: np.ndarray           # (T, V) total latency
-    err_rate: np.ndarray          # (T, V)
+    columns: np.ndarray           # (5, T·V) the episode's run_episodes columns
     qhat: Optional[np.ndarray] = None
     adv: Optional[np.ndarray] = None
+
+    @property
+    def rewards(self) -> np.ndarray:
+        """Row 0 of `columns` as a read-only (T, V) view."""
+        view = self.columns[0].reshape(self.actions.shape)
+        view.flags.writeable = False
+        return view
 
 
 def critic_inputs(buffer: RolloutBuffer, n_actions: int) -> np.ndarray:
@@ -327,23 +331,21 @@ def slot_policy(
 
 def collect_episode(env, bundle: PolicyBundle, mode: str, action_rng: np.random.Generator,
                     env_seed: int) -> RolloutBuffer:
-    """One episode; per slot one client and at most one server forward for all
-    agents, and one record in RolloutBuffer field order, each field stacked at the end."""
-    obs = env.reset(env_seed)
-    records = []
-    done = False
-    while not done:
+    """One episode played through `run_episodes` with actions sampled from `slot_policy`'s
+    acting distributions: per slot one client and at most one server forward for all agents,
+    and one record in RolloutBuffer field order, each field stacked at the end."""
+    params, records = bundle.actor.path_params, []
+
+    def act(obs: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
         client_probs, entropy, probs, model, dual = slot_policy(bundle.actor, bundle.controllers,
                                                                 mode, obs)
         actions = sample_actions(probs, action_rng.random(len(obs)))
-        result = env.step(actions)
-        m = result.metrics
-        records.append((
-            obs, actions, log_prob(probs, actions), log_prob(client_probs, actions), probs,
-            m.reward, entropy, model, dual, m.qoe, m.t_total, m.err_rate,
-        ))
-        obs, done = result.observations, result.done
-    return RolloutBuffer(*map(np.array, zip(*records)))
+        records.append((obs, actions, log_prob(probs, actions), log_prob(client_probs, actions),
+                        probs, entropy, model, dual))
+        return actions, params[model]
+
+    columns = run_episodes(env, act, 1, env_seed)
+    return RolloutBuffer(*map(np.array, zip(*records)), columns.reshape(5, -1))
 
 
 # --- update phase ---
@@ -435,21 +437,12 @@ def report_row(s: EpisodeStats) -> tuple:
 
 
 def _episode_stats(episode: int, buffer: RolloutBuffer, bundle: PolicyBundle) -> EpisodeStats:
-    active = bundle.actor.path_params[buffer.model_used]
+    """The episode's statistics; its five means are those `cli.cmd_eval` takes of the columns."""
     switches = int(np.count_nonzero(buffer.model_used[1:] != buffer.model_used[:-1]))
     thr = float(np.mean([c.thr for c in bundle.controllers])) if bundle.controllers else 0.0
-    return EpisodeStats(
-        episode=episode,
-        mean_reward=float(buffer.rewards.mean()),
-        mean_qoe=float(buffer.qoe.mean()),
-        mean_latency=float(buffer.t_total.mean()),
-        mean_err=float(buffer.err_rate.mean()),
-        active_params=float(active.mean()),
-        server_ratio=float(buffer.model_used.mean()),
-        switches=switches,
-        threshold=thr,
-        mean_entropy=float(buffer.entropies.mean()),
-    )
+    return EpisodeStats(episode, *buffer.columns.mean(axis=1).tolist(),
+                        float(buffer.model_used.mean()), switches, thr,
+                        float(buffer.entropies.mean()))
 
 
 def train_episode(env, bundle: PolicyBundle, cfg: TrainConfig, opts: _Optimizers,
@@ -518,12 +511,13 @@ def run_episodes(
     seed_base: int,
     on_slot: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Greedy/no-learning rollouts at seeds seed_base + ep, as one float64 array (5, episodes,
-    slots * V) of each slot's reward, qoe, t_total, err_rate and active params, slots in order,
-    vehicles in id order. Once per slot, act_fn(obs (V, O), slot) returns every vehicle's
-    (actions (V,) int, active params (V,)), and on_slot(episode, slot, metrics) receives the
-    slot's (V,) metrics records. act_fn's state (split controller copies, an RNG) carries
-    across episodes, so N episodes equal N one-episode calls on one act_fn."""
+    """Rollouts at seeds seed_base + ep, as one float64 array (5, episodes, slots * V) of each
+    slot's reward, qoe, t_total, err_rate and active params, slots in order, vehicles in id
+    order: `eval` and `compare` play greedy or heuristic act functions through it, and
+    `collect_episode` the learner's sampling one. Once per slot, act_fn(obs (V, O), slot)
+    returns every vehicle's (actions (V,) int, active params (V,)), and on_slot(episode, slot,
+    metrics) receives the slot's (V,) metrics records. act_fn's state (split controller copies,
+    an RNG) carries across episodes, so N episodes equal N one-episode calls on one act_fn."""
     columns = []  # per slot (reward, qoe, t_total, err_rate, active params), (V,) each
     for ep in range(episodes):
         obs = env.reset(seed_base + ep)
@@ -637,7 +631,8 @@ def load_bundle(
 
     Builds a fresh bundle of the size `checkpoint_meta` reads, and writes
     every tensor `bundle_tensors` lists for it, refusing a missing one or any
-    shape but its own. A controller row may be missing (the checkpoint was
+    shape but its own, a non-finite parameter, or a controller value that is
+    not an integer >= 0. A controller row may be missing (the checkpoint was
     trained outside split mode): that controller starts fresh.
     """
     meta = checkpoint_meta(tensors)
@@ -647,7 +642,13 @@ def load_bundle(
     for name, param in layout:
         if name in tensors or not name.endswith("/ctrl"):
             param[...] = _saved(tensors, name, param.shape)
-    rows = (row for name, row in layout if name.endswith("/ctrl"))
-    for c, row in zip(bundle.controllers or [], rows):
-        c.server_calls, c.hold_remaining, c.calls = (int(x) for x in row[0])
+    nets = [*bundle.actor.components().values(), *(c.net for c in bundle.critics)]
+    if not all(np.isfinite(net.flat).all() for net in nets):
+        name = next(name for name, param in layout if not np.isfinite(param).all())
+        raise ValueError(f"checkpoint tensor {name} holds a non-finite value")
+    rows = ((name, row[0].tolist()) for name, row in layout if name.endswith("/ctrl"))
+    for c, (name, row) in zip(bundle.controllers or [], rows):
+        if not all(x >= 0 and x.is_integer() for x in row):
+            raise ValueError(f"checkpoint tensor {name} must hold integers >= 0, got {row}")
+        c.server_calls, c.hold_remaining, c.calls = map(int, row)
     return bundle, episode

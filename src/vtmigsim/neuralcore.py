@@ -24,6 +24,12 @@ PROB_FLOOR = 1e-12
 CLIENT = "client"
 SERVER = "server"
 
+# The actor components each path runs through, input first.
+PATHS = {
+    CLIENT: ("client_trunk", "client_head"),
+    SERVER: ("client_trunk", "server_trunk", "server_head"),
+}
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability."""
@@ -177,50 +183,27 @@ class SplitActor:
 
     # --- batched path forward/backward for training ---
 
-    def path_logits(self, obs: np.ndarray, path: str) -> tuple[np.ndarray, dict]:
-        """Logits of one path for a batch, with caches for path_backward."""
-        features, c_trunk = self.client_trunk.forward(obs)
-        if path == CLIENT:
-            logits, c_head = self.client_head.forward(features)
-            return logits, {"trunk": c_trunk, "head": c_head}
-        if path == SERVER:
-            hidden, c_server = self.server_trunk.forward(features)
-            logits, c_head = self.server_head.forward(hidden)
-            return logits, {"trunk": c_trunk, "server": c_server, "head": c_head}
-        raise ValueError(f"unknown path {path!r}")
+    def path_logits(self, obs: np.ndarray, path: str) -> tuple[np.ndarray, list]:
+        """Logits of one path for a batch, with the caches of its `PATHS` components."""
+        caches = []
+        for name in PATHS[path]:
+            obs, cache = getattr(self, name).forward(obs)
+            caches.append(cache)
+        return obs, caches
 
-    def path_backward(self, cache: dict, dlogits: np.ndarray, path: str) -> dict[str, np.ndarray]:
-        """Flat parameter gradients of one path keyed by component name.
-
-        The client path touches client trunk and client head only; the server
-        path touches server head, server trunk, and the client trunk, but
-        never the client head.
-        """
-        if path == CLIENT:
-            head_grads, dfeat = self.client_head.backward(cache["head"], dlogits)
-            trunk_grads, _ = self.client_trunk.backward(cache["trunk"], dfeat)
-            return {
-                "client_trunk": self.client_trunk.flat_grads(trunk_grads),
-                "client_head": self.client_head.flat_grads(head_grads),
-            }
-        if path == SERVER:
-            head_grads, dhidden = self.server_head.backward(cache["head"], dlogits)
-            server_grads, dfeat = self.server_trunk.backward(cache["server"], dhidden)
-            trunk_grads, _ = self.client_trunk.backward(cache["trunk"], dfeat)
-            return {
-                "client_trunk": self.client_trunk.flat_grads(trunk_grads),
-                "server_trunk": self.server_trunk.flat_grads(server_grads),
-                "server_head": self.server_head.flat_grads(head_grads),
-            }
-        raise ValueError(f"unknown path {path!r}")
+    def path_backward(self, caches: list, dlogits: np.ndarray, path: str) -> dict[str, np.ndarray]:
+        """Flat parameter gradients of one path's `PATHS` components keyed by name,
+        output first: the client path never touches the server stack, and the
+        server path never touches the client head."""
+        grads = {}
+        for name, cache in zip(PATHS[path][::-1], caches[::-1]):
+            layer_grads, dlogits = getattr(self, name).backward(cache, dlogits)
+            grads[name] = getattr(self, name).flat_grads(layer_grads)
+        return grads
 
     def components(self) -> dict[str, DenseNet]:
-        return {
-            "client_trunk": self.client_trunk,
-            "client_head": self.client_head,
-            "server_trunk": self.server_trunk,
-            "server_head": self.server_head,
-        }
+        """Every component by name, in `PATHS` order: the draw and checkpoint order."""
+        return {name: getattr(self, name) for name in dict.fromkeys(PATHS[CLIENT] + PATHS[SERVER])}
 
     @property
     def path_params(self) -> np.ndarray:

@@ -183,8 +183,8 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
     obs_list = env.reset(env_seed)
     V = bundle.actor.agents
     store = {k: [] for k in (
-        "obs", "actions", "logp", "logp_client", "probs", "rewards",
-        "entropy", "model", "dual", "qoe", "t_total", "err_rate",
+        "obs", "actions", "logp", "logp_client", "probs", "entropy", "model", "dual",
+        "reward", "qoe", "t_total", "err_rate", "active",
     )}
     done = False
     while not done:
@@ -196,6 +196,7 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
         entropy = np.zeros(V)
         model = np.zeros(V, dtype=int)
         dual = np.zeros(V, dtype=bool)
+        active = np.zeros(V)
         for v in range(V):
             features, cdist = actors[v].forward_client(slot_obs[v])
             entropy[v] = cdist.entropy
@@ -213,18 +214,19 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
             probs[v] = dist.probs
             model[v] = 1 if choice == SERVER else 0
             dual[v] = dual_v
+            active[v] = bundle.actor.path_params[model[v]]
         result = env.step(list(actions))
         store["obs"].append(slot_obs)
         store["actions"].append(actions)
         store["logp"].append(logp)
         store["logp_client"].append(logp_client)
         store["probs"].append(probs)
-        store["rewards"].append(result.metrics.reward.copy())
         store["entropy"].append(entropy)
         store["model"].append(model)
         store["dual"].append(dual)
-        for name in ("qoe", "t_total", "err_rate"):
+        for name in ("reward", "qoe", "t_total", "err_rate"):
             store[name].append(result.metrics[name].copy())
+        store["active"].append(active)
         obs_list = result.observations
         done = result.done
     return RolloutBuffer(
@@ -233,13 +235,14 @@ def collect_episode(env, bundle, mode, action_rng, env_seed):
         logp_old=np.array(store["logp"]),
         logp_old_client=np.array(store["logp_client"]),
         probs_old=np.array(store["probs"]),
-        rewards=np.array(store["rewards"]),
         entropies=np.array(store["entropy"]),
         model_used=np.array(store["model"]),
         dual=np.array(store["dual"]),
-        qoe=np.array(store["qoe"]),
-        t_total=np.array(store["t_total"]),
-        err_rate=np.array(store["err_rate"]),
+        # Per slot, every vehicle's value in id order.
+        columns=np.array([
+            np.concatenate(store[name])
+            for name in ("reward", "qoe", "t_total", "err_rate", "active")
+        ]),
     )
 
 

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import string
 import tempfile
 from pathlib import Path
@@ -339,6 +340,72 @@ def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message)
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {ckpt}: ") and message in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def split_checkpoint(tmp_path_factory):
+    """`write_cli_scenario`'s scenario and the tensors of a one-episode split
+    checkpoint trained on it at seed 3."""
+    directory = tmp_path_factory.mktemp("split_checkpoint")
+    scenario = write_cli_scenario(directory)
+    assert cli.main(["train", "--scenario", scenario, "--out", str(directory / "t"),
+                     "--seed", "3", "--episodes", "1"]) == cli.EXIT_OK
+    return scenario, neuralcore.load_checkpoint(str(directory / "t" / "ckpt_final.txt"))
+
+
+def _eval_with_value(tmp_path, capsys, split_checkpoint, kind, tensor, value):
+    """Evaluate `kind` on the split checkpoint with `value` at [0, 0] of `tensor`;
+    returns (exit code, stderr, checkpoint path, whether --out exists)."""
+    scenario, tensors = split_checkpoint
+    edited = {name: t.copy() for name, t in tensors.items()}
+    edited[tensor][0, 0] = value
+    ckpt = str(tmp_path / "edited.txt")
+    neuralcore.save_checkpoint(ckpt, edited.items())
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = cli.main(["eval", "--scenario", scenario, "--checkpoint", ckpt, "--policy", kind,
+                     "--episodes", "1", "--out", str(out)])
+    return code, capsys.readouterr().err, ckpt, out.exists()
+
+
+@pytest.mark.parametrize("kind", ["split", "local", "local_edge"])
+@pytest.mark.parametrize("tensor, value", [
+    ("agent0/client_trunk/W0", math.nan), ("agent1/server_head/b0", math.inf),
+    ("agent2/server_trunk/W1", -math.inf), ("critic0/b2", math.nan),
+])
+def test_a_non_finite_parameter_exits_2_naming_its_tensor(tmp_path, capsys, split_checkpoint,
+                                                          kind, tensor, value):
+    """Every learned kind refuses it, also in a component its path never runs."""
+    code, err, ckpt, out_exists = _eval_with_value(tmp_path, capsys, split_checkpoint, kind,
+                                                   tensor, value)
+    assert code == cli.EXIT_CONFIG
+    assert err == f"config error: {ckpt}: checkpoint tensor {tensor} holds a non-finite value\n"
+    assert not out_exists
+
+
+@pytest.mark.parametrize("value, shown", [
+    (math.inf, "inf"), (math.nan, "nan"), (-5.0, "-5.0"), (1.5, "1.5"),
+])
+def test_a_controller_value_that_is_no_count_exits_2_naming_its_tensor(
+    tmp_path, capsys, split_checkpoint, value, shown
+):
+    code, err, ckpt, out_exists = _eval_with_value(tmp_path, capsys, split_checkpoint, "split",
+                                                   "agent0/ctrl", value)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"config error: {ckpt}: checkpoint tensor agent0/ctrl must hold "
+                          f"integers >= 0, got [{shown}, ")
+    assert not out_exists
+
+
+@pytest.mark.parametrize("tensor, value", [
+    ("agent0/ctrl", 0.0), ("agent2/client_head/W0", np.finfo(float).max),
+])
+def test_checkpoint_values_on_the_edge_of_the_rules_load(tmp_path, capsys, split_checkpoint,
+                                                         tensor, value):
+    """A controller count of 0 and the largest finite weight are accepted."""
+    code, err, _, out_exists = _eval_with_value(tmp_path, capsys, split_checkpoint, "split",
+                                                tensor, value)
+    assert (code, err) == (cli.EXIT_OK, "") and out_exists
 
 
 @pytest.mark.parametrize("scenario_line, train_text, message", [

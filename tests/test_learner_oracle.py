@@ -76,13 +76,10 @@ def random_buffer(T, V, model, dual, seed, n_actions=A):
         logp_old=np.log(rng.uniform(0.02, 1.0, size=(T, V))),
         logp_old_client=np.log(rng.uniform(0.02, 1.0, size=(T, V))),
         probs_old=rng.dirichlet(np.ones(n_actions), size=(T, V)),
-        rewards=rng.normal(size=(T, V)),
         entropies=np.zeros((T, V)),
         model_used=model,
         dual=dual,
-        qoe=np.zeros((T, V)),
-        t_total=np.zeros((T, V)),
-        err_rate=np.zeros((T, V)),
+        columns=np.concatenate([rng.normal(size=(1, T * V)), np.zeros((4, T * V))]),  # rewards
     )
     buffer.qhat = rng.normal(size=(T, V))
     buffer.adv = rng.normal(size=(T, V))
@@ -186,11 +183,13 @@ def test_collect_episode_matches_reference_field_by_field(mode, seed):
         want = ref.collect_episode(
             env, ref_bundle, mode, np.random.default_rng([seed, 2, episode]), episode
         )
-        for field in ("obs", "actions", "logp_old", "logp_old_client", "probs_old", "rewards",
-                      "entropies", "model_used", "dual", "qoe", "t_total", "err_rate"):
+        # columns holds reward, qoe, t_total, err_rate and active params; rewards is its row 0.
+        for field in ("obs", "actions", "logp_old", "logp_old_client", "probs_old", "entropies",
+                      "model_used", "dual", "columns", "rewards"):
             g, w = getattr(got, field), getattr(want, field)
             assert g.dtype == w.dtype and np.array_equal(g, w), field
         assert controller_state(bundle) == controller_state(ref_bundle)
+    assert np.shares_memory(got.rewards, got.columns) and not got.rewards.flags.writeable
     if mode == "split":
         assert 0 < got.model_used.mean() < 1
 

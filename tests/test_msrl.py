@@ -34,13 +34,10 @@ def random_buffer(seed=0):
         logp_old=zeros,
         logp_old_client=zeros,
         probs_old=rng.dirichlet(np.ones(A), size=(T, V)),
-        rewards=rng.normal(size=(T, V)),
         entropies=zeros,
         model_used=zeros.astype(int),
         dual=zeros.astype(bool),
-        qoe=zeros,
-        t_total=zeros,
-        err_rate=zeros,
+        columns=np.concatenate([rng.normal(size=(1, T * V)), np.zeros((4, T * V))]),  # rewards
     )
 
 

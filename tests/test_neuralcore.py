@@ -15,6 +15,7 @@ from vtmigsim import neuralcore
 from vtmigsim.neuralcore import (
     Adam,
     CKPT_MAGIC,
+    PATHS,
     Critic,
     DenseNet,
     SplitActor,
@@ -213,12 +214,20 @@ def test_client_path_never_touches_server():
     rng = np.random.default_rng(11)
     actor = make_actor(seed=12)
     x = rng.normal(size=(4, 9))
-    logits, cache = actor.path_logits(x, "client")
-    grads = actor.path_backward(cache, rng.normal(size=logits.shape), "client")
-    assert set(grads) == {"client_trunk", "client_head"}
-    logits, cache = actor.path_logits(x, "server")
-    grads = actor.path_backward(cache, rng.normal(size=logits.shape), "server")
-    assert set(grads) == {"client_trunk", "server_trunk", "server_head"}
+    assert PATHS == {"client": ("client_trunk", "client_head"),
+                     "server": ("client_trunk", "server_trunk", "server_head")}
+    for path in ("client", "server"):
+        logits, cache = actor.path_logits(x, path)
+        grads = actor.path_backward(cache, rng.normal(size=logits.shape), path)
+        assert set(grads) == set(PATHS[path])
+
+
+def test_an_unknown_path_is_a_key_error():
+    """A path name comes from the learner, never from an input file, so an
+    unknown one is a programming error, not a config error."""
+    actor = make_actor()
+    with pytest.raises(KeyError):
+        actor.path_logits(np.zeros((2, 9)), "edge")
 
 
 # --- parameter counts ---
