@@ -5,10 +5,10 @@ Subcommands: `trajgen` (synthesize trajectories and density/histogram data),
 `eval` (greedy evaluation of a checkpoint or heuristic), and `compare`
 (parameter sweeps across policies, long-format CSV output).
 
-All primary outputs are written atomically (a `.partial` file renamed on
-completion) and are byte-identical across runs with the same seed, inputs and
-commit. Learner outputs are byte-identical only within one CPU class: one
-OpenBLAS kernel and one set of numpy SIMD targets.
+All primary outputs are written atomically (a `<name>.<pid>.partial` file
+renamed on completion, removed on any failure) and are byte-identical across
+runs with the same seed, inputs and commit. Learner outputs are byte-identical
+only within one CPU class: one OpenBLAS kernel and one set of numpy SIMD targets.
 Exit codes: 0 success, 2 config error, 3 training abort, 4 I/O error.
 """
 
@@ -33,13 +33,10 @@ EXIT_IO = 4
 
 
 def atomic_write(path: str, write_fn: Callable):
-    """Write through a .partial file and rename into place on success; returns
-    what `write_fn(fh)` returns."""
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        result = write_fn(fh)
-    os.replace(tmp, path)
-    return result
+    """Write `path` through `neuralcore.partial_file`, so a failure, a training
+    abort among them, leaves no `.partial` file; returns what `write_fn(fh)` returns."""
+    with neuralcore.partial_file(path, "w", encoding="utf-8", newline="") as fh:
+        return write_fn(fh)
 
 
 def write_table(path: str, header: Sequence[str], row_format: str, rows: Iterable[tuple]) -> None:

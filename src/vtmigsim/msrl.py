@@ -230,7 +230,7 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray
     critic v·C // V of the C critics, by v's acting probabilities. With
     z0 = X·W₀ᵀ + b₀ computed at each critic's first agent (v·C % V == 0) and
     c(a) = V·O + v·A + a, alternative a's first layer is z0 − W₀[:, c(a_v)] + W₀[:, c(a)];
-    layers 1 and up run on those (T·A, H) rows, one agent at a time. This sums
+    layers 1 and up run on those (1, T·A, H) rows, one agent at a time. This sums
     layer 0 in another order than the critic on a swapped copy of X, so the
     two agree to rounding, not bit for bit.
     """
@@ -239,11 +239,12 @@ def compute_advantage(buffer: RolloutBuffer, bundle: PolicyBundle, X: np.ndarray
     adv = np.empty((T, V))
     for v in range(V):
         net = bundle.critics[v * C // V].net
+        w0 = net.weights[0][0]                                              # (H, D)
         if v * C % V == 0:
-            z0 = X @ net.weights[0].T + net.biases[0]
-        block = net.weights[0][:, V * O + v * A : V * O + (v + 1) * A].T    # (A, H)
+            z0 = X @ w0.T + net.biases[0][0]
+        block = w0[:, V * O + v * A : V * O + (v + 1) * A].T                # (A, H)
         z = (z0 - block[buffer.actions[:, v]])[:, None, :] + block          # (T, A, H)
-        q_swap, _ = net.forward(None, z.reshape(T * A, -1))
+        q_swap, _ = net.forward(None, z.reshape(1, T * A, -1))
         baseline = (buffer.probs_old[:, v, :] * q_swap.reshape(T, A)).sum(axis=1)
         adv[:, v] = buffer.qhat[:, v] - baseline
     return adv
@@ -560,9 +561,9 @@ def greedy_act_fn(
 
 # --- checkpoint persistence ---
 
-def _net_tensors(prefix: str, net: DenseNet, agent=...) -> list[tuple[str, np.ndarray]]:
-    """Views of one net's parameters (agent `agent`'s, if stacked): prefix/W<i>
-    and prefix/b<i> as a row."""
+def _net_tensors(prefix: str, net: DenseNet, agent: int) -> list[tuple[str, np.ndarray]]:
+    """Views of agent `agent`'s parameters of one net (0 for a critic):
+    prefix/W<i> and prefix/b<i> as a row."""
     tensors = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         tensors += [(f"{prefix}/W{i}", w[agent]), (f"{prefix}/b{i}", b[agent].reshape(1, -1))]
@@ -597,7 +598,7 @@ def bundle_tensors(bundle: PolicyBundle, episode: int) -> list[tuple[str, np.nda
                 )
             )
     for j, critic in enumerate(bundle.critics):
-        tensors += _net_tensors(f"critic{j}", critic.net)
+        tensors += _net_tensors(f"critic{j}", critic.net, 0)
     return tensors
 
 

@@ -59,48 +59,45 @@ def log_prob(probs: np.ndarray, actions) -> np.ndarray:
 
 
 class DenseNet:
-    """Fully connected stack: tanh on every layer except an identity output.
+    """Fully connected stack per agent: tanh on every layer except an identity output.
 
     With out_tanh=True the final layer is tanh as well, which is how trunk
     stacks producing intermediate features are built; heads use identity.
-    All parameters are views of one flat buffer, (P,), or (V, P) for the
-    independent nets of V agents: `weights[i]` is (out, in) or (V, out, in).
+    All parameters are views of one flat (V, P) buffer, zeros until drawn:
+    `weights[i]` is (V, out, in) and `biases[i]` is (V, out).
     """
 
-    def __init__(self, dims: Sequence[int], rng=None, out_tanh: bool = False, agents=None):
+    def __init__(self, dims: Sequence[int], agents: int, out_tanh: bool = False):
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
         self.dims = list(dims)
         self.out_tanh = out_tanh
-        lead = () if agents is None else (agents,)
-        self.flat = np.zeros(lead + (sum(o * i + o for i, o in zip(dims, dims[1:])),))
+        self.flat = np.zeros((agents, sum(o * i + o for i, o in zip(dims, dims[1:]))))
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         off = 0
         for fan_in, fan_out in zip(dims, dims[1:]):
             n = fan_out * fan_in
-            self.weights.append(self.flat[..., off : off + n].reshape(lead + (fan_out, fan_in)))
-            self.biases.append(self.flat[..., off + n : off + n + fan_out])
+            self.weights.append(self.flat[:, off : off + n].reshape(agents, fan_out, fan_in))
+            self.biases.append(self.flat[:, off + n : off + n + fan_out])
             off += n + fan_out
-        if rng is not None:
-            self.draw(rng)
 
-    def draw(self, rng: np.random.Generator, agent: Optional[int] = None) -> None:
-        """Glorot-uniform weights, layer by layer (of one agent, if stacked)."""
+    def draw(self, rng: np.random.Generator, agent: int) -> None:
+        """Glorot-uniform weights of one agent, layer by layer."""
         for w in self.weights:
             limit = math.sqrt(6.0 / sum(w.shape[-2:]))
-            (w if agent is None else w[agent])[...] = rng.uniform(-limit, limit, w.shape[-2:])
+            w[agent] = rng.uniform(-limit, limit, w.shape[-2:])
 
     def forward(self, x: Optional[np.ndarray], z0: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-        """Batched forward pass, (B, in) or stacked (V, B, in); returns
-        (output, cache for backward). Each layer is one matmul. A caller that
-        already holds layer 0's pre-activation x·W₀ᵀ + b₀ passes it as z0 and
-        x as None: layer 0 then only applies its activation."""
-        h = x if z0 is not None else np.atleast_2d(np.asarray(x, dtype=float))
+        """Batched forward pass of (V, B, in); returns (output, cache for
+        backward). Each layer is one matmul. A caller that already holds
+        layer 0's pre-activation x·W₀ᵀ + b₀ passes it as z0 and x as None:
+        layer 0 then only applies its activation."""
+        h = x
         cache = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = z0 if i == 0 and z0 is not None else h @ w.swapaxes(-1, -2) + b[..., None, :]
+            z = z0 if i == 0 and z0 is not None else h @ w.swapaxes(-1, -2) + b[:, None, :]
             use_tanh = i < last or self.out_tanh
             y = np.tanh(z) if use_tanh else z
             cache.append((h, y, use_tanh))
@@ -110,7 +107,7 @@ class DenseNet:
     def backward(self, cache: list, dy: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         """Reverse-accumulate (dW, db) per layer plus the input gradient."""
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
-        grad = np.atleast_2d(dy)
+        grad = dy
         for i in range(len(self.weights) - 1, -1, -1):
             h_in, y_out, used_tanh = cache[i]
             dz = grad * (1.0 - y_out**2) if used_tanh else grad
@@ -120,8 +117,8 @@ class DenseNet:
 
     def flat_grads(self, layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Layer gradients laid out like `flat`."""
-        lead = self.flat.shape[:-1] + (-1,)
-        return np.concatenate([g.reshape(lead) for dw_db in layer_grads for g in dw_db], axis=-1)
+        rows = [g.reshape(len(self.flat), -1) for dw_db in layer_grads for g in dw_db]
+        return np.concatenate(rows, axis=1)
 
     def param_count(self) -> int:
         """Parameters of one agent's net."""
@@ -134,13 +131,13 @@ class SplitActor:
     The client consumes the observation and emits both intermediate features
     and client-head logits. The server consumes the client features and emits
     its own logits. `split_index` is how many hidden widths belong to the
-    client; hidden_dims[split_index:] belong to the server. With `agents`,
-    every component is stacked over V agents, drawn (zeros without `rng`) agent
-    by agent, component by component; every input has a leading agent axis."""
+    client; hidden_dims[split_index:] belong to the server. Every component
+    is stacked over `agents` agents, drawn (zeros without `rng`) agent by
+    agent, component by component; every input has a leading agent axis."""
 
     def __init__(
         self, obs_dim: int, n_actions: int, hidden_dims: Sequence[int], split_index: int,
-        rng: Optional[np.random.Generator], agents: Optional[int] = None,
+        rng: Optional[np.random.Generator], agents: int,
     ):
         if not (1 <= split_index < len(hidden_dims)):
             raise ValueError("split_index must leave at least one layer on each side")
@@ -149,37 +146,35 @@ class SplitActor:
         self.agents = agents
         client_dims = [obs_dim] + list(hidden_dims[:split_index])
         server_dims = [client_dims[-1]] + list(hidden_dims[split_index:])
-        self.client_trunk = DenseNet(client_dims, out_tanh=True, agents=agents)
-        self.client_head = DenseNet([client_dims[-1], n_actions], agents=agents)
-        self.server_trunk = DenseNet(server_dims, out_tanh=True, agents=agents)
-        self.server_head = DenseNet([server_dims[-1], n_actions], agents=agents)
+        self.client_trunk = DenseNet(client_dims, agents, out_tanh=True)
+        self.client_head = DenseNet([client_dims[-1], n_actions], agents)
+        self.server_trunk = DenseNet(server_dims, agents, out_tanh=True)
+        self.server_head = DenseNet([server_dims[-1], n_actions], agents)
         if rng is not None:
-            for v in [None] if agents is None else range(agents):
+            for v in range(agents):
                 for net in self.components().values():
                     net.draw(rng, v)
 
     # --- rollout inference: one observation per agent ---
 
     def forward_client(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Client features and action probabilities of obs (O,), or (V, O) stacked."""
-        obs = np.asarray(obs, dtype=float)
-        want = (self.obs_dim,) if self.agents is None else (self.agents, self.obs_dim)
-        if obs.shape != want:
-            raise ValueError(f"expected observation of shape {want}, got {obs.shape}")
-        features, _ = self.client_trunk.forward(obs[..., None, :])
+        """Client features and action probabilities of obs (V, O)."""
+        features, _ = self.client_trunk.forward(self._per_agent(obs, self.obs_dim))
         logits, _ = self.client_head.forward(features)
-        return features[..., 0, :], softmax(logits)[..., 0, :]
+        return features[:, 0], softmax(logits)[:, 0]
 
     def forward_server(self, features: np.ndarray) -> np.ndarray:
-        """Server action probabilities of client features (F,), or (V, F) stacked."""
-        features = np.asarray(features, dtype=float)
-        if features.shape[-1] != self.server_trunk.dims[0]:
-            raise ValueError(
-                f"expected features of width {self.server_trunk.dims[0]}, got {features.shape}"
-            )
-        hidden, _ = self.server_trunk.forward(features[..., None, :])
+        """Server action probabilities of client features (V, F)."""
+        hidden, _ = self.server_trunk.forward(self._per_agent(features, self.server_trunk.dims[0]))
         logits, _ = self.server_head.forward(hidden)
-        return softmax(logits)[..., 0, :]
+        return softmax(logits)[:, 0]
+
+    def _per_agent(self, x: np.ndarray, width: int) -> np.ndarray:
+        """x as a (V, 1, width) float batch; a ValueError unless it is (V, width)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.agents, width):
+            raise ValueError(f"expected input of shape {(self.agents, width)}, got {x.shape}")
+        return x[:, None, :]
 
     # --- batched path forward/backward for training ---
 
@@ -219,22 +214,25 @@ class SplitActor:
 
 
 class Critic:
-    """Centralized action-value network over joint observation + one-hot joint action."""
+    """Centralized action-value network over joint observation + one-hot joint
+    action: a one-agent net, whose agent axis these methods add and drop."""
 
     def __init__(self, input_dim: int, hidden_dims: Sequence[int], rng=None):
-        self.net = DenseNet([input_dim] + list(hidden_dims) + [1], rng)
+        self.net = DenseNet([input_dim, *hidden_dims, 1], 1)
+        if rng is not None:
+            self.net.draw(rng, 0)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.net.forward(x)
-        return y[:, 0]
+        y, _ = self.net.forward(x[None])
+        return y[0, :, 0]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        y, cache = self.net.forward(x)
-        return y[:, 0], cache
+        y, cache = self.net.forward(x[None])
+        return y[0, :, 0], cache
 
     def backward(self, cache: list, dvalue: np.ndarray) -> np.ndarray:
-        """Gradient of the flat parameter buffer."""
-        grads, _ = self.net.backward(cache, np.asarray(dvalue).reshape(-1, 1))
+        """Gradient of the (1, P) flat parameter buffer."""
+        grads, _ = self.net.backward(cache, dvalue[None, :, None])
         return self.net.flat_grads(grads)
 
 
@@ -290,26 +288,35 @@ _SIDECAR_SUFFIX = ".f8"
 _SIDECAR_MAGIC = b"MSRL-CKPT-F8 v1\n"
 
 
-def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Write checkpoint `path` and its sidecar via per-process .partial files, removed on failure,
-    the sidecar first, its failure ignored; an empty, spaced or repeated name raises first."""
-    mats: dict[str, np.ndarray] = {}
-    for name, array in tensors:
-        if name.split() != [name] or name in mats:
-            raise ValueError(f"checkpoint tensor name {name!r} is empty, holds whitespace or repeats")
-        mats[name] = np.atleast_2d(np.asarray(array, dtype=float))
-    text, tmp = hashlib.sha256(), f"{path}.{os.getpid()}.partial"
+@contextlib.contextmanager
+def partial_file(path: str, mode: str = "wb", **open_args):
+    """A file opened as `<path>.<pid>.partial` and renamed to `path` when the block
+    ends; on any failure it is removed and the error re-raised."""
+    tmp = f"{path}.{os.getpid()}.partial"
     try:
-        with open(tmp, "wb") as fh:
-            for data in _checkpoint_text(mats):
-                text.update(data)
-                fh.write(data)
-        _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write checkpoint `path` and its sidecar through `partial_file`, the sidecar
+    first, its failure ignored; an empty, spaced or repeated name raises first."""
+    mats: dict[str, np.ndarray] = {}
+    for name, array in tensors:
+        if name.split() != [name] or name in mats:
+            raise ValueError(f"checkpoint tensor name {name!r} is empty, holds whitespace or repeats")
+        mats[name] = np.atleast_2d(np.asarray(array, dtype=float))
+    text = hashlib.sha256()
+    with partial_file(path) as fh:
+        for data in _checkpoint_text(mats):
+            text.update(data)
+            fh.write(data)
+        _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
 
 
 def _checkpoint_text(mats: dict[str, np.ndarray]) -> Iterable[bytes]:
@@ -407,18 +414,12 @@ def _read_sidecar(path: str, text_digest: str) -> dict[str, np.ndarray]:
 
 def _write_sidecar(path: str, text_digest: str, tensors: dict[str, np.ndarray]) -> None:
     """Write the sidecar of `tensors`, the values of a text of SHA-256 `text_digest`, through
-    a per-process temporary file, each NaN as "nan" parses; an OSError leaves no sidecar."""
+    `partial_file`, each NaN as "nan" parses; an OSError leaves no sidecar."""
     payload = np.concatenate([np.empty(0), *(a.ravel() for a in tensors.values())], dtype="<f8")
     payload[np.isnan(payload)] = np.nan
     index = "".join(f"{name} {a.shape[0]} {a.shape[1]}\n" for name, a in tensors.items())
     body = hashlib.sha256(index.encode() + b"\n")
     body.update(memoryview(payload))
-    tmp = f"{path}.{os.getpid()}.partial"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_SIDECAR_MAGIC + f"{text_digest} {body.hexdigest()}\n{index}\n".encode())
-            fh.write(memoryview(payload))
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+    with contextlib.suppress(OSError), partial_file(path) as fh:
+        fh.write(_SIDECAR_MAGIC + f"{text_digest} {body.hexdigest()}\n{index}\n".encode())
+        fh.write(memoryview(payload))

@@ -73,7 +73,9 @@ def agent_nets(bundle, v):
 
 
 def critic_nets(bundle):
-    return [Net(c.net.weights, c.net.biases, False) for c in bundle.critics]
+    """Each critic's one net (row 0 of its one-agent stack) as a view."""
+    return [Net([w[0] for w in c.net.weights], [b[0] for b in c.net.biases], False)
+            for c in bundle.critics]
 
 
 class Distribution:

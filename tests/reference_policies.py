@@ -3,7 +3,7 @@ controller, kept as oracles.
 
 This is greedy evaluation and the heuristics as they ran one vehicle at a
 time: act(agent, obs (O,), slot) -> (action, active params), with one
-single-observation forward per agent through an unstacked view of the
+single-observation forward per agent through a one-agent view of the
 stacked actor, and one scalar RNG draw per vehicle for random migration.
 The per-slot action functions of `vtmigsim.policies` must reproduce it bit
 for bit. `per_slot` adapts a reference function to the per-slot contract so
@@ -75,18 +75,18 @@ class SwitchController:
 
 
 def agent_net(net: DenseNet, v: int) -> DenseNet:
-    """Agent v of a stacked net, as an unstacked net sharing its memory."""
+    """Agent v of a stacked net, as a one-agent net sharing its memory."""
     view = copy.copy(net)
-    view.flat = net.flat[v]
-    view.weights = [w[v] for w in net.weights]
-    view.biases = [b[v] for b in net.biases]
+    view.flat = net.flat[v : v + 1]
+    view.weights = [w[v : v + 1] for w in net.weights]
+    view.biases = [b[v : v + 1] for b in net.biases]
     return view
 
 
 def agent_actor(actor: SplitActor, v: int) -> SplitActor:
-    """Agent v of a stacked actor, as an unstacked actor sharing its memory."""
+    """Agent v of a stacked actor, as a one-agent actor sharing its memory."""
     view = copy.copy(actor)
-    view.agents = None
+    view.agents = 1
     for name, net in actor.components().items():
         setattr(view, name, agent_net(net, v))
     return view
@@ -101,15 +101,15 @@ def greedy_act_fn(bundle: PolicyBundle, kind: str):
     actors = [agent_actor(bundle.actor, v) for v in range(bundle.actor.agents)]
 
     def act(v, obs, slot):
-        features, probs = actors[v].forward_client(obs)
+        features, probs = actors[v].forward_client(np.asarray(obs)[None])
         if kind == "client":
-            return int(np.argmax(probs)), client_n
+            return int(np.argmax(probs[0])), client_n
         if kind == "server":
-            return int(np.argmax(actors[v].forward_server(features))), full_n
-        choice, _ = controllers[v].select(float(entropy_of(probs)))
+            return int(np.argmax(actors[v].forward_server(features)[0])), full_n
+        choice, _ = controllers[v].select(float(entropy_of(probs[0])))
         if choice == SERVER:
-            return int(np.argmax(actors[v].forward_server(features))), full_n
-        return int(np.argmax(probs)), client_n
+            return int(np.argmax(actors[v].forward_server(features)[0])), full_n
+        return int(np.argmax(probs[0])), client_n
 
     act.controllers = controllers
     return act

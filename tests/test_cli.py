@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import string
 import tempfile
 from pathlib import Path
@@ -68,7 +69,7 @@ def test_training_abort_exits_3(tmp_path, capsys, monkeypatch):
     assert "training aborted: non-finite loss at episode 0" in capsys.readouterr().err
     assert (out / "abort_dump.txt").read_text(encoding="utf-8").startswith(
         "non-finite loss at episode 0\nepisode = 0\ncritic_loss = nan\n")
-    assert sorted(p.name for p in out.iterdir()) == ["abort_dump.txt", "train_report.csv.partial"]
+    assert sorted(p.name for p in out.iterdir()) == ["abort_dump.txt"]
 
 
 def test_a_key_error_inside_a_command_is_not_a_config_error(tmp_path, monkeypatch):
@@ -92,6 +93,24 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
             "--out", str(blocker / "out")]
     assert cli.main(argv) == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_a_table_that_cannot_be_renamed_exits_4_leaving_no_partial(tmp_path, capsys, monkeypatch):
+    scenario = write_cli_scenario(tmp_path)
+    replace = os.replace
+
+    def refuse_tables(src, dst):
+        if str(dst).endswith(".csv"):
+            raise OSError(28, "No space left on device", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_tables)
+    out = tmp_path / "out"
+    argv = ["eval", "--scenario", scenario, "--policy", "full_migration", "--episodes", "1",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.is_dir() and not list(out.glob("*.partial"))
 
 
 def test_build_env_key_fallbacks(tmp_path):

@@ -99,10 +99,10 @@ def assert_same_learner(bundle, opts, ref_bundle, ref_opts):
     for critic, ref_critic, adam, ref_adam in zip(
         bundle.critics, ref_bundle.critics, opts.critic_opts, ref_opts.critic_opts
     ):
-        assert np.array_equal(critic.net.flat, ref_critic.net.flat)
+        assert np.array_equal(critic.net.flat[0], ref_critic.net.flat[0])
         m, s = ref.flat_moments(ref_adam)
-        assert adam.steps == ref_adam.steps
-        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, s)
+        assert adam.steps[0] == ref_adam.steps
+        assert np.array_equal(adam.m[0], m) and np.array_equal(adam.v[0], s)
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,7 +208,7 @@ def test_training_matches_reference(mode, shared_critic):
     for name, net in bundle.actor.components().items():
         assert np.array_equal(net.flat, ref_bundle.actor.components()[name].flat), name
     for critic, ref_critic in zip(bundle.critics, ref_bundle.critics):
-        assert np.array_equal(critic.net.flat, ref_critic.net.flat)
+        assert np.array_equal(critic.net.flat[0], ref_critic.net.flat[0])
     assert controller_state(bundle) == controller_state(ref_bundle)
 
 
@@ -238,7 +238,7 @@ def test_one_pass_advantage_matches_critic_on_swapped_copies(
     rng = np.random.default_rng([seed, 1])
     for critic in bundle.critics:
         for b in critic.net.biases:
-            b[...] = rng.normal(scale=0.5, size=b.shape)
+            b[0] = rng.normal(scale=0.5, size=b.shape[1:])
     zeros = np.zeros((T, V), dtype=int)
     buffer = random_buffer(T, V, zeros, zeros.astype(bool), seed, n_actions)
     got = msrl.compute_advantage(buffer, bundle, msrl.critic_inputs(buffer, n_actions))
@@ -299,9 +299,9 @@ def test_make_bundle_draws_agent_by_agent():
                 net = bundle.actor.components()[name]
                 for w, want in zip(net.weights, weights):
                     assert np.array_equal(w[v], want), (v, name)
-                assert not agent_net(net, v).flat[-net.dims[-1]:].any()  # zero biases
+                assert not agent_net(net, v).flat[0, -net.dims[-1]:].any()  # zero biases
         for critic, weights in zip(bundle.critics, critics):
-            assert all(np.array_equal(w, want) for w, want in zip(critic.net.weights, weights))
+            assert all(np.array_equal(w[0], want) for w, want in zip(critic.net.weights, weights))
 
 
 def test_grad_check_stacked_paths():
@@ -333,9 +333,9 @@ def test_agent_view_shares_memory_with_the_stack():
     view = agent_actor(actor, 1)
     for name, net in view.components().items():
         assert np.shares_memory(net.flat, actor.components()[name].flat)
-        assert net.weights[0].shape == actor.components()[name].weights[0].shape[1:]
+        assert net.weights[0].shape == (1, *actor.components()[name].weights[0].shape[1:])
     obs = np.random.default_rng(1).normal(size=(3, 5))
     features, probs = actor.forward_client(obs)
-    view_features, view_probs = view.forward_client(obs[1])
-    assert np.array_equal(features[1], view_features) and np.array_equal(probs[1], view_probs)
-    assert np.array_equal(actor.forward_server(features)[1], view.forward_server(features[1]))
+    view_features, view_probs = view.forward_client(obs[1:2])
+    assert np.array_equal(features[1:2], view_features) and np.array_equal(probs[1:2], view_probs)
+    assert np.array_equal(actor.forward_server(features)[1:2], view.forward_server(features[1:2]))

@@ -28,8 +28,17 @@ from vtmigsim.neuralcore import (
 )
 
 
-def make_actor(obs_dim=9, n_actions=4, seed=0):
-    return SplitActor(obs_dim, n_actions, (8, 16, 16, 32, 16), 2, np.random.default_rng(seed))
+def make_actor(obs_dim=9, n_actions=4, seed=0, agents=1):
+    return SplitActor(
+        obs_dim, n_actions, (8, 16, 16, 32, 16), 2, np.random.default_rng(seed), agents
+    )
+
+
+def drawn_net(dims, rng, out_tanh=False):
+    """A one-agent net with Glorot weights from rng."""
+    net = DenseNet(dims, 1, out_tanh=out_tanh)
+    net.draw(rng, 0)
+    return net
 
 
 # --- softmax / distribution ---
@@ -58,8 +67,8 @@ def test_zero_weights_give_uniform():
             w[...] = 0.0
         for b in net.biases:
             b[...] = 0.0
-    _, probs = actor.forward_client(np.zeros(9))
-    entropy = float(entropy_of(probs))
+    _, probs = actor.forward_client(np.zeros((1, 9)))
+    entropy = float(entropy_of(probs[0]))
     assert np.allclose(probs, 0.25)
     assert entropy == pytest.approx(math.log(4.0), abs=1e-12)
     assert entropy == pytest.approx(1.3862943611198906, abs=1e-9)
@@ -93,12 +102,12 @@ def test_log_prob_clamped_finite():
 
 # --- forward oracle ---
 
-def naive_forward(net: DenseNet, x):
-    """Independent loop-based evaluation of the same stack."""
+def naive_forward(net: DenseNet, v, x):
+    """Independent loop-based evaluation of agent v's stack."""
     h = list(x)
     n_layers = len(net.weights)
     for li in range(n_layers):
-        w, b = net.weights[li], net.biases[li]
+        w, b = net.weights[li][v], net.biases[li][v]
         out = []
         for r in range(w.shape[0]):
             acc = b[r]
@@ -111,51 +120,68 @@ def naive_forward(net: DenseNet, x):
     return np.array(h)
 
 
-def test_forward_client_matches_naive():
+@pytest.mark.parametrize("agents", [1, 3])
+def test_forward_client_matches_naive(agents):
     rng = np.random.default_rng(5)
-    actor = make_actor(seed=3)
-    obs = rng.normal(size=9)
+    actor = make_actor(seed=3, agents=agents)
+    obs = rng.normal(size=(agents, 9))
     features, probs = actor.forward_client(obs)
-    feat_ref = naive_forward(actor.client_trunk, obs)
-    assert np.allclose(features, feat_ref, atol=1e-9)
-    logits_ref = naive_forward(actor.client_head, feat_ref)
-    z = logits_ref - logits_ref.max()
-    probs_ref = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(probs, probs_ref, atol=1e-9)
+    assert features.shape == (agents, 16) and probs.shape == (agents, 4)
+    for v in range(agents):
+        feat_ref = naive_forward(actor.client_trunk, v, obs[v])
+        assert np.allclose(features[v], feat_ref, atol=1e-9)
+        logits_ref = naive_forward(actor.client_head, v, feat_ref)
+        z = logits_ref - logits_ref.max()
+        probs_ref = np.exp(z) / np.exp(z).sum()
+        assert np.allclose(probs[v], probs_ref, atol=1e-9)
 
 
-def test_forward_server_matches_naive():
+@pytest.mark.parametrize("agents", [1, 3])
+def test_forward_server_matches_naive(agents):
     rng = np.random.default_rng(6)
-    actor = make_actor(seed=4)
-    obs = rng.normal(size=9)
+    actor = make_actor(seed=4, agents=agents)
+    obs = rng.normal(size=(agents, 9))
     features, _ = actor.forward_client(obs)
     probs = actor.forward_server(features)
-    hidden_ref = naive_forward(actor.server_trunk, features)
-    logits_ref = naive_forward(actor.server_head, hidden_ref)
-    z = logits_ref - logits_ref.max()
-    probs_ref = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(probs, probs_ref, atol=1e-9)
+    assert probs.shape == (agents, 4)
+    for v in range(agents):
+        hidden_ref = naive_forward(actor.server_trunk, v, features[v])
+        logits_ref = naive_forward(actor.server_head, v, hidden_ref)
+        z = logits_ref - logits_ref.max()
+        probs_ref = np.exp(z) / np.exp(z).sum()
+        assert np.allclose(probs[v], probs_ref, atol=1e-9)
 
 
 def test_forward_dimension_mismatch():
     actor = make_actor()
     with pytest.raises(ValueError):
-        actor.forward_client(np.zeros(5))
+        actor.forward_client(np.zeros((1, 5)))
     with pytest.raises(ValueError):
-        actor.forward_server(np.zeros(3))
+        actor.forward_server(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 16), (4, 16), (3, 1, 16)])
+def test_forward_server_wants_one_feature_row_per_agent(shape):
+    """Client features of the right width but not one row per agent are
+    refused, never broadcast over the agents."""
+    actor = make_actor(agents=3)
+    with pytest.raises(ValueError, match=r"shape \(3, 16\)"):
+        actor.forward_server(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"shape \(3, 9\)"):
+        actor.forward_client(np.zeros(shape[:-1] + (9,)))
 
 
 # --- backward ---
 
 def test_linear_net_closed_form_gradient():
     rng = np.random.default_rng(7)
-    net = DenseNet([3, 2], rng)  # single linear layer, identity output
-    x = rng.normal(size=(1, 3))
-    y_target = rng.normal(size=(1, 2))
+    net = drawn_net([3, 2], rng)  # single linear layer, identity output
+    x = rng.normal(size=(1, 1, 3))
+    y_target = rng.normal(size=(1, 1, 2))
     y, cache = net.forward(x)
     # loss = |Wx + b - y|^2, dL/dy = 2(y - target)
     grads, _ = net.backward(cache, 2.0 * (y - y_target))
-    dW_expected = 2.0 * (y - y_target).T @ x
+    dW_expected = 2.0 * (y - y_target)[0].T @ x[0]
     db_expected = 2.0 * (y - y_target)[0]
     assert np.allclose(grads[0][0], dW_expected, atol=1e-12)
     assert np.allclose(grads[0][1], db_expected, atol=1e-12)
@@ -163,8 +189,8 @@ def test_linear_net_closed_form_gradient():
 
 def test_zero_upstream_zero_grads():
     rng = np.random.default_rng(8)
-    net = DenseNet([4, 5, 2], rng, out_tanh=True)
-    y, cache = net.forward(rng.normal(size=(3, 4)))
+    net = drawn_net([4, 5, 2], rng, out_tanh=True)
+    y, cache = net.forward(rng.normal(size=(1, 3, 4)))
     grads, dx = net.backward(cache, np.zeros_like(y))
     assert all(np.all(g[0] == 0) and np.all(g[1] == 0) for g in grads)
     assert np.all(dx == 0)
@@ -174,9 +200,9 @@ def test_grad_check_dense_paths():
     rng = np.random.default_rng(9)
     for trial in range(5):
         dims = [int(rng.integers(2, 6)) for _ in range(3)]
-        net = DenseNet(dims, rng, out_tanh=bool(trial % 2))
-        x = rng.normal(size=(3, dims[0]))
-        r = rng.normal(size=(3, dims[-1]))
+        net = drawn_net(dims, rng, out_tanh=bool(trial % 2))
+        x = rng.normal(size=(1, 3, dims[0]))
+        r = rng.normal(size=(1, 3, dims[-1]))
 
         def loss_and_grads():
             y, cache = net.forward(x)
@@ -190,9 +216,9 @@ def test_grad_check_dense_paths():
 
 def test_grad_check_actor_paths():
     rng = np.random.default_rng(10)
-    actor = SplitActor(5, 3, (4, 6, 5), 1, rng)
-    x = rng.normal(size=(2, 5))
-    r = rng.normal(size=(2, 3))
+    actor = SplitActor(5, 3, (4, 6, 5), 1, rng, agents=1)
+    x = rng.normal(size=(1, 2, 5))
+    r = rng.normal(size=(1, 2, 3))
 
     for path, comps in (
         ("client", ("client_trunk", "client_head")),
@@ -213,7 +239,7 @@ def test_grad_check_actor_paths():
 def test_client_path_never_touches_server():
     rng = np.random.default_rng(11)
     actor = make_actor(seed=12)
-    x = rng.normal(size=(4, 9))
+    x = rng.normal(size=(1, 4, 9))
     assert PATHS == {"client": ("client_trunk", "client_head"),
                      "server": ("client_trunk", "server_trunk", "server_head")}
     for path in ("client", "server"):
@@ -227,7 +253,7 @@ def test_an_unknown_path_is_a_key_error():
     unknown one is a programming error, not a config error."""
     actor = make_actor()
     with pytest.raises(KeyError):
-        actor.path_logits(np.zeros((2, 9)), "edge")
+        actor.path_logits(np.zeros((1, 2, 9)), "edge")
 
 
 # --- parameter counts ---
@@ -250,7 +276,9 @@ def test_param_count_ordering():
         n_hidden = int(rng.integers(2, 5))
         dims = tuple(int(rng.integers(2, 20)) for _ in range(n_hidden))
         split = int(rng.integers(1, n_hidden))
-        actor = SplitActor(int(rng.integers(2, 12)), int(rng.integers(2, 6)), dims, split, rng)
+        actor = SplitActor(
+            int(rng.integers(2, 12)), int(rng.integers(2, 6)), dims, split, rng, agents=1
+        )
         assert actor.path_params[0] < actor.path_params[1]
 
 
@@ -549,9 +577,12 @@ def test_a_checkpoint_read_from_a_pipe_is_parsed_with_no_sidecar(tmp_path):
 def test_critic_shapes():
     rng = np.random.default_rng(14)
     critic = Critic(10, (32, 32), rng)
+    assert critic.net.flat.shape == (1, critic.net.param_count())
     x = rng.normal(size=(7, 10))
     v = critic.value(x)
     assert v.shape == (7,)
+    values, _ = critic.forward(x)
+    assert np.array_equal(values, v)
 
 
 def test_critic_grad_check():
