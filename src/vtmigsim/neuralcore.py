@@ -5,7 +5,7 @@ server-side stack, each with its own action head), a centralized action-value
 network, reverse-mode gradients for each forward path, an adaptive-moment
 optimizer, and a plain-text checkpoint format. Saving a checkpoint also writes
 a binary sidecar of its values, which a load returns once it matches the
-text's SHA-256; a load that finds none parses the text and writes one.
+text's SHA-256; a load that finds none parses the text. A load writes nothing.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class Adam:
 # lines of `cols` decimal floats. %.17g preserves float64 exactly.
 #
 # `save_checkpoint` also writes a binary sidecar, `<path>.f8`, keyed by the text's
-# SHA-256 like a checked-hash .pyc (PEP 552); a load without one writes it. Line 1:
+# SHA-256 like a checked-hash .pyc (PEP 552); it is the sidecar's one writer. Line 1:
 # "MSRL-CKPT-F8 v1". Line 2: the text's SHA-256 and the body's, in hex. The
 # body: one line "name rows cols" per tensor, an empty line, then every
 # tensor's values as little-endian float64, in that order.
@@ -304,8 +304,8 @@ def partial_file(path: str, mode: str = "wb", **open_args):
 
 
 def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Write checkpoint `path` and its sidecar through `partial_file`, the sidecar
-    first, its failure ignored; an empty, spaced or repeated name raises first."""
+    """Write checkpoint `path` and its sidecar, each NaN as "nan" parses, through `partial_file`:
+    the sidecar first, its OSError ignored. An empty, spaced or repeated name raises first."""
     mats: dict[str, np.ndarray] = {}
     for name, array in tensors:
         if name.split() != [name] or name in mats:
@@ -316,7 +316,14 @@ def save_checkpoint(path: str, tensors: Iterable[tuple[str, np.ndarray]]) -> Non
         for data in _checkpoint_text(mats):
             text.update(data)
             fh.write(data)
-        _write_sidecar(f"{path}{_SIDECAR_SUFFIX}", text.hexdigest(), mats)
+        payload = np.concatenate([np.empty(0), *(a.ravel() for a in mats.values())], dtype="<f8")
+        payload[np.isnan(payload)] = np.nan
+        index = "".join(f"{name} {a.shape[0]} {a.shape[1]}\n" for name, a in mats.items())
+        body = hashlib.sha256(index.encode() + b"\n")
+        body.update(memoryview(payload))
+        with contextlib.suppress(OSError), partial_file(f"{path}{_SIDECAR_SUFFIX}") as side:
+            side.write(_SIDECAR_MAGIC + f"{text.hexdigest()} {body.hexdigest()}\n{index}\n".encode())
+            side.write(memoryview(payload))
 
 
 def _checkpoint_text(mats: dict[str, np.ndarray]) -> Iterable[bytes]:
@@ -331,30 +338,30 @@ def _checkpoint_text(mats: dict[str, np.ndarray]) -> Iterable[bytes]:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """The tensors of checkpoint `path`; a malformed file is a ValueError naming it.
+    """The tensors of checkpoint `path`; a malformed file, or one that is not
+    UTF-8, is a ValueError naming it. A load writes no file.
 
     A load returns the values of the sidecar `<path>.f8` when it was made from
     a text of the same SHA-256 and its own digest holds. Otherwise it parses
-    the text and then writes the sidecar, ignoring an OSError on that write.
-    A text that cannot be read twice, from a pipe say, is parsed with no sidecar."""
+    the text, as it does a text that cannot be read twice, from a pipe say."""
     with open(path, "rb") as fh:
-        text = hashlib.sha256() if fh.seekable() else None
-        if text:
+        if fh.seekable():
+            text = hashlib.sha256()
             while block := fh.read(1 << 20):
                 text.update(block)
-            sidecar = os.fsdecode(path) + _SIDECAR_SUFFIX
             try:
-                return _read_sidecar(sidecar, text.hexdigest())
+                return _read_sidecar(os.fsdecode(path) + _SIDECAR_SUFFIX, text.hexdigest())
             except (OSError, ValueError):
                 fh.seek(0)
         with io.TextIOWrapper(fh, encoding="utf-8") as text_fh:
-            out = _parse_checkpoint(path, text_fh)
-    if text:
-        _write_sidecar(sidecar, text.hexdigest(), out)
-    return out
+            try:
+                return _parse_checkpoint(path, text_fh)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _parse_checkpoint(path: str, fh) -> dict[str, np.ndarray]:
+    """The tensors of text `fh`, each allocated after its rows are read, so within the file."""
     magic = fh.readline().rstrip("\n")
     if magic != CKPT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
@@ -370,17 +377,21 @@ def _parse_checkpoint(path: str, fh) -> dict[str, np.ndarray]:
             name, rows_s, cols_s = header.split()
             if header_lines.setdefault(name, line) != line:
                 raise ValueError(f"tensor {name} repeats the tensor of line {header_lines[name]}")
-            data = np.empty((int(rows_s), int(cols_s)))
-            rows, cols = data.shape
+            rows, cols = np.empty((int(rows_s), int(cols_s), 0)).shape[:2]  # checked, not allocated
+            data = []
             for r in range(rows):
-                fields = fh.readline().split()
+                if not (row := fh.readline()):
+                    raise ValueError(f"tensor {name}: the file ends before row {r} of {rows}")
+                fields = row.split()
                 if len(fields) != cols:
                     raise ValueError(f"tensor {name}: row {r} has {len(fields)} values, wanted {cols}")
-                data[r] = fields  # numpy parses each decimal string as float() does
+                data.append(np.array(fields, dtype=float))  # numpy parses each string as float() does
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             raise ValueError(f"{path}: line {line + r + 1}: {exc}") from None
         line += rows
-        out[name] = data
+        out[name] = np.reshape(data, (rows, cols))
     return out
 
 
@@ -410,16 +421,3 @@ def _read_sidecar(path: str, text_digest: str) -> dict[str, np.ndarray]:
     ends = np.cumsum([0, *sizes]).tolist()
     return {name: payload[a:b].reshape(shape)
             for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
-
-
-def _write_sidecar(path: str, text_digest: str, tensors: dict[str, np.ndarray]) -> None:
-    """Write the sidecar of `tensors`, the values of a text of SHA-256 `text_digest`, through
-    `partial_file`, each NaN as "nan" parses; an OSError leaves no sidecar."""
-    payload = np.concatenate([np.empty(0), *(a.ravel() for a in tensors.values())], dtype="<f8")
-    payload[np.isnan(payload)] = np.nan
-    index = "".join(f"{name} {a.shape[0]} {a.shape[1]}\n" for name, a in tensors.items())
-    body = hashlib.sha256(index.encode() + b"\n")
-    body.update(memoryview(payload))
-    with contextlib.suppress(OSError), partial_file(path) as fh:
-        fh.write(_SIDECAR_MAGIC + f"{text_digest} {body.hexdigest()}\n{index}\n".encode())
-        fh.write(memoryview(payload))

@@ -363,6 +363,8 @@ def density_grid(trajs: Sequence[Trajectory], cell: float) -> dict[tuple[int, in
 
 # --- synthetic ground truth for self-consistency checks and demos ---
 
+_SYNTHETIC_GPS_NOISE = 3.0  # meters, the standard deviation of each coordinate's jitter
+_SYNTHETIC_SAMPLE_INTERVAL = 60.0  # seconds between a track's points
 _DEFAULT_HOUR_SHAPE = 1.0 + 4.0 * np.exp(-((np.arange(24) - 8.0) ** 2) / 4.0) + \
     3.0 * np.exp(-((np.arange(24) - 18.0) ** 2) / 6.0)
 
@@ -372,8 +374,6 @@ def synthetic_truth(
     n_traj: int,
     rng: np.random.Generator,
     hour_weights: Optional[np.ndarray] = None,
-    gps_noise: float = 3.0,
-    sample_interval: float = 60.0,
 ) -> list[Trajectory]:
     """Fabricate plausible raw GPS tracks on a network for pipeline testing.
 
@@ -423,7 +423,7 @@ def synthetic_truth(
         path = positions[[net._index[nid] for nid in route]]  # src != dst: two nodes or more
         legs = hypot(*(path[:-1] - path[1:]).T) / rng.uniform(6.0, 14.0, size=len(route) - 1)
         timed = Trajectory(len(out), np.add.accumulate(np.concatenate(([t0], legs))), path)
-        dense = interpolate(timed, sample_interval)
-        noise = rng.normal(0.0, gps_noise, dense.xy.shape)  # x, y per point in turn
+        dense = interpolate(timed, _SYNTHETIC_SAMPLE_INTERVAL)
+        noise = rng.normal(0.0, _SYNTHETIC_GPS_NOISE, dense.xy.shape)  # x, y per point in turn
         out.append(Trajectory(len(out), dense.t, dense.xy + noise))
     return out

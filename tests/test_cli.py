@@ -341,17 +341,23 @@ def test_config_error_exits_2_with_its_message_before_output(tmp_path, capsys, a
     ("meta/episode 1\n", "line 2: not enough values to unpack (expected 3, got 2)"),
     ("meta/episode 1 1\nabc\n", "line 3: could not convert string to float: 'abc'"),
     ("meta/episode -1 1\n", "line 2: negative dimensions are not allowed"),
+    ("meta/episode 2 1\n0\n", "line 4: tensor meta/episode: the file ends before row 1 of 2"),
+    ("x/W0 1000000000000 1000000\n",
+     "line 3: tensor x/W0: the file ends before row 0 of 1000000000000"),
+    ("x\u00ff/W0 1 1\n0\n", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 14"),
     ("meta/episode 1 1\n0\nmeta/episode 1 1\n7\n",
      "line 4: tensor meta/episode repeats the tensor of line 2"),
     *((f"meta/episode 1 1\n0\nmeta/agents 1 1\n{value}\n",
        f"checkpoint tensor meta/agents must be an integer >= 1, got {shown}")
       for value, shown in (("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("2.5", "2.5"))),
 ], ids=["meta_empty", "meta_missing", "header_short", "row_unparsable", "rows_negative",
-        "tensor_repeated", "agents_inf", "agents_nan", "agents_negative", "agents_fraction"])
+        "rows_truncated", "rows_beyond_memory", "not_utf8", "tensor_repeated", "agents_inf",
+        "agents_nan", "agents_negative", "agents_fraction"])
 def test_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, body, message):
     scenario = write_cli_scenario(tmp_path)
     ckpt = tmp_path / "ckpt.txt"
-    ckpt.write_text(f"{neuralcore.CKPT_MAGIC}\n{body}", encoding="utf-8")
+    # latin-1 writes each character as one byte, so a body can hold a byte that is not UTF-8
+    ckpt.write_text(f"{neuralcore.CKPT_MAGIC}\n{body}", encoding="latin-1")
     out = tmp_path / "out"
     argv = ["eval", "--scenario", scenario, "--checkpoint", str(ckpt), "--policy", "split",
             "--episodes", "1", "--out", str(out)]
@@ -425,6 +431,27 @@ def test_checkpoint_values_on_the_edge_of_the_rules_load(tmp_path, capsys, split
     code, err, _, out_exists = _eval_with_value(tmp_path, capsys, split_checkpoint, "split",
                                                 tensor, value)
     assert (code, err) == (cli.EXIT_OK, "") and out_exists
+
+
+@pytest.mark.parametrize("sidecar", ["none", "stale"])
+def test_eval_leaves_the_checkpoints_directory_as_it_was(tmp_path, split_checkpoint, sidecar):
+    """A checkpoint with no sidecar, or with one of another text, is parsed on
+    every eval, and no eval writes next to it: names and bytes stay."""
+    scenario, tensors = split_checkpoint
+    directory = tmp_path / "ckpt"
+    directory.mkdir()
+    ckpt = str(directory / "ckpt.txt")
+    neuralcore.save_checkpoint(ckpt, tensors.items())
+    if sidecar == "none":
+        os.remove(ckpt + ".f8")
+    else:
+        neuralcore.save_checkpoint(str(directory / "other.txt"), [("meta/episode", np.zeros(1))])
+        os.replace(directory / "other.txt.f8", ckpt + ".f8")
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    for run in range(3):
+        assert cli.main(["eval", "--scenario", scenario, "--checkpoint", ckpt, "--policy", "split",
+                         "--episodes", "1", "--out", str(tmp_path / f"out{run}")]) == cli.EXIT_OK
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
 @pytest.mark.parametrize("scenario_line, train_text, message", [

@@ -367,6 +367,40 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     assert os.listdir(tmp_path) == ["bad.txt"]  # no sidecar
 
 
+@pytest.mark.parametrize("body, line, row, rows", [
+    ("x/W0 3000000 0\n", 3, 0, 3000000),
+    ("x/W0 1000000000000 1000000\n", 3, 0, 1000000000000),
+    ("x/W0 2 3\n1 2 3\n", 4, 1, 2),
+    ("a/b0 1 1\n5\n\nx/W0 4 0\n\n\n", 8, 2, 4),
+], ids=["rows_no_cols", "rows_and_cols_huge", "row_missing", "blank_rows_missing"])
+def test_a_text_that_ends_before_its_rows_is_refused_naming_the_line(tmp_path, body, line, row,
+                                                                      rows):
+    """The rows a header declares are read before the tensor is allocated, so a
+    header no file could hold fails at the file's end, at once."""
+    path = tmp_path / "ckpt.txt"
+    path.write_text(f"{CKPT_MAGIC}\n{body}")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(path))
+    ends = f"tensor x/W0: the file ends before row {row} of {rows}"
+    assert str(info.value) == f"{path}: line {line}: {ends}"
+    assert os.listdir(tmp_path) == ["ckpt.txt"]
+
+
+@pytest.mark.parametrize("data, at", [
+    (b"\xff" + CKPT_MAGIC.encode() + b"\n", "position 0"),
+    (CKPT_MAGIC.encode() + b"\nx\xe9/W0 1 1\n0\n", "byte 0xe9"),
+    (CKPT_MAGIC.encode() + b"\nx/W0 1 2\n0 \xc3\n", "byte 0xc3"),
+], ids=["magic", "header", "row"])
+def test_a_checkpoint_that_is_not_utf8_is_a_value_error_naming_it(tmp_path, data, at):
+    path = tmp_path / "ckpt.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode")
+    assert at in str(info.value)
+    assert os.listdir(tmp_path) == ["ckpt.txt"]
+
+
 # --- the checkpoint's binary sidecar ---
 
 def _parsed(tensors):
@@ -412,39 +446,31 @@ _TENSORS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_TENSORS)
 def test_sidecar_loads_give_the_bits_of_the_text_parse(tensors):
-    """With the sidecar that save wrote deleted, a miss parses the text and writes
-    the sidecar; a hit returns what the sidecar holds. Both give the parse: same
-    names, order, shapes and bits."""
+    """With the sidecar that save wrote deleted, every load parses the text and
+    gives the parse (same names, order, shapes and bits), and creates no file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.txt")
         save_checkpoint(path, tensors)
         os.remove(path + ".f8")
         text = Path(path).read_bytes()
         want = _parsed(tensors)
-        _assert_same(load_checkpoint(path), want)
-        made = os.stat(path + ".f8")
-        _assert_same(load_checkpoint(path), want)
-        again = os.stat(path + ".f8")
-        assert (again.st_ino, again.st_mtime_ns) == (made.st_ino, made.st_mtime_ns)  # not rewritten
+        for _ in range(3):
+            _assert_same(load_checkpoint(path), want)
+            assert os.listdir(tmp) == ["ckpt.txt"]
         assert Path(path).read_bytes() == text
-        assert sorted(os.listdir(tmp)) == ["ckpt.txt", "ckpt.txt.f8"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_TENSORS)
 def test_the_sidecar_a_save_writes_is_the_one_a_load_miss_writes(tensors):
-    """The first load after a save is a hit, with no parse. Its sidecar is, byte
-    for byte, the one a load miss writes, for every value the text can hold: a
-    NaN of any sign or payload is stored as the parse of its "nan" returns it."""
+    """The first load after a save is a hit, with no parse, and gives the bits
+    the parse gives for every value the text can hold: a NaN of any sign or
+    payload is stored as the parse of its "nan" returns it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.txt")
         save_checkpoint(path, tensors)
-        saved = Path(path + ".f8").read_bytes()
         with mock.patch.object(neuralcore, "_parse_checkpoint", None):
             _assert_same(load_checkpoint(path), _parsed(tensors))  # a hit
-        os.remove(path + ".f8")
-        load_checkpoint(path)
-        assert Path(path + ".f8").read_bytes() == saved
         assert sorted(os.listdir(tmp)) == ["ckpt.txt", "ckpt.txt.f8"]
 
 
@@ -466,27 +492,31 @@ _SIDECAR_FAULTS = {
 }
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 @pytest.mark.parametrize("fault", ["text_edited", *_SIDECAR_FAULTS])
-def test_a_sidecar_that_does_not_match_is_parsed_around_and_rewritten(tmp_path, monkeypatch, fault):
+def test_a_sidecar_that_does_not_match_is_parsed_around_and_rewritten(tmp_path, fault):
+    """Every load parses around a sidecar that does not match its text, and no
+    load rewrites it: the directory keeps its names and bytes."""
     rng = np.random.default_rng(17)
     tensors = [("a/W0", rng.normal(size=(4, 3))), ("a/b0", rng.normal(size=(1, 4))),
                ("meta/episode", np.array([[3.0]]))]
     other = [("a/W0", rng.normal(size=(4, 3)))]
     path, other_path = str(tmp_path / "ckpt.txt"), str(tmp_path / "other.txt")
     save_checkpoint(other_path, other)
-    load_checkpoint(other_path)
     save_checkpoint(path, tensors)
-    load_checkpoint(path)
     if fault == "text_edited":  # another text under the sidecar of the first
         tensors = other
         shutil.copyfile(other_path, path)
     else:
         _SIDECAR_FAULTS[fault](path + ".f8")
-    _assert_same(load_checkpoint(path), _parsed(tensors))
-    # The sidecar left behind is valid: the next load is a hit, with no parse.
-    monkeypatch.setattr(neuralcore, "_parse_checkpoint", None)
-    _assert_same(load_checkpoint(path), _parsed(tensors))
-    assert sorted(os.listdir(tmp_path)) == ["ckpt.txt", "ckpt.txt.f8", "other.txt", "other.txt.f8"]
+    before = _files(tmp_path)
+    assert sorted(before) == ["ckpt.txt", "ckpt.txt.f8", "other.txt", "other.txt.f8"]
+    for _ in range(3):
+        _assert_same(load_checkpoint(path), _parsed(tensors))
+        assert _files(tmp_path) == before
 
 
 def test_a_failed_sidecar_write_still_returns_the_tensors(tmp_path, monkeypatch):
