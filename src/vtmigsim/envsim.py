@@ -545,35 +545,38 @@ def build_env(cfg: dict[str, str], **overrides) -> PremigrationEnv:
     """
     n_rsu = check("rsu.count", get_int(cfg, "rsu.count"), ">= 1")
     n_veh = check("veh.count", get_int(cfg, "veh.count"), ">= 1")
+    try:  # sizes that do not fit in memory are a config error that names them
+        backhaul = np.zeros((n_rsu, n_rsu))
+        for i, j in itertools.permutations(range(n_rsu), 2):
+            keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
+            key = next((k for k in keys if k in cfg), None)  # first set, in this order
+            if key is None:
+                raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
+                                  f"set one of {', '.join(keys)}")
+            backhaul[i, j] = check(key, get_float(cfg, key), "> 0", cfg.get(key))
+        rsu_xy = [(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")) for i in range(n_rsu)]
+        rsu = _unit_columns(cfg, "rsu", n_rsu)
 
-    backhaul = np.zeros((n_rsu, n_rsu))
-    for i, j in itertools.permutations(range(n_rsu), 2):
-        keys = (f"backhaul.{i}.{j}", f"backhaul.{j}.{i}", "backhaul.default")
-        key = next((k for k in keys if k in cfg), None)  # first set, in this order
-        if key is None:
-            raise ConfigError(f"no backhaul bandwidth for RSU pair ({i},{j}): "
-                              f"set one of {', '.join(keys)}")
-        backhaul[i, j] = check(key, get_float(cfg, key), "> 0", cfg.get(key))
-    rsu_xy = [(get_float(cfg, f"rsu.{i}.x"), get_float(cfg, f"rsu.{i}.y")) for i in range(n_rsu)]
-    rsu = _unit_columns(cfg, "rsu", n_rsu)
+        with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
+            trajectories = read_trajectories_csv(fh)
+        if not trajectories:
+            raise ConfigError("no trajectories available for vehicles")
+        veh = _unit_columns(cfg, "veh", n_veh)
+        tracks = [trajectories[i % len(trajectories)] for i in range(n_veh)]
 
-    with open(get_str(cfg, "veh.traj_csv"), "r", encoding="utf-8") as fh:
-        trajectories = read_trajectories_csv(fh)
-    if not trajectories:
-        raise ConfigError("no trajectories available for vehicles")
-    veh = _unit_columns(cfg, "veh", n_veh)
-    tracks = [trajectories[i % len(trajectories)] for i in range(n_veh)]
-
-    channel = read_config(ChannelParams, cfg, "channel")
-    env_cfg = replace(read_config(EnvConfig, cfg, "env"), **overrides)
-    return PremigrationEnv(
-        rsu_xy=rsu_xy, **rsu, backhaul=backhaul, tx_power=veh["power"],
-        cycles_per_bit=veh["cycles_per_bit"], request_bits=veh["request_bits"],
-        task_bits=np.broadcast_to(veh["task_bits"], (env_cfg.horizon, n_veh)),
-        result_bits=np.broadcast_to(veh["result_bits"][:, None], (n_veh, n_rsu)),
-        track_id=[traj.vehicle_id for traj in tracks],
-        track_t=np.concatenate([traj.t for traj in tracks]),
-        track_xy=np.concatenate([traj.xy for traj in tracks]),
-        track_offsets=np.cumsum([0, *(len(traj.t) for traj in tracks)]),
-        channel=channel, cfg=env_cfg,
-    )
+        channel = read_config(ChannelParams, cfg, "channel")
+        env_cfg = replace(read_config(EnvConfig, cfg, "env"), **overrides)
+        return PremigrationEnv(
+            rsu_xy=rsu_xy, **rsu, backhaul=backhaul, tx_power=veh["power"],
+            cycles_per_bit=veh["cycles_per_bit"], request_bits=veh["request_bits"],
+            task_bits=np.broadcast_to(veh["task_bits"], (env_cfg.horizon, n_veh)),
+            result_bits=np.broadcast_to(veh["result_bits"][:, None], (n_veh, n_rsu)),
+            track_id=[traj.vehicle_id for traj in tracks],
+            track_t=np.concatenate([traj.t for traj in tracks]),
+            track_xy=np.concatenate([traj.xy for traj in tracks]),
+            track_offsets=np.cumsum([0, *(len(traj.t) for traj in tracks)]),
+            channel=channel, cfg=env_cfg,
+        )
+    except MemoryError as exc:
+        raise ConfigError(f"rsu.count = {n_rsu}, veh.count = {n_veh} and env.horizon = "
+                          f"{cfg.get('env.horizon', EnvConfig.horizon)}: {exc}") from None

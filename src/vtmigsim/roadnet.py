@@ -398,8 +398,9 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
     if src == dst:
         return [src], 0.0
     s, t, out, scale, n = net._index[src], net._index[dst], net._out, net._scale, len(net.ids)
-    h = (scale * np.hypot(*(net.xy - net.xy[t]).T)).tolist() if scale else [0.0] * n
-    dist, parent = [math.inf] * n, [-1] * n
+    x, y = net.xy.T
+    h = (scale * np.hypot(x - x[t], y - y[t])).tolist() if scale else [0.0] * n
+    dist, parent = [math.inf] * n, None if scale else [-1] * n
     dist[s] = 0.0
     # Each arc of a path rounds a key g + h (and h's consistency) by a few ulps of
     # D(dst); n * 2**-48 * D(dst) covers paths of 2n arcs, so every node the walk
@@ -420,7 +421,8 @@ def shortest_path(net: RoadNetwork, src: int, dst: int) -> tuple[list[int], floa
             cand = d_u + w
             if cand < dist[v]:
                 dist[v] = cand
-                parent[v] = u
+                if not scale:
+                    parent[v] = u
                 push(heap, (cand + h[v], cand, v))
     if dist[t] == math.inf:
         raise UnreachableError(f"node {dst} is not reachable from {src}")

@@ -6,20 +6,24 @@ models), then generate new trajectories by sampling entry/exit points,
 routing them through the network, timing the path from empirical speeds,
 densifying with fixed-interval linear interpolation, and snapping the result
 back onto the roads. Every stage reads and writes whole trajectory columns;
-a distance between track points has `math.hypot`'s bits.
+a distance between track points has `math.hypot`'s bits. `synthetic_truth`
+and `generate_route` route through one table per network object: each
+distinct (src, dst) pair is searched once while the network lives, a twin
+network starts with an empty table, and threads that share a network may
+both search a pair but never get another answer.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .configio import KEY, RANGE, check_fields
-from .roadnet import RoadNetwork, UnreachableError, hypot, map_match, read_columns
-from .roadnet import shortest_path
+from .roadnet import RoadNetwork, UnreachableError, hypot, map_match, read_columns, shortest_path
 
 HOURS = 24
 _SECONDS_PER_HOUR = 3600.0
@@ -191,6 +195,7 @@ def build_profile(segments: Sequence[Trajectory], cfg: GenConfig) -> MobilityPro
 
 _MIN_ENDPOINT_SEPARATION = 10.0  # meters
 _COLLISION_RETRIES = 10
+_ROUTES: "weakref.WeakKeyDictionary[RoadNetwork, dict]" = weakref.WeakKeyDictionary()
 
 
 def generate_entry_exit(
@@ -210,25 +215,30 @@ def generate_entry_exit(
     return entry, exit
 
 
+def _route(net: RoadNetwork, src: int, dst: int) -> Optional[list[int]]:
+    """A fresh list of `shortest_path`'s node ids, None where no path connects them."""
+    routes = _ROUTES.setdefault(net, {})  # (src, dst) -> a tuple of node ids, or None
+    if (src, dst) not in routes:
+        try:
+            routes[src, dst] = tuple(shortest_path(net, src, dst)[0])
+        except UnreachableError:
+            routes[src, dst] = None
+    return None if routes[src, dst] is None else list(routes[src, dst])
+
+
 def generate_route(entries, exits, net: RoadNetwork) -> list[Optional[list[int]]]:
     """Routes between the network nodes nearest to each entry/exit pair, rows of
     `entries` and `exits` (J, 2); None where no route connects the pair.
 
     A point's node is the nearer end of its nearest arc (ties: the lower id);
-    all 2J points are matched in one batch.
+    all 2J points are matched in one batch. A pair is searched once per network.
     """
     ends = np.array([entries, exits], dtype=float).reshape(-1, 2)
     arcs = net.arcs[map_match(net, ends).edge_id]
     d = hypot(*(ends[:, None] - net.xy[arcs]).T).T  # (2J, 2) to each end of the arc
     a, b = arcs.T
     node = np.where(d[:, 0] < d[:, 1], a, np.where(d[:, 1] < d[:, 0], b, np.minimum(a, b)))
-    routes = []
-    for src, dst in zip(*node.reshape(2, -1).tolist()):
-        try:
-            routes.append(shortest_path(net, net.ids[src], net.ids[dst])[0])
-        except UnreachableError:
-            routes.append(None)
-    return routes
+    return [_route(net, net.ids[u], net.ids[v]) for u, v in zip(*node.reshape(2, -1).tolist())]
 
 
 def assign_times(
@@ -382,6 +392,7 @@ def synthetic_truth(
     points carry Gaussian position jitter, mimicking measurement noise. An
     hour, entry or exit is drawn as `rng.choice(n, p=w)` draws it: one
     `rng.random()` looked up in the cumulative weights, here built once.
+    A pair of nodes is searched once per network, as in `generate_route`.
     """
     weights = np.asarray(_DEFAULT_HOUR_SHAPE if hour_weights is None else hour_weights, float)
     with np.errstate(over="ignore"):
@@ -413,11 +424,7 @@ def synthetic_truth(
         hour = int(hours.searchsorted(rng.random(), side="right"))
         src = node_ids[int(entries.searchsorted(rng.random(), side="right"))]
         dst = node_ids[int(exits.searchsorted(rng.random(), side="right"))]
-        if src == dst:
-            continue
-        try:
-            route, _ = shortest_path(net, src, dst)
-        except UnreachableError:
+        if src == dst or (route := _route(net, src, dst)) is None:
             continue
         t0 = (hour + float(rng.uniform())) * _SECONDS_PER_HOUR
         path = positions[[net._index[nid] for nid in route]]  # src != dst: two nodes or more

@@ -8,6 +8,8 @@ import io
 import math
 import os
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -549,6 +551,37 @@ def test_no_episodes_or_zero_max_load_exits_2_before_output(tmp_path, capsys, co
     assert cli.main(argv + ["--scenario", scenario, "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+# Runs cli.main with its address space capped at 2 GiB, so an allocation too
+# large for any host fails alike everywhere, without swapping or the OOM killer.
+_CAPPED_MAIN = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from vtmigsim import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("env.horizon", 10**12), ("veh.count", 10**12), ("rsu.count", 10**6)])
+def test_sizes_that_do_not_fit_in_memory_exit_2_naming_the_key_before_output(tmp_path, key,
+                                                                             value):
+    scenario = _edited_scenario(tmp_path, [f"{key} = {value}"])
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "eval", "--policy", "full_migration",
+         "--scenario", scenario, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == cli.EXIT_CONFIG, child.stderr
+    assert child.stderr.startswith("config error: ")
+    assert f"{key} = {value}" in child.stderr and "Unable to allocate" in child.stderr
     assert not out.exists()
 
 

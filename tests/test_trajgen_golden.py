@@ -9,10 +9,11 @@ is pinned end to end too.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
-from vtmigsim import cli
+from vtmigsim import cli, trajgen
 
 GRID = 7           # nodes per side
 SPACING_M = 180.0
@@ -76,6 +77,28 @@ def _digests(tmp_path, seed):
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_trajgen_outputs_match_golden(tmp_path, seed):
     assert _digests(tmp_path, seed) == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_trajgen_searches_each_distinct_pair_once(tmp_path, seed):
+    """synthetic_truth and generate_route ask for some pairs again; the run's
+    searches are its distinct pairs, one each, and its outputs stay golden."""
+    requested, searched = [], []
+    route, search = trajgen._route, trajgen.shortest_path
+
+    def counted_route(net, src, dst):
+        requested.append((src, dst))
+        return route(net, src, dst)
+
+    def counted_search(net, src, dst):
+        searched.append((src, dst))
+        return search(net, src, dst)
+
+    with mock.patch.object(trajgen, "_route", counted_route), \
+            mock.patch.object(trajgen, "shortest_path", counted_search):
+        assert _digests(tmp_path, seed) == GOLDEN[seed]
+    assert sorted(searched) == sorted(set(requested))
+    assert len(requested) > len(searched)
 
 
 # Recorded with the per-point bucket-indexed map_match.

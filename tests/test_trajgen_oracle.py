@@ -13,8 +13,14 @@ that share no node, with node ids in shuffled order and segments drawn in
 either direction. Some hours route between the grids (never reachable, so
 their jobs are skipped after 20 rounds), some retry until a pair lands on one
 grid, and some sample both endpoints next to one node of the short road.
+The route table is checked on the same networks: node pairs repeat within
+and across `generate_route` calls, on a network and on its twin.
 """
 
+import gc
+import sys
+import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -394,3 +400,101 @@ def test_generate_route_rows_match_pair_at_a_time(case):
         except roadnet.UnreachableError:
             want.append(None)
     assert generate_route(entries, exits, net) == want
+
+
+def _fresh_route(net, src, dst):
+    """A new search's node ids from src to dst, None where no path connects them."""
+    try:
+        return roadnet.shortest_path(net, src, dst)[0]
+    except roadnet.UnreachableError:
+        return None
+
+
+@st.composite
+def route_requests(draw):
+    """(node columns, segments, batches of (src, dst) node rows) on a split
+    network or one grid: the pairs come from a small pool, so they repeat
+    within and across batches."""
+    if draw(st.booleans()):
+        nodes, edges = draw(split_networks())
+    else:
+        xy, segs = _grid(draw(st.integers(1, 4)), draw(st.integers(2, 4)), 100.0, (0.0, 0.0))
+        nodes = [(k, x, y) for k, (x, y) in enumerate(xy)]
+        edges = [(u, v, None, 12.0) for u, v in segs]
+    node = st.integers(0, len(nodes) - 1)
+    pool = draw(st.lists(st.tuples(node, node), min_size=1, max_size=6))
+    pairs = st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    return nodes, edges, draw(st.lists(pairs, min_size=1, max_size=4))
+
+
+@SETTINGS
+@given(route_requests())
+def test_the_route_table_searches_each_pair_once_per_network(case):
+    """Every row is a fresh search's answer; each distinct pair is searched once
+    on a network and once more on its twin; a caller's edit of a row stays its own."""
+    nodes, edges, batches = case
+    ids, xy = [nid for nid, _, _ in nodes], [(x, y) for _, x, y in nodes]
+    searched = []
+
+    def counted(net, src, dst):
+        searched.append((net, src, dst))
+        return roadnet.shortest_path(net, src, dst)
+
+    nets = [RoadNetwork.from_undirected(nodes, edges) for _ in range(2)]
+    with mock.patch.object(trajgen, "shortest_path", counted):
+        for net in nets:
+            for batch in batches + batches[:1]:
+                rows = generate_route([xy[u] for u, _ in batch], [xy[v] for _, v in batch], net)
+                assert rows == [_fresh_route(net, ids[u], ids[v]) for u, v in batch]
+                for row in rows:
+                    if row is not None:
+                        row.reverse()
+                        row.append(-1)
+    pairs = sorted({(ids[u], ids[v]) for batch in batches for u, v in batch})
+    for net in nets:
+        assert sorted((src, dst) for n, src, dst in searched if n is net) == pairs
+    assert len(searched) == 2 * len(pairs)
+
+
+def test_threads_share_one_networks_route_table():
+    """Six threads route the same pairs on one network, switching often: each
+    gets a fresh search's answers, and the table then holds every pair."""
+    xy, segs = _grid(6, 6, 100.0, (0.0, 0.0))
+    net = RoadNetwork.from_undirected([(k, x, y) for k, (x, y) in enumerate(xy)],
+                                      [(u, v, None, 12.0) for u, v in segs])
+    pairs = [tuple(p) for p in np.random.default_rng(5).integers(len(xy), size=(40, 2)).tolist()]
+    expected = [_fresh_route(net, u, v) for u, v in pairs]
+    answers = [None] * 6
+
+    def work(k):
+        order = pairs[k:] + pairs[:k]
+        answers[k] = generate_route([xy[u] for u, _ in order], [xy[v] for _, v in order], net)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [expected[k:] + expected[:k] for k in range(6)]
+    with mock.patch.object(trajgen, "shortest_path", None):  # a search would raise TypeError
+        assert generate_route([xy[u] for u, _ in pairs], [xy[v] for _, v in pairs], net) == expected
+
+
+def test_a_networks_route_table_goes_with_it():
+    nodes, segs = _grid(2, 3, 100.0, (0.0, 0.0))
+    net = RoadNetwork.from_undirected([(k, x, y) for k, (x, y) in enumerate(nodes)],
+                                      [(u, v, None, 12.0) for u, v in segs])
+    gc.collect()
+    tables = len(trajgen._ROUTES)
+    assert generate_route([nodes[0]], [nodes[5]], net) == [[0, 1, 2, 5]]
+    assert len(trajgen._ROUTES) == tables + 1
+    gone = weakref.ref(net)
+    del net
+    gc.collect()
+    assert gone() is None and len(trajgen._ROUTES) == tables
